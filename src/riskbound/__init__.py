@@ -32,6 +32,7 @@ from .bounds import (
     closed_form_sup,
     premium_bound,
     shortfall_bound,
+    shortfall_value,
     worst_case_bound,
     worst_case_quantile,
     worst_case_weighted,

@@ -1,8 +1,9 @@
 """Shared numerical kernels.
 
-Bracketed root finding, Gauss-Legendre panel quadrature on geometric panel
-chains (stable down to distances ~1e-60 from an endpoint, far below what a
-double can represent as ``1 - t``), and the upper incomplete gamma integral.
+Bracketed root finding, the named tangency equations solved with it, and
+Gauss-Legendre panel quadrature on geometric panel chains (stable down to
+distances ~1e-60 from an endpoint, far below what a double can represent as
+``1 - t``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoSignChange
+from .errors import NoSignChange, ParamOutOfDomain
 
 _GL20 = np.polynomial.legendre.leggauss(20)
 _GL10 = np.polynomial.legendre.leggauss(10)
@@ -63,6 +64,100 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
     if a <= x1 <= b and abs(f1) <= abs(f(root)):
         root = x1
     return root
+
+
+def solve_breakpoint(equation: str, params: dict) -> float:
+    """Solve a named tangency equation to (near) machine precision.
+
+    Equations (u is the unknown contact point):
+
+    FGRE:     alpha*u + log(1 - u) = 0                     on [1 - e^(1-alpha), 1)
+    FGE:      alpha*(1 - u) + log(u) = 0                   on (0, e^(1-alpha)]
+    TCRE:     u + log((1 - u)/(1 - F_t)) = 0               on [F_t, 1]
+    TCRTE:    (1-F_t)^(a-1) - (1-u)^(a-1)*(1+(a-1)u) = 0   on [F_t, 1]
+    TNEGini:  (1-u)^r + r*u*(1-u)^(r-1) - (1-p)^(r-1) = 0  on [p, 1]
+    DCT:      F_t^(a-1) - u^(a-1)*(u + a*(1-u)) = 0        on [0, F_t]
+    DCE:      u - 1 - log(u/F_t) = 0                       on (0, F_t]
+
+    The FGRE root is 1 - t for the FGE root t, which is solved as
+    x = t * e^alpha in [1/2, e] so that it keeps full relative precision
+    however small t is.  At a = 2 / r = 2 the TCRTE, TNEGini and DCT
+    equations are quadratic and their roots are returned exactly.
+    """
+    if equation in ("FGRE", "FGE"):
+        a = float(params["alpha"])
+        if a <= 1.0:
+            raise ParamOutOfDomain(f"{equation} breakpoint exists only for alpha > 1")
+        scale = math.exp(-a)
+        t = scale * bisect_root(lambda x: math.log(x) - a * scale * x, 0.5, math.e)
+        return 1.0 - t if equation == "FGRE" else t
+
+    F = float(params.get("F_t", params.get("p", math.nan)))
+
+    if equation == "TCRE":
+        if not (0.0 < F < 1.0):
+            raise ParamOutOfDomain("TCRE breakpoint requires F_t in (0, 1)")
+        lq = math.log(1.0 - F)
+        hi = 1.0 - (1.0 - F) * math.exp(-3.0)
+
+        def f(u):
+            return u + math.log1p(-u) - lq
+
+        return bisect_root(f, F, hi)
+
+    if equation == "TCRTE":
+        a = float(params["alpha"])
+        if not (0.0 < F < 1.0):
+            raise ParamOutOfDomain("TCRTE breakpoint requires F_t in (0, 1)")
+        if a <= 0.0 or a == 1.0:
+            raise ParamOutOfDomain("TCRTE breakpoint requires alpha > 0, alpha != 1")
+        if a == 2.0:
+            return math.sqrt(F)
+        c = (1.0 - F) ** (a - 1.0)
+
+        def f(u):
+            return c - (1.0 - u) ** (a - 1.0) * (1.0 + (a - 1.0) * u)
+
+        return bisect_root(f, F, 1.0 - 1e-13)
+
+    if equation == "TNEGini":
+        r = float(params["r"])
+        if not (0.0 < F < 1.0) or r <= 1.0:
+            raise ParamOutOfDomain("TNEGini breakpoint requires r > 1 and p in (0, 1)")
+        if r == 2.0:
+            return math.sqrt(F)
+        c = (1.0 - F) ** (r - 1.0)
+
+        def f(u):
+            return (1.0 - u) ** r + r * u * (1.0 - u) ** (r - 1.0) - c
+
+        return bisect_root(f, F, 1.0 - 1e-13)
+
+    if equation == "DCT":
+        a = float(params["alpha"])
+        if not (0.0 < F <= 1.0):
+            raise ParamOutOfDomain("DCT breakpoint requires F_t in (0, 1]")
+        if a <= 0.0 or a == 1.0:
+            raise ParamOutOfDomain("DCT breakpoint requires alpha > 0, alpha != 1")
+        if a == 2.0:
+            return 1.0 - math.sqrt(1.0 - F)
+        c = F ** (a - 1.0)
+
+        def f(u):
+            return c - u ** (a - 1.0) * (u + a * (1.0 - u))
+
+        return bisect_root(f, min(1e-13, 0.5 * F), F)
+
+    if equation == "DCE":
+        if not (0.0 < F <= 1.0):
+            raise ParamOutOfDomain("DCE breakpoint requires F_t in (0, 1]")
+
+        def f(u):
+            return u - 1.0 - math.log(u / F)
+
+        return bisect_root(f, F * 1e-12, F)
+
+    raise ParamOutOfDomain(f"unknown breakpoint equation {equation!r}")
 
 
 def log_chain(hi: float, lo: float, per_octave: int) -> np.ndarray:
@@ -121,44 +216,3 @@ def integrate_segment(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float
         total += panel_gauss(lambda t: fn(b - t), edges, order)
         total += float(np.asarray(fn(np.array([b - 0.5 * edges[-1]])))[0]) * edges[-1]
     return total
-
-
-def upper_incomplete_gamma(s: float, x: float, rel_tol: float = 1e-10) -> float:
-    """``∫_x^∞ t^(s-1) e^(-t) dt`` by panel quadrature of the defining integral.
-
-    Valid for s > 0, x > 0.  The infinite tail is truncated once the
-    analytic remainder bound drops below ``rel_tol`` times the accumulated
-    value.
-    """
-    if x <= 0.0:
-        if s <= 0.0:
-            raise ValueError("upper_incomplete_gamma requires s > 0 when x <= 0")
-        return math.gamma(s)
-
-    def f(t):
-        return np.exp((s - 1.0) * np.log(t) - t)
-
-    total = 0.0
-    left = x
-    width = max(1.0, 0.5 * abs(s - 1.0))
-    while True:
-        right = left + width
-        edges = np.array([right, 0.5 * (left + right), left])
-        total += panel_gauss(f, edges)
-        # remainder bound: for t >= T and T > 2(s-1), integrand decays faster
-        # than e^(-t/2) * T^(s-1) e^(-T/2)
-        T = right
-        if T > 2.0 * abs(s - 1.0) + 2.0:
-            tail = 2.0 * math.exp((s - 1.0) * math.log(T) - T)
-            if tail <= rel_tol * max(total, 1e-300):
-                break
-        left = right
-        width *= 1.6
-        if left > x + 800.0:
-            break
-    return total
-
-
-def gauss_nodes(order: int = 20):
-    """Expose the cached Gauss-Legendre rule (nodes, weights)."""
-    return _GL20 if order >= 20 else _GL10

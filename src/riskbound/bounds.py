@@ -331,14 +331,21 @@ def premium_bound(family: str, params: Optional[dict], kappa: float,
                                                 MomentInfo(0.0, moments.sigma))
 
 
+def shortfall_value(spec: ShortfallSpec, moments: MomentInfo) -> float:
+    """Sharp worst-case value of an entropy shortfall, with no certificate.
+
+    Named families take their closed form and build no envelope; a custom
+    base distortion has none, so the engine computes it.
+    """
+    if spec.family == "custom":
+        return shortfall_bound(spec, moments).sup_value
+    return closed_form_sup(spec.family, spec.catalog_params(), moments)
+
+
 def shortfall_bound(spec: ShortfallSpec, moments: MomentInfo,
                     engine: str = "auto", n_grid: Optional[int] = None) -> BoundResult:
-    """Sharp worst case of an entropy shortfall.
-
-    For named families the closed form is authoritative and the envelope
-    engine supplies the attaining quantile; for a custom base distortion the
-    engine is authoritative.
-    """
+    """The value of ``shortfall_value`` together with its certificate: the
+    envelope and attaining quantile from the engine."""
     params = spec.catalog_params()
     if spec.family == "custom":
         return worst_case_bound(spec.custom_g, "shortfall",
@@ -346,7 +353,7 @@ def shortfall_bound(spec: ShortfallSpec, moments: MomentInfo,
                                 engine=engine, n_grid=n_grid)
     g = catalog_lookup(spec.family, params)
     result = worst_case_bound(g, moments=moments, engine=engine, n_grid=n_grid)
-    L = closed_form_sup(spec.family, params, MomentInfo(0.0, 1.0))
+    L = shortfall_value(spec, MomentInfo(0.0, 1.0))
     sup = moments.mu + moments.sigma * L
     return BoundResult(sup_value=float(sup), l2_term=float(L), center=1.0,
                        degenerate=result.degenerate, quantile=result.quantile,

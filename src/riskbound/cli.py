@@ -107,15 +107,11 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _result_payload(result: B.BoundResult) -> dict:
-    return result.record()
-
-
 def _print_result(args, result: B.BoundResult):
     if args.format == "json":
-        _emit(args, json.dumps(_result_payload(result), sort_keys=True) + "\n")
+        _emit(args, json.dumps(result.record(), sort_keys=True) + "\n")
     elif args.format == "csv":
-        rec = _result_payload(result)
+        rec = result.record()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(list(rec))
@@ -184,10 +180,7 @@ def _cmd_envelope(args) -> int:
     g = D.catalog_lookup(args.family, params)
     tg = D.default_transform(g) if args.mode is None else D.make_ghat(
         g, args.mode, {k: params[k] for k in ("F_t", "p", "tau") if k in params})
-    if args.engine == "numeric":
-        env = E.convex_envelope_numeric(tg, _grid_size(args))
-    else:
-        env, _ = B._build_envelope(tg, args.engine, _grid_size(args))
+    env, _ = B._build_envelope(tg, args.engine, _grid_size(args))
     table = E.envelope_table(env, n=args.points)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -236,7 +229,7 @@ def _cmd_shortfall(args) -> int:
     for p in ps:
         spec = B.ShortfallSpec(args.family, p=float(p), tau=float(tau),
                                alpha=params.get("alpha"), r=params.get("r"))
-        rows.append((float(p), B.shortfall_bound(spec, moments).sup_value))
+        rows.append((float(p), B.shortfall_value(spec, moments)))
     if args.format == "human":
         if len(rows) == 1:
             _emit(args, f"sup = {_fmt(rows[0][1])}\n")

@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
+from scipy.special import gammaincc
 
+from ._num import solve_breakpoint
 from .errors import (
     BadTruncationPoint,
     DomainError,
@@ -166,7 +168,6 @@ class DistortionFn:
     g: Evaluable
     g1: float
     g_prime: Optional[Evaluable] = None
-    continuity: str = "continuous"
     g_lo: Optional[Evaluable] = None
     g_hi: Optional[Evaluable] = None
     gp_lo: Optional[Evaluable] = None
@@ -377,8 +378,17 @@ def _base_egini(r: float, family: str, params: dict, scale: float = 1.0, **meta)
         base=base, entropy_convex=True, concave=True, **meta)
 
 
+def _gamma_norm(a: float, family: str) -> float:
+    """Gamma(alpha + 1), the normalizer of the fractional entropies."""
+    try:
+        return math.gamma(a + 1.0)
+    except OverflowError:
+        raise ParamOutOfDomain(
+            f"{family}: Gamma(alpha + 1) overflows double precision at alpha={a}") from None
+
+
 def _base_fgre(a: float, family: str, params: dict, **meta) -> DistortionFn:
-    gam = math.gamma(a + 1.0)
+    gam = _gamma_norm(a, family)
     return DistortionFn(
         family=family, params=params,
         g=_ev(lambda u: _pow_neglog(u, a) / gam), g1=0.0,
@@ -391,7 +401,7 @@ def _base_fgre(a: float, family: str, params: dict, **meta) -> DistortionFn:
 
 
 def _base_fge(a: float, family: str, params: dict, **meta) -> DistortionFn:
-    gam = math.gamma(a + 1.0)
+    gam = _gamma_norm(a, family)
     return DistortionFn(
         family=family, params=params,
         g=_ev(lambda u: _pow_neglog_one_minus(u, a) / gam), g1=0.0,
@@ -450,43 +460,34 @@ def _L_egini(r: float) -> float:
     return 2.0 * (r - 1.0) / math.sqrt(2.0 * r - 1.0)
 
 
-def _solve(eq: str, params: dict) -> float:
-    from .envelope import solve_breakpoint
-
-    return solve_breakpoint(eq, params)
-
-
 def _L_fgre(a: float) -> float:
-    from ._num import upper_incomplete_gamma
-
+    """L of FGRE and of FGE alike: their contact points mirror each other
+    (u_FGRE = 1 - u_FGE), so both read the small FGE root t."""
     if a <= 1.0:
         return math.sqrt(math.gamma(2.0 * a - 1.0)) / math.gamma(a)
-    u0 = _solve("FGRE", {"alpha": a})
-    w0 = a * u0  # contact identity: -log(1 - u0) = alpha * u0
-    d = w0 ** (2.0 * a) * (1.0 - u0) / u0 + a * a * upper_incomplete_gamma(2.0 * a - 1.0, w0)
-    return math.sqrt(d) / math.gamma(a + 1.0)
-
-
-def _L_fge(a: float) -> float:
-    from ._num import upper_incomplete_gamma
-
-    if a <= 1.0:
-        return math.sqrt(math.gamma(2.0 * a - 1.0)) / math.gamma(a)
-    u1 = _solve("FGE", {"alpha": a})
-    w1 = a * (1.0 - u1)  # contact identity: -log(u1) = alpha * (1 - u1)
-    d = w1 ** (2.0 * a) * u1 / (1.0 - u1) + a * a * upper_incomplete_gamma(2.0 * a - 1.0, w1)
-    return math.sqrt(d) / math.gamma(a + 1.0)
+    t = solve_breakpoint("FGE", {"alpha": a})
+    w = a * (1.0 - t)  # contact identity: -log(t) = alpha * (1 - t)
+    s = 2.0 * a - 1.0
+    try:
+        d = w ** (2.0 * a) * t / (1.0 - t) + a * a * float(gammaincc(s, w)) * math.gamma(s)
+        L = math.sqrt(d) / math.gamma(a + 1.0)
+    except OverflowError:
+        L = math.inf
+    if not math.isfinite(L):
+        raise ParamOutOfDomain(
+            f"alpha={a}: the fractional-entropy bound overflows double precision")
+    return L
 
 
 def _L_tcre(F: float) -> float:
-    u0 = _solve("TCRE", {"F_t": F})
+    u0 = solve_breakpoint("TCRE", {"F_t": F})
     w = math.log((1.0 - u0) / (1.0 - F))
     d = (1.0 - u0) / u0 * w * w + (1.0 - u0)
     return math.sqrt(d) / (1.0 - F)
 
 
 def _L_tcrt(a: float, F: float) -> float:
-    u0 = math.sqrt(F) if a == 2.0 else _solve("TCRTE", {"alpha": a, "F_t": F})
+    u0 = solve_breakpoint("TCRTE", {"alpha": a, "F_t": F})
     q = 1.0 - F
     t = 1.0 - u0
     d = (t / u0
@@ -497,7 +498,7 @@ def _L_tcrt(a: float, F: float) -> float:
 
 
 def _d_tnegini(r: float, p: float) -> float:
-    u0 = math.sqrt(p) if r == 2.0 else _solve("TNEGini", {"r": r, "p": p})
+    u0 = solve_breakpoint("TNEGini", {"r": r, "p": p})
     q = 1.0 - p
     t = 1.0 - u0
     return (t / u0
@@ -515,7 +516,7 @@ def _L_tegini(r: float, p: float) -> float:
 
 
 def _L_dct(a: float, F: float) -> float:
-    u1 = 1.0 - math.sqrt(1.0 - F) if a == 2.0 else _solve("DCT", {"alpha": a, "F_t": F})
+    u1 = solve_breakpoint("DCT", {"alpha": a, "F_t": F})
     d1 = (u1 / (1.0 - u1)
           - 2.0 * u1 ** a / ((1.0 - u1) * F ** (a - 1.0))
           + (u1 ** (2.0 * a - 1.0) / F ** (2.0 * a - 2.0))
@@ -524,7 +525,7 @@ def _L_dct(a: float, F: float) -> float:
 
 
 def _L_dce(F: float) -> float:
-    u1 = _solve("DCE", {"F_t": F})
+    u1 = solve_breakpoint("DCE", {"F_t": F})
     w = math.log(u1 / F)
     d1 = u1 + u1 * w * w / (1.0 - u1)
     return math.sqrt(d1) / F
@@ -639,13 +640,13 @@ def _build_catalog():
          lambda p: _base_fge(p["alpha"], "FGE", p, **_meta("entropy", {})),
          "entropy", lambda p: {}, False,
          lambda p: _check_sup_alpha(p["alpha"], "FGE"),
-         lambda p: _L_fge(p["alpha"]),
+         lambda p: _L_fgre(p["alpha"]),
          lambda p: "log-divergent" if p["alpha"] >= 1.0 else "power-divergent")
     _reg("GCE", "generalized cumulative entropy (integer order)", ("n",),
          lambda p: _integer_n(p, "GCE"),
          lambda p: _base_fge(float(int(p["n"])), "GCE", p, **_meta("entropy", {})),
          "entropy", lambda p: {}, False, _no_sup_check,
-         lambda p: _L_fge(float(int(p["n"]))), lambda p: "log-divergent")
+         lambda p: _L_fgre(float(int(p["n"]))), lambda p: "log-divergent")
     _reg("CE", "cumulative entropy", (),
          lambda p: None,
          lambda p: _base_ce("CE", p, **_meta("entropy", {})),
@@ -963,8 +964,7 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
 
 
 def custom_distortion(g: Callable, g_prime: Optional[Callable] = None,
-                      continuity: str = "continuous", name: str = "custom",
-                      kinks: tuple = ()) -> DistortionFn:
+                      name: str = "custom", kinks: tuple = ()) -> DistortionFn:
     """Wrap a user-supplied distortion; bounded variation is assumed, not checked."""
     gv = _ev(lambda u: np.asarray(g(np.asarray(u, dtype=float))))
     g0 = float(gv(0.0))
@@ -975,7 +975,7 @@ def custom_distortion(g: Callable, g_prime: Optional[Callable] = None,
         raise NonFiniteValue("custom distortion must be finite at 1")
     return DistortionFn(family=name, params={}, g=gv, g1=g1,
                         g_prime=_ev(g_prime) if g_prime is not None else None,
-                        continuity=continuity, kinks=tuple(kinks), base="custom",
+                        kinks=tuple(kinks), base="custom",
                         mode_default="riskmetric", extras_default={})
 
 

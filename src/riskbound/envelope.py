@@ -21,13 +21,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._num import bisect_root, integrate_segment, log_chain
-from .errors import NoAnalyticForm, NonFiniteValue, ParamOutOfDomain
+from ._num import integrate_segment, log_chain, solve_breakpoint
+from .errors import NoAnalyticForm, NonConvergent, NonFiniteValue, ParamOutOfDomain
 from .distortion import TransformedGHat
 
 DEFAULT_GRID = 4097
 GRID_FLOOR = 1e-9     # deepest cascade offset represented in u coordinates
 CHAIN_FLOOR = 1e-60   # deepest distance reached through stable tail evaluators
+FLOOR_MASS_TOL = 1e-7  # largest share of the squared-slope mass left at that floor
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,12 @@ class PiecewiseEnvelope:
 
     ``knots`` are the segment boundaries, ``values`` the envelope there.
     Slopes are right derivatives: constants on chords, evaluable on analytic
-    branches.  ``contact_set`` lists the knots where the envelope touches the
-    source function.
+    branches.
     """
 
     knots: np.ndarray
     values: np.ndarray
     segments: tuple
-    contact_set: np.ndarray
     source: TransformedGHat
     meta: dict = field(default_factory=dict)
 
@@ -106,113 +105,6 @@ class PiecewiseEnvelope:
         if np.ndim(u) == 0:
             return float(out.reshape(-1)[0])
         return out
-
-
-# ---------------------------------------------------------------------------
-# breakpoint equations
-# ---------------------------------------------------------------------------
-
-def solve_breakpoint(equation: str, params: dict) -> float:
-    """Solve a named tangency equation to (near) machine precision.
-
-    Equations (u is the unknown contact point):
-
-    FGRE:     alpha*u + log(1 - u) = 0                     on [1 - e^(1-alpha), 1]
-    FGE:      alpha*(1 - u) + log(u) = 0                   on (0, e^(1-alpha)]
-    TCRE:     u + log((1 - u)/(1 - F_t)) = 0               on [F_t, 1]
-    TCRTE:    (1-F_t)^(a-1) - (1-u)^(a-1)*(1+(a-1)u) = 0   on [F_t, 1]
-    TNEGini:  (1-u)^r + r*u*(1-u)^(r-1) - (1-p)^(r-1) = 0  on [p, 1]
-    DCT:      F_t^(a-1) - u^(a-1)*(u + a*(1-u)) = 0        on [0, F_t]
-    DCE:      u - 1 - log(u/F_t) = 0                       on (0, F_t]
-    """
-    if equation == "FGRE":
-        a = float(params["alpha"])
-        if a <= 1.0:
-            raise ParamOutOfDomain("FGRE breakpoint exists only for alpha > 1")
-        lo = 1.0 - math.exp(1.0 - a)
-        eps = max(math.exp(-2.0 * a), 1e-15)
-        hi = 1.0 - eps
-
-        def f(u):
-            return a * u + math.log1p(-u)
-
-        return bisect_root(f, lo, hi)
-
-    if equation == "FGE":
-        a = float(params["alpha"])
-        if a <= 1.0:
-            raise ParamOutOfDomain("FGE breakpoint exists only for alpha > 1")
-        lo = max(math.exp(-2.0 * a), 1e-15)
-        hi = math.exp(1.0 - a)
-
-        def f(u):
-            return a * (1.0 - u) + math.log(u)
-
-        return bisect_root(f, lo, hi)
-
-    if equation == "TCRE":
-        F = float(params["F_t"]) if "F_t" in params else float(params["p"])
-        if not (0.0 < F < 1.0):
-            raise ParamOutOfDomain("TCRE breakpoint requires F_t in (0, 1)")
-        lq = math.log(1.0 - F)
-        hi = 1.0 - (1.0 - F) * math.exp(-3.0)
-
-        def f(u):
-            return u + math.log1p(-u) - lq
-
-        return bisect_root(f, F, hi)
-
-    if equation == "TCRTE":
-        a = float(params["alpha"])
-        F = float(params["F_t"]) if "F_t" in params else float(params["p"])
-        if not (0.0 < F < 1.0):
-            raise ParamOutOfDomain("TCRTE breakpoint requires F_t in (0, 1)")
-        if a <= 0.0 or a == 1.0:
-            raise ParamOutOfDomain("TCRTE breakpoint requires alpha > 0, alpha != 1")
-        c = (1.0 - F) ** (a - 1.0)
-
-        def f(u):
-            return c - (1.0 - u) ** (a - 1.0) * (1.0 + (a - 1.0) * u)
-
-        return bisect_root(f, F, 1.0 - 1e-13)
-
-    if equation == "TNEGini":
-        r = float(params["r"])
-        p = float(params["p"]) if "p" in params else float(params["F_t"])
-        if not (0.0 < p < 1.0) or r <= 1.0:
-            raise ParamOutOfDomain("TNEGini breakpoint requires r > 1 and p in (0, 1)")
-        c = (1.0 - p) ** (r - 1.0)
-
-        def f(u):
-            return (1.0 - u) ** r + r * u * (1.0 - u) ** (r - 1.0) - c
-
-        return bisect_root(f, p, 1.0 - 1e-13)
-
-    if equation == "DCT":
-        a = float(params["alpha"])
-        F = float(params["F_t"])
-        if not (0.0 < F <= 1.0):
-            raise ParamOutOfDomain("DCT breakpoint requires F_t in (0, 1]")
-        if a <= 0.0 or a == 1.0:
-            raise ParamOutOfDomain("DCT breakpoint requires alpha > 0, alpha != 1")
-        c = F ** (a - 1.0)
-
-        def f(u):
-            return c - u ** (a - 1.0) * (u + a * (1.0 - u))
-
-        return bisect_root(f, min(1e-13, 0.5 * F), F)
-
-    if equation == "DCE":
-        F = float(params["F_t"])
-        if not (0.0 < F <= 1.0):
-            raise ParamOutOfDomain("DCE breakpoint requires F_t in (0, 1]")
-
-        def f(u):
-            return u - 1.0 - math.log(u / F)
-
-        return bisect_root(f, F * 1e-12, F)
-
-    raise ParamOutOfDomain(f"unknown breakpoint equation {equation!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -339,56 +231,84 @@ def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
     meta = {"kind": "numeric", "n_grid": n_grid, "grid_floor": GRID_FLOOR,
             "jump_chord": jump}
     return PiecewiseEnvelope(knots=knots, values=values, segments=tuple(segs),
-                             contact_set=knots.copy(), source=ghat, meta=meta)
+                             source=ghat, meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # analytic envelopes
 # ---------------------------------------------------------------------------
 
-def _env_from_segments(tg, segs, knots, contact=None, meta=None):
+def _env_from_segments(tg, segs, knots, meta=None):
     knots = np.asarray(knots, dtype=float)
     values = np.asarray(tg.ghat(knots), dtype=float)
     return PiecewiseEnvelope(knots=knots, values=values, segments=tuple(segs),
-                             contact_set=np.asarray(contact if contact is not None else knots,
-                                                    dtype=float),
                              source=tg, meta=dict(meta or {"kind": "analytic"}))
 
 
-def _own_convex_env(tg: TransformedGHat) -> PiecewiseEnvelope:
-    """Envelope of an already-convex transform: the function itself."""
+# (mode, base) -> (tangency equation of the contact point, side of the chord)
+_TANGENCY = {
+    ("entropy", "FGRE"): ("FGRE", "left"),
+    ("entropy", "FGE"): ("FGE", "right"),
+    ("residual", "GiniSemidiff"): ("TCRTE", "left"),
+    ("residual", "CRT"): ("TCRTE", "left"),
+    ("residual", "CRE"): ("TCRE", "left"),
+    ("residual", "EGini"): ("TNEGini", "left"),
+    ("residual", "TEGini"): ("TNEGini", "left"),
+    ("past", "GiniSemidiff"): ("DCT", "right"),
+    ("past", "CT"): ("DCT", "right"),
+    ("past", "CE"): ("DCE", "right"),
+}
+
+
+def _contact_point(tg: TransformedGHat, equation: str) -> float:
+    p = tg.source.params
+    # the Gini bases are the order-2 Tsallis / extended-Gini members, and
+    # GCRE / GCE are FGRE / FGE at integer order n
+    return solve_breakpoint(equation, {"alpha": p.get("alpha", p.get("n", 2.0)),
+                                       "r": p.get("r", 2.0), "F_t": tg.F_t})
+
+
+def _tangent_env(tg: TransformedGHat, u: float, side: str,
+                 scale: float) -> PiecewiseEnvelope:
+    """A chord from the transform's zero end to the contact point ``u``, and
+    the transform itself on the other side of ``u``.
+
+    ``side`` places the chord: "left" on [0, u] (residual mode, FGRE) or
+    "right" on [u, 1] (past mode, FGE).  ``scale`` is the length 1 - F_t, F_t
+    or 1 of the source argument's range: the branch slope is
+    g'((1 - u)/scale)/scale left of a chord and g'(1 - u/scale)/scale right of
+    one.  ``u = 0`` on the left means no chord: an untruncated convex
+    transform (scale 1) is its own envelope.
+    """
     src = tg.source
-    if src.g_prime is None:
-        raise NoAnalyticForm("source lacks an analytic derivative")
+    if (u >= 1.0) if side == "left" else (u <= 0.0):
+        raise ParamOutOfDomain(
+            f"{src.family}: the contact point rounds to the end of [0, 1], so the "
+            "analytic branch beyond it is not representable in double precision")
 
-    if tg.mode in ("entropy", "riskmetric"):
-        def slope_fn(u):
-            return np.asarray(src.g_prime(1.0 - np.asarray(u, dtype=float)))
+    # stable tail forms at distance t from u = 1 and from u = 0, each read
+    # only where the branch reaches that end; at scale 1 they are the
+    # source's own, called directly on the quadrature's long chains
+    slope_hi, slope_lo = src.gp_lo, src.gp_hi
+    if scale != 1.0:
+        def slope_hi(t):
+            return np.asarray(src.gp_lo(np.asarray(t, dtype=float) / scale)) / scale
 
-        seg = Segment(0.0, 1.0, "analytic", slope_fn=slope_fn,
-                      slope_lo=src.gp_hi, slope_hi=src.gp_lo)
-        return _env_from_segments(tg, [seg], [0.0, 1.0])
+        def slope_lo(t):
+            return np.asarray(src.gp_hi(np.asarray(t, dtype=float) / scale)) / scale
 
-    if tg.mode == "residual":   # only for F_t == 0 (no truncation)
-        q = 1.0 - tg.F_t
-
-        def slope_fn(u):
-            return np.asarray(src.g_prime((1.0 - np.asarray(u, dtype=float)) / q)) / q
-
-        seg = Segment(0.0, 1.0, "analytic", slope_fn=slope_fn,
-                      slope_lo=(lambda t: np.asarray(src.gp_hi(np.asarray(t) / q)) / q)
-                      if src.gp_hi else None,
-                      slope_hi=(lambda t: np.asarray(src.gp_lo(np.asarray(t) / q)) / q)
-                      if src.gp_lo else None)
-        return _env_from_segments(tg, [seg], [0.0, 1.0])
-
-    # past with F_t == 1
-    def slope_fn(u):
-        return np.asarray(src.g_prime(1.0 - np.asarray(u, dtype=float)))
-
-    seg = Segment(0.0, 1.0, "analytic", slope_fn=slope_fn,
-                  slope_lo=src.gp_hi, slope_hi=src.gp_lo)
-    return _env_from_segments(tg, [seg], [0.0, 1.0])
+    if side == "left":
+        branch = Segment(u, 1.0, "analytic", slope_lo=slope_lo, slope_hi=slope_hi,
+                         slope_fn=lambda v: slope_hi(1.0 - np.asarray(v, dtype=float)))
+        if u == 0.0:
+            return _env_from_segments(tg, [branch], [0.0, 1.0])
+        segs = [Segment(0.0, u, "chord", slope=float(tg.ghat(u)) / u), branch]
+    else:
+        branch = Segment(0.0, u, "analytic", slope_fn=slope_lo,
+                         slope_lo=slope_lo, slope_hi=slope_hi)
+        segs = [branch, Segment(u, 1.0, "chord", slope=-float(tg.ghat(u)) / (1.0 - u))]
+    return _env_from_segments(tg, segs, [0.0, u, 1.0],
+                              meta={"kind": "analytic", "breakpoint": u})
 
 
 def _es_env(tg: TransformedGHat) -> PiecewiseEnvelope:
@@ -398,98 +318,6 @@ def _es_env(tg: TransformedGHat) -> PiecewiseEnvelope:
     segs = [Segment(0.0, k, "chord", slope=0.0, contact_run=True),
             Segment(k, 1.0, "chord", slope=1.0 / q, contact_run=True)]
     return _env_from_segments(tg, segs, [0.0, k, 1.0])
-
-
-def _residual_contact_env(tg: TransformedGHat) -> PiecewiseEnvelope:
-    src = tg.source
-    F = tg.F_t
-    q = 1.0 - F
-    base = src.base
-    if base in ("GiniSemidiff",):
-        u0 = math.sqrt(F)
-    elif base == "CRT":
-        a = float(src.params["alpha"])
-        u0 = math.sqrt(F) if a == 2.0 else solve_breakpoint("TCRTE", {"alpha": a, "F_t": F})
-    elif base == "CRE":
-        u0 = solve_breakpoint("TCRE", {"F_t": F})
-    elif base in ("EGini", "TEGini"):
-        # families fixed at r = 2 (plain tail Gini) carry no explicit r
-        r = float(src.params.get("r", 2.0))
-        u0 = math.sqrt(F) if r == 2.0 else solve_breakpoint("TNEGini", {"r": r, "p": F})
-    else:
-        raise NoAnalyticForm(f"no residual-mode envelope recipe for base {base!r}")
-    b = float(tg.ghat(u0)) / u0
-
-    def slope_fn(u):
-        v = (1.0 - np.asarray(u, dtype=float)) / q
-        return np.asarray(src.g_prime(v)) / q
-
-    seg_lin = Segment(0.0, u0, "chord", slope=b)
-    seg_an = Segment(u0, 1.0, "analytic", slope_fn=slope_fn,
-                     slope_hi=lambda t: np.asarray(src.gp_lo(np.asarray(t, dtype=float) / q)) / q)
-    return _env_from_segments(tg, [seg_lin, seg_an], [0.0, u0, 1.0],
-                              meta={"kind": "analytic", "breakpoint": u0,
-                                    "linear_slope": b})
-
-
-def _past_contact_env(tg: TransformedGHat) -> PiecewiseEnvelope:
-    src = tg.source
-    F = tg.F_t
-    base = src.base
-    if base == "GiniSemidiff":
-        u1 = 1.0 - math.sqrt(1.0 - F)
-    elif base == "CT":
-        a = float(src.params["alpha"])
-        u1 = 1.0 - math.sqrt(1.0 - F) if a == 2.0 else solve_breakpoint(
-            "DCT", {"alpha": a, "F_t": F})
-    elif base == "CE":
-        u1 = solve_breakpoint("DCE", {"F_t": F})
-    else:
-        raise NoAnalyticForm(f"no past-mode envelope recipe for base {base!r}")
-    b1 = -float(tg.ghat(u1)) / (1.0 - u1)
-
-    def slope_fn(u):
-        w = np.asarray(u, dtype=float) / F
-        return np.asarray(src.gp_hi(w)) / F
-
-    seg_an = Segment(0.0, u1, "analytic", slope_fn=slope_fn,
-                     slope_lo=lambda t: np.asarray(src.gp_hi(np.asarray(t, dtype=float) / F)) / F)
-    seg_lin = Segment(u1, 1.0, "chord", slope=b1)
-    return _env_from_segments(tg, [seg_an, seg_lin], [0.0, u1, 1.0],
-                              meta={"kind": "analytic", "breakpoint": u1,
-                                    "linear_slope": b1})
-
-
-def _fgre_env(tg: TransformedGHat) -> PiecewiseEnvelope:
-    src = tg.source
-    a = float(src.params.get("alpha", src.params.get("n")))
-    u0 = solve_breakpoint("FGRE", {"alpha": a})
-    b = float(tg.ghat(u0)) / u0
-
-    def slope_fn(u):
-        return np.asarray(src.g_prime(1.0 - np.asarray(u, dtype=float)))
-
-    segs = [Segment(0.0, u0, "chord", slope=b),
-            Segment(u0, 1.0, "analytic", slope_fn=slope_fn, slope_hi=src.gp_lo)]
-    return _env_from_segments(tg, segs, [0.0, u0, 1.0],
-                              meta={"kind": "analytic", "breakpoint": u0,
-                                    "linear_slope": b})
-
-
-def _fge_env(tg: TransformedGHat) -> PiecewiseEnvelope:
-    src = tg.source
-    a = float(src.params.get("alpha", src.params.get("n")))
-    u1 = solve_breakpoint("FGE", {"alpha": a})
-    b1 = -float(tg.ghat(u1)) / (1.0 - u1)
-
-    def slope_fn(u):
-        return np.asarray(src.g_prime(1.0 - np.asarray(u, dtype=float)))
-
-    segs = [Segment(0.0, u1, "analytic", slope_fn=slope_fn, slope_lo=src.gp_hi),
-            Segment(u1, 1.0, "chord", slope=b1)]
-    return _env_from_segments(tg, segs, [0.0, u1, 1.0],
-                              meta={"kind": "analytic", "breakpoint": u1,
-                                    "linear_slope": b1})
 
 
 def _shortfall_env(tg: TransformedGHat) -> PiecewiseEnvelope:
@@ -524,41 +352,24 @@ def convex_envelope_analytic(ghat: TransformedGHat) -> PiecewiseEnvelope:
     """Closed-form envelope for catalog transforms; NoAnalyticForm otherwise."""
     src = ghat.source
     mode = ghat.mode
-
-    if mode == "riskmetric":
-        if src.base == "ES":
-            return _es_env(ghat)
-        if src.entropy_convex and abs(src.g1) <= 1e-12 and src.g_prime is not None:
-            return _own_convex_env(ghat)
-        raise NoAnalyticForm(f"no riskmetric-mode recipe for base {src.base!r}")
-
-    if mode == "entropy":
-        if src.base in ("FGRE", "FGE"):
-            a = float(src.params.get("alpha", src.params.get("n")))
-            if a > 1.0:
-                return _fgre_env(ghat) if src.base == "FGRE" else _fge_env(ghat)
-        if src.entropy_convex and src.g_prime is not None:
-            return _own_convex_env(ghat)
-        raise NoAnalyticForm(f"no entropy-mode recipe for base {src.base!r}")
-
-    if mode == "residual":
-        if ghat.F_t == 0.0:
-            if src.entropy_convex and src.g_prime is not None:
-                return _own_convex_env(ghat)
-            raise NoAnalyticForm("untruncated residual transform of a non-convex base")
-        return _residual_contact_env(ghat)
-
-    if mode == "past":
-        if ghat.F_t == 1.0:
-            if src.entropy_convex and src.g_prime is not None:
-                return _own_convex_env(ghat)
-            raise NoAnalyticForm("untruncated past transform of a non-convex base")
-        return _past_contact_env(ghat)
-
     if mode == "shortfall":
         return _shortfall_env(ghat)
-
-    raise NoAnalyticForm(f"unknown mode {mode!r}")
+    if mode == "riskmetric" and src.base == "ES":
+        return _es_env(ghat)
+    # entropy and riskmetric transforms, residual ones at F_t = 0 and past
+    # ones at F_t = 1 truncate nothing, so a convex base is its own envelope
+    untruncated = {"residual": ghat.F_t == 0.0, "past": ghat.F_t == 1.0}.get(mode, True)
+    if untruncated and src.entropy_convex:
+        return _tangent_env(ghat, 0.0, "left", 1.0)
+    if (mode, src.base) not in _TANGENCY:
+        raise NoAnalyticForm(f"no {mode}-mode envelope recipe for base {src.base!r}")
+    equation, side = _TANGENCY[mode, src.base]
+    scale = 1.0
+    if mode == "residual":
+        scale = 1.0 - ghat.F_t
+    elif mode == "past":
+        scale = ghat.F_t
+    return _tangent_env(ghat, _contact_point(ghat, equation), side, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +471,7 @@ def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
         return math.sqrt(max(total, 0.0))
 
     total = 0.0
+    floor_mass = 0.0   # squared-slope mass per unit of log t at CHAIN_FLOOR
     for seg in segs:
         if seg.kind == "chord":
             total += (seg.slope - center) ** 2 * (seg.hi - seg.lo)
@@ -678,6 +490,14 @@ def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
                 return (np.asarray(_s.slope_hi(t), dtype=float) - center) ** 2
         total += integrate_segment(f, seg.lo, seg.hi, fn_lo=f_lo, fn_hi=f_hi,
                                    t_floor=CHAIN_FLOOR, per_octave=4)
+        floor_mass += sum(float(fn(CHAIN_FLOOR)) * CHAIN_FLOOR
+                          for fn in (f_lo, f_hi) if fn is not None)
+    if floor_mass > FLOOR_MASS_TOL * total:
+        # the slope blows up so steeply that a material share of the integral
+        # lies below the floor; the norm would come out low
+        raise NonConvergent(
+            f"squared-slope mass {floor_mass:.3g} at the quadrature floor "
+            f"{CHAIN_FLOOR:g} exceeds {FLOOR_MASS_TOL:g} of the total {total:.6g}")
     return math.sqrt(max(total, 0.0))
 
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import MomentInfo, ShortfallSpec, premium_bound, shortfall_bound
+from .bounds import MomentInfo, ShortfallSpec, premium_bound, shortfall_value
 from .errors import (
     DomainError,
     EmptySeries,
@@ -198,7 +198,7 @@ def build_report(moment_sets, premium_families=DEMO_PREMIUM_FAMILIES,
                 sweep = ShortfallSpec(spec.family, p=float(p), tau=spec.tau,
                                       alpha=spec.alpha, r=spec.r,
                                       custom_g=spec.custom_g)
-                bound = shortfall_bound(sweep, mom).sup_value
+                bound = shortfall_value(sweep, mom)
                 params = dict(sweep.catalog_params())
                 params.pop("p", None)
                 rows.append({"label": label, "family": spec.family,

@@ -1,7 +1,9 @@
 """Shared fixtures: the family/parameter sweep and random custom transforms."""
 
 import numpy as np
+import pytest
 
+from riskbound import bounds, envelope
 from riskbound.distortion import egs_tau_max
 
 # Family/parameter coverage used by the agreement, attainment and envelope
@@ -132,3 +134,14 @@ def random_piecewise_smooth(rng: np.random.Generator):
 
     kinks = tuple(float(x) for x in knots[1:-1])
     return raw, kinks
+
+
+@pytest.fixture
+def no_envelopes(monkeypatch):
+    """Make every envelope build fail, for checking value-only paths."""
+    def boom(*args, **kwargs):
+        raise AssertionError("an envelope was built for a value-only result")
+
+    for mod in (envelope, bounds):
+        monkeypatch.setattr(mod, "convex_envelope_analytic", boom)
+        monkeypatch.setattr(mod, "convex_envelope_numeric", boom)

@@ -12,6 +12,7 @@ from riskbound.errors import (
     ModeContractViolation,
     NonInvertibleWeight,
     ParamOutOfDomain,
+    RiskboundError,
 )
 
 STD = B.MomentInfo(0.0, 1.0)
@@ -254,3 +255,38 @@ def test_bound_result_invariant_and_record():
     assert len(us) == len(qs) >= 90
     assert us[0] == pytest.approx(1e-9) and us[-1] == pytest.approx(1.0 - 1e-9)
     assert np.all(np.diff(qs) >= -1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0, 8.0, 20.0, 34.0])
+def test_fgre_and_fge_closed_forms_agree(alpha):
+    # the two tangency equations mirror each other, so the bounds are equal
+    fgre = B.closed_form_sup("FGRE", {"alpha": alpha}, STD)
+    fge = B.closed_form_sup("FGE", {"alpha": alpha}, STD)
+    assert abs(fgre - fge) <= 1e-13 * fge
+
+
+def _value_or_error(fn):
+    try:
+        value = fn()
+    except RiskboundError:
+        return None
+    assert math.isfinite(value)
+    return value
+
+
+@pytest.mark.parametrize("alpha", [34.0, 36.0, 40.0, 60.0, 200.0])
+def test_fractional_entropies_at_large_alpha(alpha):
+    """Each route gives a finite bound or a typed error, never a bare one."""
+    params = {"alpha": alpha}
+    closed = {fam: _value_or_error(lambda: B.closed_form_sup(fam, params, STD))
+              for fam in ("FGRE", "FGE")}
+    engine = {fam: _value_or_error(
+        lambda: B.worst_case_bound(D.catalog_lookup(fam, params), moments=STD).sup_value)
+        for fam in ("FGRE", "FGE")}
+    assert (closed["FGRE"] is None) == (closed["FGE"] is None)
+    if closed["FGE"] is not None:
+        assert closed["FGRE"] == pytest.approx(closed["FGE"], rel=1e-13)
+    for fam, value in engine.items():
+        if value is not None:
+            assert closed[fam] is not None
+            assert value == pytest.approx(closed[fam], rel=1e-6)

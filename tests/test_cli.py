@@ -1,10 +1,12 @@
 import io
 import csv as csvmod
+import json
 import math
 
 import numpy as np
 import pytest
 
+from riskbound import bounds as B
 from riskbound import cli
 from riskbound import distortion as D
 from riskbound import oracle as O
@@ -37,6 +39,31 @@ def test_shortfall_es(capsys):
                            "--tau", "0", "--mu", "0", "--sigma", "1")
     assert code == 0
     assert "sup = 1.000000" in out
+
+
+def test_shortfall_builds_no_envelope(capsys, request):
+    moments = B.MomentInfo(0.1, 1.3)
+    expected = [B.shortfall_bound(B.ShortfallSpec("CRTES", p=p, tau=0.5, alpha=3.0),
+                                  moments).sup_value for p in np.linspace(0.5, 0.9, 3)]
+    request.getfixturevalue("no_envelopes")
+    code, out, _ = run_cli(capsys, "shortfall", "--family", "CRTES", "--param", "alpha=3",
+                           "--tau", "0.5", "--p-grid", "0.5:0.9:3",
+                           "--mu", "0.1", "--sigma", "1.3", "--format", "json")
+    assert code == 0
+    assert [row["bound"] for row in json.loads(out)] == expected
+
+
+@pytest.mark.parametrize("family", ["FGRE", "FGE"])
+@pytest.mark.parametrize("alpha", ["34", "36", "40", "60", "200"])
+def test_bound_at_large_fractional_alpha(capsys, family, alpha):
+    code, out, err = run_cli(capsys, "bound", "--family", family, "--param",
+                             f"alpha={alpha}", "--mu", "0", "--sigma", "1",
+                             "--format", "json")
+    assert code in (0, 3)
+    if code == 0:
+        assert math.isfinite(json.loads(out)["sup"])
+    else:
+        assert err.startswith("error: ")
 
 
 def test_domain_error_exit_code(capsys):

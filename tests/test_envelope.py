@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc
 from hypothesis import given, settings, strategies as st
 
 from riskbound import distortion as D
 from riskbound import envelope as E
-from riskbound._num import bisect_root, integrate_segment, upper_incomplete_gamma
-from riskbound.errors import NoAnalyticForm, NonFiniteValue, NoSignChange, ParamOutOfDomain
+from riskbound._num import bisect_root, integrate_segment
+from riskbound.errors import (
+    NoAnalyticForm,
+    NonFiniteValue,
+    NoSignChange,
+    ParamOutOfDomain,
+    RiskboundError,
+)
 
 from conftest import random_piecewise_smooth
 
@@ -24,6 +29,9 @@ REPRESENTATIVE = [
     ("TGini", {"p": 0.81}),
     ("DCT", {"alpha": 2.0 / 3.0, "F_t": 0.2}),
     ("DCE", {"F_t": 0.9}),
+    ("DGini", {"F_t": 0.19}),
+    ("DCRT", {"alpha": 3.0, "F_t": 0.0}),   # residual mode truncating nothing
+    ("DCT", {"alpha": 3.0, "F_t": 1.0}),    # past mode truncating nothing
     ("ES", {"p": 0.9}),
     ("GS", {"p": 0.9, "tau": 0.5}),
 ]
@@ -57,6 +65,9 @@ BREAKPOINT_CASES = [
     ("TCRTE", {"alpha": 3.0, "F_t": 0.5}, 0.67365),
     ("DCT", {"alpha": 2.0 / 3.0, "F_t": 0.2}, 0.06525),
     ("DCE", {"F_t": 0.9}, 0.60834),
+    ("FGE", {"alpha": 40.0}, 0.0),          # contact far below 1e-15
+    ("TCRTE", {"alpha": 2.0, "F_t": 0.81}, 0.9),
+    ("DCT", {"alpha": 2.0, "F_t": 0.19}, 0.1),
 ]
 
 
@@ -83,6 +94,21 @@ def test_breakpoint_residuals_are_tiny():
     root = E.solve_breakpoint("TNEGini", {"r": 3.0, "p": 0.5})
     res = (1 - root) ** 3 + 3 * root * (1 - root) ** 2 - 0.25
     assert abs(res) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.6, 3.0, 20.0, 34.0, 36.0])
+def test_fgre_and_fge_breakpoints_mirror_exactly(alpha):
+    fgre = E.convex_envelope_analytic(_transform("FGRE", {"alpha": alpha}))
+    fge = E.convex_envelope_analytic(_transform("FGE", {"alpha": alpha}))
+    assert fgre.meta["breakpoint"] + fge.meta["breakpoint"] == 1.0
+
+
+def test_fgre_envelope_refuses_a_contact_that_rounds_to_one():
+    # at alpha = 40 the FGRE contact 1 - 4.2e-18 is 1.0 in double precision;
+    # the envelope must not collapse to the chord over [0, 1]
+    assert 1.0 - E.solve_breakpoint("FGE", {"alpha": 40.0}) == 1.0
+    with pytest.raises(RiskboundError):
+        E.convex_envelope_analytic(_transform("FGRE", {"alpha": 40.0}))
 
 
 def test_quadratic_tail_breakpoints_are_exact():
@@ -224,16 +250,6 @@ def test_envelope_table_columns():
     assert np.all(np.diff(us) > 0)
     assert np.all(ev <= gh + 1e-9)
     assert np.all(np.diff(sl) >= -1e-9)
-
-
-def test_upper_incomplete_gamma_against_scipy():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        s = float(rng.uniform(0.2, 9.0))
-        x = float(rng.uniform(0.05, 12.0))
-        mine = upper_incomplete_gamma(s, x)
-        ref = float(gammaincc(s, x)) * math.gamma(s)
-        assert mine == pytest.approx(ref, rel=1e-10)
 
 
 def test_integrate_segment_log_singularity():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riskbound import bounds as B
 from riskbound import ingest as I
 from riskbound.errors import (
     DomainError,
@@ -126,3 +127,14 @@ def test_report_grid_validation():
         I.build_report(I.DEMO_MOMENTS, kappa_grid=[], p_grid=[0.9])
     with pytest.raises(DomainError):
         I.build_report(I.DEMO_MOMENTS, kappa_grid=[0.5], p_grid=[1.5])
+
+
+def test_report_builds_no_envelope(request):
+    expected = I.build_report(I.DEMO_MOMENTS).to_csv()
+    label, moments = I.DEMO_MOMENTS[0]
+    gs = B.shortfall_bound(B.ShortfallSpec("GS", p=0.9, tau=0.5), moments).sup_value
+    request.getfixturevalue("no_envelopes")
+    report = I.build_report(I.DEMO_MOMENTS)
+    assert report.to_csv() == expected
+    row = next(r for r in report.rows if r["label"] == label and r["family"] == "GS")
+    assert row["grid_value"] == 0.9 and row["bound"] == gs
