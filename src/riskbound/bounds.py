@@ -180,9 +180,10 @@ def _quantile_from_envelope(env: PiecewiseEnvelope, center: float, L: float,
     def fn(u):
         return mu + scale * (np.asarray(env.slope(u), dtype=float) - center)
 
-    last = env.segments[-1]
-    first = env.segments[0]
-    if last.kind == "analytic" and last.slope_hi is not None:
+    # only an analytic envelope's end pieces carry stable tail evaluators
+    last = env.pieces[-1] if env.pieces else None
+    first = env.pieces[0] if env.pieces else None
+    if last is not None and last.slope_hi is not None:
         hi_len = 1.0 - last.lo
 
         def upper_tail(t):
@@ -192,10 +193,9 @@ def _quantile_from_envelope(env: PiecewiseEnvelope, center: float, L: float,
             vals = mu + scale * (np.asarray(last.slope_hi(safe), dtype=float) - center)
             return np.where(inside, vals, fn(1.0 - t))
     else:
-        top = mu + scale * ((last.slope if last.kind == "chord"
-                             else float(last.slope_fn(1.0))) - center)
+        top = mu + scale * (env.slope(1.0) - center)
         upper_tail = (lambda t: np.full_like(np.asarray(t, dtype=float), top))
-    if first.kind == "analytic" and first.slope_lo is not None:
+    if first is not None and first.slope_lo is not None:
         lo_len = first.hi
 
         def lower_tail(t):
@@ -205,10 +205,10 @@ def _quantile_from_envelope(env: PiecewiseEnvelope, center: float, L: float,
             vals = mu + scale * (np.asarray(first.slope_lo(safe), dtype=float) - center)
             return np.where(inside, vals, fn(t))
     else:
-        bottom = mu + scale * ((first.slope if first.kind == "chord"
-                                else float(first.slope_fn(0.0))) - center)
+        bottom = mu + scale * (env.slope(0.0) - center)
         lower_tail = (lambda t: np.full_like(np.asarray(t, dtype=float), bottom))
-    interior = tuple(k for k in env.knots if 0.0 < k < 1.0)
+    knots = env.knots
+    interior = tuple(knots[(knots > 0.0) & (knots < 1.0)].tolist())
     return QuantileFn(fn=fn, breakpoints=interior, tail_class=tail_class,
                       upper_tail=upper_tail, lower_tail=lower_tail, name=name)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,40 +50,44 @@ class Segment:
 class PiecewiseEnvelope:
     """The greatest convex minorant of a transformed distortion.
 
-    ``knots`` are the segment boundaries, ``values`` the envelope there.
-    Slopes are right derivatives: constants on chords, evaluable on analytic
-    branches.
+    ``knots`` are the piece boundaries and ``values`` the envelope there.
+    ``slopes`` holds each piece's chord slope (nan on an analytic branch) and
+    ``contact`` marks the pieces where the envelope coincides with the source.
+    ``pieces`` keeps the ``Segment``s of an analytic envelope, whose branches
+    carry slope evaluators; a numeric envelope is chords only and leaves it
+    empty.  Slopes are right derivatives.
     """
 
     knots: np.ndarray
     values: np.ndarray
-    segments: tuple
+    slopes: np.ndarray
+    contact: np.ndarray
     source: TransformedGHat
     meta: dict = field(default_factory=dict)
+    pieces: tuple = ()
+
+    @cached_property
+    def segments(self) -> tuple:
+        """One ``Segment`` per piece; built from the arrays for a numeric envelope."""
+        if self.pieces:
+            return self.pieces
+        return tuple(Segment(lo=lo, hi=hi, kind="chord", slope=s, contact_run=c)
+                     for lo, hi, s, c in zip(self.knots[:-1].tolist(),
+                                             self.knots[1:].tolist(),
+                                             self.slopes.tolist(),
+                                             self.contact.tolist()))
 
     def _locate(self, u):
         u = np.asarray(u, dtype=float)
         idx = np.searchsorted(self.knots, u, side="right") - 1
-        return u, np.clip(idx, 0, len(self.segments) - 1)
-
-    def _arrays(self):
-        cached = self.meta.get("_seg_arrays")
-        if cached is None:
-            slopes = np.array([s.slope if s.slope is not None else np.nan
-                               for s in self.segments])
-            contact = np.array([s.contact_run for s in self.segments], dtype=bool)
-            analytic = np.array([s.kind == "analytic" for s in self.segments],
-                                dtype=bool)
-            cached = (slopes, contact, analytic)
-            self.meta["_seg_arrays"] = cached
-        return cached
+        return u, np.clip(idx, 0, len(self.slopes) - 1)
 
     def value(self, u):
         u_arr, idx = self._locate(u)
-        slopes, contact, analytic = self._arrays()
-        out = self.values[idx] + slopes[idx] * (u_arr - self.knots[idx])
+        slopes = self.slopes[idx]
+        out = self.values[idx] + slopes * (u_arr - self.knots[idx])
         # analytic branches and one-step hull segments coincide with the source
-        delegate = contact[idx] | analytic[idx]
+        delegate = self.contact[idx] | np.isnan(slopes)
         if np.any(delegate):
             out = np.where(delegate,
                            np.asarray(self.source.ghat(u_arr), dtype=float), out)
@@ -92,16 +97,14 @@ class PiecewiseEnvelope:
 
     def slope(self, u):
         u_arr, idx = self._locate(u)
-        slopes, _, analytic = self._arrays()
-        out = slopes[idx]
-        if np.any(analytic):
-            for k, seg in enumerate(self.segments):
-                if seg.kind != "analytic":
-                    continue
-                m = idx == k
-                if np.any(m):
-                    out = np.where(m, np.asarray(seg.slope_fn(np.where(m, u_arr, seg.lo)),
-                                                 dtype=float), out)
+        out = self.slopes[idx]
+        for k, seg in enumerate(self.pieces):
+            if seg.kind != "analytic":
+                continue
+            m = idx == k
+            if np.any(m):
+                out = np.where(m, np.asarray(seg.slope_fn(np.where(m, u_arr, seg.lo)),
+                                             dtype=float), out)
         if np.ndim(u) == 0:
             return float(out.reshape(-1)[0])
         return out
@@ -110,6 +113,16 @@ class PiecewiseEnvelope:
 # ---------------------------------------------------------------------------
 # numeric envelope
 # ---------------------------------------------------------------------------
+
+def _drop_twins(grid: np.ndarray) -> np.ndarray:
+    """Drop 1-ulp twins created by unioning point sets; they carry
+    rounding-level value noise that corrupts the hull's geometry."""
+    keep = np.concatenate([[True], np.diff(grid) > 1e-15])
+    if not keep[-1]:
+        keep[-1] = True   # the endpoint itself must survive, not its twin
+        keep[-2] = False
+    return grid[keep]
+
 
 def _numeric_grid(tg: TransformedGHat, n_grid: int):
     """Per-panel uniform grid plus geometric cascades toward panel edges."""
@@ -127,44 +140,56 @@ def _numeric_grid(tg: TransformedGHat, n_grid: int):
             pieces.append(b - offs)
     for k in interior_kinks:
         pieces.append(np.array([k - 1e-12, k, k + 1e-12]))
-    grid = np.unique(np.clip(np.concatenate(pieces), 0.0, 1.0))
-    # drop 1-ulp twins created by unioning uniform and cascade points; they
-    # carry rounding-level value noise that corrupts the hull's geometry
-    keep = np.concatenate([[True], np.diff(grid) > 1e-15])
-    if not keep[-1]:
-        keep[-1] = True   # the endpoint itself must survive, not its twin
-        keep[-2] = False
-    return grid[keep]
+    return _drop_twins(np.unique(np.clip(np.concatenate(pieces), 0.0, 1.0)))
 
 
-def _lower_hull_indices(us: np.ndarray, ys: np.ndarray) -> list:
-    """Monotone-chain lower hull; collinear points (1e-14 scale) are merged."""
-    xs = us.tolist()
-    vs = ys.tolist()
-    stack: list = []
-    sx: list = []
-    sy: list = []
-    push = stack.append
-    for i in range(len(xs)):
-        xi = xs[i]
-        yi = vs[i]
-        while len(sx) >= 2:
-            x1 = sx[-1]
-            y1 = sy[-1]
-            x0 = sx[-2]
-            y0 = sy[-2]
-            a = (x1 - x0) * (yi - y0)
-            b = (xi - x0) * (y1 - y0)
-            if a - b <= 1e-14 * (abs(a) + abs(b) + 1e-300):
-                stack.pop()
-                sx.pop()
-                sy.pop()
-            else:
-                break
-        push(i)
-        sx.append(xi)
-        sy.append(yi)
-    return stack
+def _below(us, ys, lo, mid, hi):
+    """Depth of the points ``mid`` below the chords ``lo``-``hi``, scaled by
+    the chords' widths, and whether it passes the monotone chain's
+    collinearity test (more than 1e-14 of the cross products' scale)."""
+    x0, y0 = us[lo], ys[lo]
+    a = (us[mid] - x0) * (ys[hi] - y0)
+    b = (us[hi] - x0) * (ys[mid] - y0)
+    depth = a - b
+    return depth, depth > 1e-14 * (np.abs(a) + np.abs(b) + 1e-300)
+
+
+def _lower_hull_indices(us: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Indices of the lower convex hull of points with increasing ``us``.
+
+    Level-synchronous quickhull: each pass assigns every remaining candidate
+    to the chord between its enclosing hull vertices, drops the candidates on
+    or above that chord, and makes the deepest point below each chord a
+    vertex.  Collinear points (1e-14 scale) are merged.
+    """
+    n = len(us)
+    hull = np.array([0, n - 1]) if n > 1 else np.arange(n)
+    cand = np.arange(1, n - 1)
+    while cand.size:
+        j = np.searchsorted(hull, cand)
+        depth, below = _below(us, ys, hull[j - 1], cand, hull[j])
+        cand, j, depth = cand[below], j[below], depth[below]
+        if not cand.size:
+            break
+        first = np.concatenate([[True], j[1:] != j[:-1]])
+        chord = np.cumsum(first) - 1
+        deepest = depth == np.maximum.reduceat(depth, np.flatnonzero(first))[chord]
+        at = np.flatnonzero(deepest)
+        at = at[np.concatenate([[True], chord[at[1:]] != chord[at[:-1]]])]
+        hull = np.sort(np.concatenate([hull, cand[at]]))
+        cand = np.delete(cand, at)
+    # quickhull tested each vertex against the wide chord it was found under;
+    # the collinearity test is local, as in a monotone chain: a vertex stays
+    # only when it lies below the chords from its left neighbour to the next
+    # sample and to its right neighbour.  Merging the runs that fail keeps the
+    # multi-step chords, and so the refinement centres, where the chain has them
+    while len(hull) > 2:
+        lo, v = hull[:-2], hull[1:-1]
+        keep = _below(us, ys, lo, v, v + 1)[1] & _below(us, ys, lo, v, hull[2:])[1]
+        if keep.all():
+            break
+        hull = np.concatenate([hull[:1], v[keep], hull[-1:]])
+    return hull
 
 
 def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
@@ -198,40 +223,29 @@ def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
     idx = _lower_hull_indices(us, ys)
     # second pass: pin down contact points of long hull chords, whose exact
     # location is only known to one grid step after the first pass
-    centers = set()
-    for j in range(len(idx) - 1):
-        if idx[j + 1] != idx[j] + 1:
-            span = us[idx[j + 1]] - us[idx[j]]
-            if span > 16.0 * GRID_FLOOR:
-                centers.update((us[idx[j]], us[idx[j + 1]]))
-    centers = [c for c in centers if 0.0 < c < 1.0]
-    if centers:
+    long = (np.diff(idx) != 1) & (np.diff(us[idx]) > 16.0 * GRID_FLOOR)
+    centers = np.unique(np.concatenate([us[idx[:-1]][long], us[idx[1:]][long]]))
+    centers = centers[(centers > 0.0) & (centers < 1.0)]
+    if centers.size:
         # 1e-7 pins the tangency to curvature*d^2 <= 1e-9 while keeping the
         # local chord geometry resolvable in double precision
         offs = log_chain(2.0 / n_grid, 1e-7, 16)
-        extra = np.concatenate([np.concatenate([c - offs, c + offs])
-                                for c in centers])
+        extra = (centers[:, None] + np.concatenate([-offs, offs])).ravel()
         extra = extra[(extra > 0.0) & (extra < 1.0)]
-        us = np.unique(np.concatenate([us, extra]))
-        keep = np.concatenate([[True], np.diff(us) > 1e-15])
-        if not keep[-1]:
-            keep[-1] = True
-            keep[-2] = False
-        us = us[keep]
+        above = np.delete(us, idx)
+        us = _drop_twins(np.unique(np.concatenate([us, extra])))
         ys = np.asarray(ghat.ghat(us), dtype=float)
-        idx = _lower_hull_indices(us, ys)
+        # points above the first hull stay above the refined one, so only
+        # its vertices and the new points can be vertices now
+        sub = np.flatnonzero(~np.isin(us, above, assume_unique=True))
+        idx = sub[_lower_hull_indices(us[sub], ys[sub])]
     knots = us[idx]
     values = ys[idx]
-    segs = []
-    for j in range(len(idx) - 1):
-        lo, hi = knots[j], knots[j + 1]
-        slope = (values[j + 1] - values[j]) / (hi - lo)
-        segs.append(Segment(lo=lo, hi=hi, kind="chord", slope=slope,
-                            contact_run=(idx[j + 1] == idx[j] + 1)))
     meta = {"kind": "numeric", "n_grid": n_grid, "grid_floor": GRID_FLOOR,
             "jump_chord": jump}
-    return PiecewiseEnvelope(knots=knots, values=values, segments=tuple(segs),
-                             source=ghat, meta=meta)
+    return PiecewiseEnvelope(knots=knots, values=values,
+                             slopes=np.diff(values) / np.diff(knots),
+                             contact=np.diff(idx) == 1, source=ghat, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +255,12 @@ def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
 def _env_from_segments(tg, segs, knots, meta=None):
     knots = np.asarray(knots, dtype=float)
     values = np.asarray(tg.ghat(knots), dtype=float)
-    return PiecewiseEnvelope(knots=knots, values=values, segments=tuple(segs),
-                             source=tg, meta=dict(meta or {"kind": "analytic"}))
+    slopes = np.array([np.nan if s.slope is None else s.slope for s in segs])
+    contact = np.array([s.contact_run for s in segs], dtype=bool)
+    return PiecewiseEnvelope(knots=knots, values=values, slopes=slopes,
+                             contact=contact, source=tg,
+                             meta=dict(meta or {"kind": "analytic"}),
+                             pieces=tuple(segs))
 
 
 # (mode, base) -> (tangency equation of the contact point, side of the chord)
@@ -439,13 +457,11 @@ def _tail_chain_sq(tail_fn, t_hi: float, end_val: float, center: float,
 
 def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
     """sqrt(integral of (envelope slope - center)^2 over [0, 1])."""
-    segs = env.segments
-    if all(s.kind == "chord" for s in segs) and env.meta.get("kind") == "numeric":
+    if env.meta.get("kind") == "numeric":
         knots = env.knots
-        values = env.values
         lengths = np.diff(knots)
-        slopes = np.diff(values) / lengths
-        correct = np.array([s.contact_run for s in segs], dtype=bool)
+        slopes = env.slopes
+        correct = env.contact
         tg = env.source
         total = 0.0
         lo_cut = 0
@@ -453,11 +469,11 @@ def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
         follow_floor = 8.0 * env.meta.get("grid_floor", GRID_FLOOR)
         floor = CHAIN_FLOOR if tg.tails_exact else 1e-12
         if (knots[1] - knots[0]) <= follow_floor and tg.ghat_lower is not None \
-                and segs[0].contact_run:
+                and correct[0]:
             total += _tail_chain_sq(tg.ghat_lower, float(knots[1]),
                                     0.0, center, ascending_u=False, t_floor=floor)
             lo_cut = 1
-        if (knots[-1] - knots[-2]) <= follow_floor and segs[-1].contact_run \
+        if (knots[-1] - knots[-2]) <= follow_floor and correct[-1] \
                 and (tg.ghat_upper_rel is not None or tg.ghat_upper is not None):
             rel = tg.ghat_upper_rel
             if rel is None:
@@ -472,7 +488,7 @@ def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
 
     total = 0.0
     floor_mass = 0.0   # squared-slope mass per unit of log t at CHAIN_FLOOR
-    for seg in segs:
+    for seg in env.pieces:
         if seg.kind == "chord":
             total += (seg.slope - center) ** 2 * (seg.hi - seg.lo)
             continue
@@ -508,3 +524,4 @@ def envelope_table(env: PiecewiseEnvelope, n: int = 1001) -> np.ndarray:
     ev = np.asarray(env.value(us), dtype=float)
     sl = np.asarray(env.slope(us), dtype=float)
     return np.column_stack([us, gh, ev, sl])
+

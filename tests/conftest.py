@@ -136,6 +136,27 @@ def random_piecewise_smooth(rng: np.random.Generator):
     return raw, kinks
 
 
+def reference_lower_hull(us, ys) -> list:
+    """Monotone-chain lower hull of points with increasing ``us``; a point
+    is merged when it is not below the chord of its neighbours by more than
+    1e-14 of the cross products' scale.  The reference for the vectorized
+    hull in ``riskbound.envelope``."""
+    xs = list(map(float, us))
+    vs = list(map(float, ys))
+    stack: list = []
+    for i in range(len(xs)):
+        while len(stack) >= 2:
+            x0, y0 = xs[stack[-2]], vs[stack[-2]]
+            x1, y1 = xs[stack[-1]], vs[stack[-1]]
+            a = (x1 - x0) * (vs[i] - y0)
+            b = (xs[i] - x0) * (y1 - y0)
+            if a - b > 1e-14 * (abs(a) + abs(b) + 1e-300):
+                break
+            stack.pop()
+        stack.append(i)
+    return stack
+
+
 @pytest.fixture
 def no_envelopes(monkeypatch):
     """Make every envelope build fail, for checking value-only paths."""

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riskbound import bounds as B
 from riskbound import distortion as D
 from riskbound import envelope as E
 from riskbound._num import bisect_root, integrate_segment
@@ -15,7 +19,7 @@ from riskbound.errors import (
     RiskboundError,
 )
 
-from conftest import random_piecewise_smooth
+from conftest import random_piecewise_smooth, reference_lower_hull
 
 REPRESENTATIVE = [
     ("GiniSemidiff", {}),
@@ -186,6 +190,139 @@ def test_scaling_equivariance(c, seed):
     sl = env.slope(mid)
     assert np.allclose(envc.slope(mid), c * sl,
                        atol=1e-10 * c * max(1.0, float(np.max(np.abs(sl)))))
+
+
+def _chord_l2(us, ys, idx):
+    """slope_l2_norm of the chords through the points ``idx``."""
+    base = ys - ys[0]
+    tg = D.custom_transform(lambda u: np.interp(u, us, base))
+    knots, values = us[idx], base[idx]
+    env = E.PiecewiseEnvelope(knots=knots, values=values,
+                              slopes=np.diff(values) / np.diff(knots),
+                              contact=np.diff(idx) == 1, source=tg,
+                              meta={"kind": "numeric"})
+    return E.slope_l2_norm(env, tg.center)
+
+
+def _check_hull(us, ys):
+    us = np.asarray(us, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    idx = E._lower_hull_indices(us, ys)
+    assert idx[0] == 0 and idx[-1] == len(us) - 1
+    assert np.all(np.diff(idx) > 0)
+    slopes = np.diff(ys[idx]) / np.diff(us[idx])
+    assert np.all(np.diff(slopes) >= 0.0)
+    scale = max(1.0, float(np.max(np.abs(ys))))
+    assert np.all(ys >= np.interp(us, us[idx], ys[idx]) - 1e-12 * scale)
+    ref = np.asarray(reference_lower_hull(us, ys))
+    L, L_ref = _chord_l2(us, ys, idx), _chord_l2(us, ys, ref)
+    assert abs(L - L_ref) <= 1e-12 * max(1.0, L_ref)
+    return idx
+
+
+def _cascade():
+    tg = _transform("CT", {"alpha": 3.0})
+    us = E._numeric_grid(tg, 1025)
+    return us, tg.ghat(us)
+
+
+_U = np.linspace(0.0, 1.0, 257)
+HULL_CASES = {
+    "linear-pieces": (_U, np.maximum(-0.5 * _U, 2.0 * _U - 1.0)),
+    "all-collinear": (_U, 3.0 * _U),
+    "two-points": ([0.0, 1.0], [0.0, 2.0]),
+    "three-points-below": ([0.0, 0.5, 1.0], [0.0, -1.0, 1.0]),
+    "three-points-above": ([0.0, 0.5, 1.0], [0.0, 1.0, 1.0]),
+    "concave-arc": (_U, np.sqrt(_U)),
+    "cascade": _cascade(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HULL_CASES))
+def test_lower_hull_fixed_cases(case):
+    us, ys = HULL_CASES[case]
+    idx = _check_hull(us, ys)
+    # on these the merges match the chain's exactly, so the refinement
+    # centres (ends of multi-step chords) fall in the same places
+    assert idx.tolist() == reference_lower_hull(us, ys)
+    if case in ("all-collinear", "concave-arc", "two-points", "three-points-above"):
+        assert list(idx) == [0, len(us) - 1]
+    if case == "all-collinear":
+        assert _chord_l2(np.asarray(us), np.asarray(ys), idx) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(min_value=1e-6, max_value=1.0 - 1e-6), min_size=0, max_size=60,
+                unique=True),
+       st.data())
+def test_lower_hull_random_points(xs, data):
+    us = np.concatenate([[0.0], np.sort(xs), [1.0]])
+    us = us[np.concatenate([[True], np.diff(us) > 1e-9])]
+    # small integer heights make exactly collinear runs common
+    ys = data.draw(st.lists(st.integers(-4, 4), min_size=len(us), max_size=len(us)))
+    _check_hull(us, 0.25 * np.asarray(ys, dtype=float))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_lower_hull_random_customs(seed):
+    raw, kinks = random_piecewise_smooth(np.random.default_rng(seed))
+    tg = D.custom_transform(raw, kinks=kinks)
+    us = E._numeric_grid(tg, 513)
+    _check_hull(us, tg.ghat(us))
+
+
+def test_numeric_envelope_matches_the_reference_hull(monkeypatch):
+    cases = [_transform(f, p) for f, p in (("CT", {"alpha": 3.0}), ("TCRE", {"p": 0.9}),
+                                          ("DCT", {"alpha": 3.0, "F_t": 0.9}))]
+    raw, kinks = random_piecewise_smooth(np.random.default_rng(20240808))
+    cases.append(D.custom_transform(raw, kinks=kinks))
+    got = [E.slope_l2_norm(E.convex_envelope_numeric(tg, 1025), tg.center) for tg in cases]
+    monkeypatch.setattr(E, "_lower_hull_indices",
+                        lambda us, ys: np.asarray(reference_lower_hull(us, ys)))
+    for tg, L in zip(cases, got):
+        ref = E.slope_l2_norm(E.convex_envelope_numeric(tg, 1025), tg.center)
+        assert L == pytest.approx(ref, rel=1e-12)
+
+
+def test_numeric_bound_builds_no_segments(monkeypatch):
+    made = []
+    real = E.Segment
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(E, "Segment", counting)
+    g = D.catalog_lookup("TCRE", {"p": 0.9})
+    res = B.worst_case_bound(g, moments=B.MomentInfo(0.3, 1.7), engine="numeric")
+    res.quantile.fn(np.linspace(0.0, 1.0, 11))
+    assert len(made) <= 2
+
+
+def test_numeric_segments_match_arrays():
+    env = E.convex_envelope_numeric(_transform("TGini", {"p": 0.81}), 1025)
+    segs = env.segments
+    assert len(segs) == len(env.slopes) == len(env.knots) - 1
+    assert all(s.kind == "chord" for s in segs)
+    assert [s.lo for s in segs] == env.knots[:-1].tolist()
+    assert [s.hi for s in segs] == env.knots[1:].tolist()
+    assert [s.slope for s in segs] == env.slopes.tolist()
+    assert [s.contact_run for s in segs] == env.contact.tolist()
+
+
+def test_numeric_bound_imports_no_hull_library():
+    # scipy.optimize and scipy.spatial each add megabytes to the process
+    code = ("import sys, riskbound as rb\n"
+            "g = rb.catalog_lookup('CRE', {})\n"
+            "rb.worst_case_bound(g, moments=rb.MomentInfo(0.0, 1.0), engine='numeric')\n"
+            "print(sorted({'scipy.optimize', 'scipy.spatial'} & set(sys.modules)))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_small_grid_rejected():
