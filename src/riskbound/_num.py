@@ -169,29 +169,44 @@ def log_chain(hi: float, lo: float, per_octave: int) -> np.ndarray:
 
 
 def panel_gauss(f: Callable[[np.ndarray], np.ndarray], edges_desc: np.ndarray,
-                order: int = 20) -> float:
-    """Integrate ``f`` over [edges[-1], edges[0]] given descending panel edges."""
+                order: int = 20) -> float | np.ndarray:
+    """Integrate ``f`` over [edges[-1], edges[0]] given descending panel edges.
+
+    ``f`` may return a stack of k rows of values, shape (k, n), to integrate
+    k integrands from one evaluation; the result is then an array of k
+    integrals, each equal to the one its row alone would give.
+    """
     nodes, weights = _GL20 if order >= 20 else _GL10
     hi = edges_desc[:-1]
     lo = edges_desc[1:]
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     ts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    vals = np.asarray(f(ts), dtype=float).reshape(len(mid), len(nodes))
-    return float(np.dot(half, vals @ weights))
+    vals = np.asarray(f(ts), dtype=float)
+    if vals.ndim == 1:
+        return float(np.dot(half, vals.reshape(len(mid), len(nodes)) @ weights))
+    return np.array([np.dot(half, row.reshape(len(mid), len(nodes)) @ weights)
+                     for row in vals])
+
+
+def _at_point(f: Callable[[np.ndarray], np.ndarray], x: float):
+    """``f`` at the single point ``x``: a float, or one per row of a stacked ``f``."""
+    v = np.asarray(f(np.array([x])), dtype=float)[..., 0]
+    return float(v) if v.ndim == 0 else v
 
 
 def integrate_segment(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                       fn_lo: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                       fn_hi: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                       t_floor: float = 1e-60, per_octave: int = 4,
-                      order: int = 20) -> float:
+                      order: int = 20) -> float | np.ndarray:
     """``∫_a^b fn(u) du`` with geometric panels accumulating toward both ends.
 
     ``fn_lo(t)`` / ``fn_hi(t)`` are stable reparametrizations of the integrand
     at distance ``t`` from u=0 / u=1; they are used (and the chain deepened to
     ``t_floor``) only when the segment actually ends at 0 or 1.  Interior ends
-    are assumed smooth and chained to a relative depth of ~1e-14.
+    are assumed smooth and chained to a relative depth of ~1e-14.  Stacked
+    integrands are integrated row by row, as in ``panel_gauss``.
     """
     if b <= a:
         return 0.0
@@ -201,18 +216,18 @@ def integrate_segment(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float
     if a == 0.0 and fn_lo is not None:
         edges = log_chain(half, t_floor, per_octave)
         total += panel_gauss(fn_lo, edges, order)
-        total += float(np.asarray(fn_lo(np.array([0.5 * edges[-1]])))[0]) * edges[-1]
+        total += _at_point(fn_lo, 0.5 * edges[-1]) * edges[-1]
     else:
         edges = log_chain(half, half * 1e-14, per_octave)
         total += panel_gauss(lambda t: fn(a + t), edges, order)
-        total += float(np.asarray(fn(np.array([a + 0.5 * edges[-1]])))[0]) * edges[-1]
+        total += _at_point(fn, a + 0.5 * edges[-1]) * edges[-1]
     # upper side: u = b - t
     if b == 1.0 and fn_hi is not None:
         edges = log_chain(half, t_floor, per_octave)
         total += panel_gauss(fn_hi, edges, order)
-        total += float(np.asarray(fn_hi(np.array([0.5 * edges[-1]])))[0]) * edges[-1]
+        total += _at_point(fn_hi, 0.5 * edges[-1]) * edges[-1]
     else:
         edges = log_chain(half, half * 1e-14, per_octave)
         total += panel_gauss(lambda t: fn(b - t), edges, order)
-        total += float(np.asarray(fn(np.array([b - 0.5 * edges[-1]])))[0]) * edges[-1]
+        total += _at_point(fn, b - 0.5 * edges[-1]) * edges[-1]
     return total

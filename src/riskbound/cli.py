@@ -269,8 +269,8 @@ def _cmd_verify(args) -> int:
         if not att_ok:
             failures.append("attainment")
     try:
-        report = O.feasibility_stress(g, None, None, moments,
-                                      trials=args.trials, seed=args.seed)
+        report = O.feasibility_stress(g, None, None, moments, trials=args.trials,
+                                      seed=args.seed, result=result)
         lines.append(f"stress max = {_fmt(report.max_observed)} "
                      f"(gap {report.gap:.3e}, worst shape {report.worst_shape}) [ok]")
         lines.append(report.to_json())

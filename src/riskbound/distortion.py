@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.special import gammaincc
 
 from ._num import solve_breakpoint
 from .errors import (
@@ -465,6 +464,8 @@ def _L_fgre(a: float) -> float:
     (u_FGRE = 1 - u_FGE), so both read the small FGE root t."""
     if a <= 1.0:
         return math.sqrt(math.gamma(2.0 * a - 1.0)) / math.gamma(a)
+    from scipy.special import gammaincc
+
     t = solve_breakpoint("FGE", {"alpha": a})
     w = a * (1.0 - t)  # contact identity: -log(t) = alpha * (1 - t)
     s = 2.0 * a - 1.0

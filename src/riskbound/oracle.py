@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._num import integrate_segment, log_chain
 from .distortion import DistortionFn, TransformedGHat, WeightSpec, make_ghat
@@ -115,8 +114,20 @@ def _panel_points(a: float, b: float, n_base: int, per_octave: int,
     return pts[(pts > a) | (not is_global_lo)]
 
 
+def _at(fn, x: np.ndarray) -> np.ndarray:
+    """Values of ``fn`` at the points ``x`` as a float array of x's shape."""
+    v = np.asarray(fn(x), dtype=float)
+    return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
+
+
 class _StieltjesCache:
-    """Precomputed two-level partition of a transform for repeated evaluation."""
+    """Precomputed two-level partition of a transform for repeated evaluation.
+
+    Quantiles are valued per cell at the cell's midpoint or, for the
+    trapezoid rule, as the mean of its two edge values.  Each tail chain in
+    distance-to-endpoint coordinates ends in the sliver [0, ts[-1]], always
+    valued at its midpoint.
+    """
 
     def __init__(self, tg: TransformedGHat, n_base: int = 2048,
                  per_octave: int = 16, t_floor: float = 1e-60):
@@ -137,47 +148,100 @@ class _StieltjesCache:
                 np.asarray(tg.ghat(1.0 - np.maximum(ts, 1e-12)), dtype=float)
             gl = np.asarray(tg.ghat_lower(ts), dtype=float) if tg.ghat_lower else \
                 np.asarray(tg.ghat(np.maximum(ts, 1e-12)), dtype=float)
-            self.levels.append({"pts": pts, "gv": gv, "ts": ts, "gu": gu, "gl": gl})
+            # the weight of each tail cell, the sliver [0, ts[-1]] last
+            self.levels.append({"pts": pts, "gv": gv, "ts": ts,
+                                "wu": np.append(gu[1:] - gu[:-1], tg.center - gu[-1]),
+                                "wl": np.append(gl[:-1] - gl[1:], gl[-1])})
+        self._nodes = {}
 
-    def _interior(self, level, Q, rule):
-        pts, gv = level["pts"], level["gv"]
-        breaks = np.asarray([b for b in Q.breakpoints
-                             if pts[0] < b < pts[-1]], dtype=float)
-        if breaks.size:
-            idx = np.searchsorted(pts, breaks)
-            pts = np.insert(pts, idx, breaks)
-            gv = np.insert(gv, idx, np.asarray(self.tg.ghat(breaks), dtype=float))
-        dg = np.diff(gv)
-        if rule == "trapezoid":
-            qv = np.asarray(Q.fn(pts), dtype=float)
-            return float(np.dot(0.5 * (qv[:-1] + qv[1:]), dg))
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        return float(np.dot(np.asarray(Q.fn(mids), dtype=float), dg))
+    def nodes(self, rule: str):
+        """Per level, the interior nodes and the tail nodes (the sliver's
+        midpoint last) at which quantiles are evaluated."""
+        if rule not in self._nodes:
+            self._nodes[rule] = [
+                (lv["pts"], np.append(lv["ts"], 0.5 * lv["ts"][-1]))
+                if rule == "trapezoid" else
+                (0.5 * (lv["pts"][:-1] + lv["pts"][1:]),
+                 np.append(0.5 * (lv["ts"][:-1] + lv["ts"][1:]), 0.5 * lv["ts"][-1]))
+                for lv in self.levels]
+        return self._nodes[rule]
 
-    def value(self, Q: QuantileFn, rule: str = "midpoint"):
-        """(coarse, fine) Stieltjes sums of the integral of Q against dghat."""
-        q_up = Q._upper()
-        q_lo = Q._lower()
-        out = []
-        for level in self.levels:
-            total = self._interior(level, Q, rule)
-            ts, gu, gl = level["ts"], level["gu"], level["gl"]
-            mid_t = 0.5 * (ts[:-1] + ts[1:])
+    def _split_terms(self, Qs, rule, cells) -> np.ndarray:
+        """What inserting each quantile's breakpoints into each level's
+        partition adds to its sum, shape (levels, quantiles).
+
+        A cell [p_c, p_c+1] holding breakpoints b_1 < ... < b_m is replaced
+        by its sub-cells [p_c, b_1], ..., [b_m, p_c+1].  ghat is evaluated
+        once on the breakpoints of all quantiles, and each quantile once on
+        its sub-cells of all levels.
+        """
+        n, n_lv = len(Qs), len(self.levels)
+        brk = [np.sort(np.asarray(Q.breakpoints, dtype=float)) for Q in Qs]
+        tr = np.repeat(np.arange(n), [len(b) for b in brk])
+        b = np.concatenate(brk)
+        inside = (b > min(lv["pts"][0] for lv in self.levels)) \
+            & (b < max(lv["pts"][-1] for lv in self.levels))
+        tr, b = tr[inside], b[inside]
+        if not b.size:
+            return np.zeros((n_lv, n))
+        gb = np.asarray(self.tg.ghat(b), dtype=float)
+        key, lo, hi, dg = [], [], [], []
+        split = np.zeros(n_lv * n)
+        for li, (level, lv_cells) in enumerate(zip(self.levels, cells)):
+            pts, gv = level["pts"], level["gv"]
+            ok = (b > pts[0]) & (b < pts[-1])
+            t, x, gx = tr[ok], b[ok], gb[ok]
+            c = np.searchsorted(pts, x) - 1
+            first = np.ones(len(x), dtype=bool)
+            first[1:] = (t[1:] != t[:-1]) | (c[1:] != c[:-1])
+            last = np.append(first[1:], True)
+            # the sub-cell ending at each breakpoint, then the one closing each cell
+            x_lo, g_lo = np.empty_like(x), np.empty_like(gx)
+            x_lo[1:], g_lo[1:] = x[:-1], gx[:-1]
+            x_lo[first], g_lo[first] = pts[c[first]], gv[c[first]]
+            key += [li * n + t, li * n + t[last]]
+            lo += [x_lo, x[last]]
+            hi += [x, pts[c[last] + 1]]
+            dg += [gx - g_lo, gv[c[last] + 1] - gx[last]]
+            cf = c[first]
+            split += np.bincount(li * n + t[first], minlength=n_lv * n,
+                                 weights=lv_cells[t[first], cf] * (gv[cf + 1] - gv[cf]))
+        key, lo, hi, dg = (np.concatenate(a) for a in (key, lo, hi, dg))
+        order = np.argsort(key % n, kind="stable")
+        key, lo, hi, dg = key[order], lo[order], hi[order], dg[order]
+        ends = np.cumsum(np.bincount(key % n, minlength=n)).tolist()
+        vals = []
+        for Q, a, z in zip(Qs, [0] + ends[:-1], ends):
             if rule == "trapezoid":
-                quv = np.asarray(q_up(ts), dtype=float)
-                total += float(np.dot(0.5 * (quv[:-1] + quv[1:]), gu[1:] - gu[:-1]))
-                qlv = np.asarray(q_lo(ts), dtype=float)
-                total += float(np.dot(0.5 * (qlv[:-1] + qlv[1:]), gl[:-1] - gl[1:]))
+                v = _at(Q.fn, np.concatenate([lo[a:z], hi[a:z]]))
+                vals.append(0.5 * (v[:z - a] + v[z - a:]))
             else:
-                total += float(np.dot(np.asarray(q_up(mid_t), dtype=float),
-                                      gu[1:] - gu[:-1]))
-                total += float(np.dot(np.asarray(q_lo(mid_t), dtype=float),
-                                      gl[:-1] - gl[1:]))
-            # slivers [1 - ts[-1], 1] and [0, ts[-1]]
-            total += float(np.asarray(q_up(0.5 * ts[-1]))) * (self.tg.center - gu[-1])
-            total += float(np.asarray(q_lo(0.5 * ts[-1]))) * (gl[-1] - 0.0)
-            out.append(total)
-        return out[0], out[1]
+                vals.append(_at(Q.fn, 0.5 * (lo[a:z] + hi[a:z])))
+        added = np.bincount(key, weights=np.concatenate(vals) * dg, minlength=n_lv * n)
+        return (added - split).reshape(n_lv, n)
+
+    def values(self, Qs, rule: str = "midpoint"):
+        """(coarse, fine) Stieltjes sums of the integral of each Q in ``Qs``
+        against dghat, as two arrays.  The cells of all quantiles form one
+        matrix per level, multiplied by that level's fixed increments of
+        ghat."""
+        trap = rule == "trapezoid"
+
+        def cells_of(v):
+            return 0.5 * (v[:, :-1] + v[:, 1:]) if trap else v
+
+        cells, sums = [], []
+        for level, (inner, tail) in zip(self.levels, self.nodes(rule)):
+            cells.append(cells_of(np.stack([_at(Q.fn, inner) for Q in Qs])))
+            up, lo = (np.stack([_at(q, tail) for q in qs])
+                      for qs in ([Q._upper() for Q in Qs], [Q._lower() for Q in Qs]))
+            if trap:  # the last node is the sliver's midpoint
+                up, lo = (np.concatenate([cells_of(q[:, :-1]), q[:, -1:]], axis=1)
+                          for q in (up, lo))
+            sums.append(cells[-1] @ np.diff(level["gv"]) + up @ level["wu"]
+                        + lo @ level["wl"])
+        coarse, fine = np.stack(sums) + self._split_terms(Qs, rule, cells)
+        return coarse, fine
 
 
 def _tolerance(Q: QuantileFn, rel_tol: Optional[float]) -> float:
@@ -196,9 +260,12 @@ def _as_transform(g, mode, extras) -> TransformedGHat:
     return make_ghat(g, mode, extras or {})
 
 
+_PER_OCTAVE = {"bounded": 12, "log-divergent": 64, "power-divergent": 96}
+
+
 def riskmetric_of_quantile(g, mode=None, extras=None, Q: QuantileFn = None,
                            rel_tol: Optional[float] = None, n_base: int = 2048,
-                           rule: str = "midpoint") -> float:
+                           rule: str = "midpoint", *, _caches=None) -> float:
     """Riemann-Stieltjes value of the riskmetric at an explicit quantile.
 
     A midpoint partition sum (kinks and quantile breakpoints inserted,
@@ -206,14 +273,21 @@ def riskmetric_of_quantile(g, mode=None, extras=None, Q: QuantileFn = None,
     and Richardson-extrapolated.  Raises NonConvergent when the refinement
     levels disagree beyond 10x the tolerance target (1e-8 smooth, 1e-6 for
     divergent tails).
+
+    ``_caches`` maps points per octave (set by the tail class) to partitions
+    of this transform at this ``n_base``; a partition missing from it is
+    built and added, so callers evaluating many quantiles share them.
     """
     if Q is None:
         raise DomainError("riskmetric_of_quantile requires a quantile function")
     tg = _as_transform(g, mode, extras)
-    po = {"bounded": 12, "log-divergent": 64, "power-divergent": 96}.get(
-        Q.tail_class, 64)
-    cache = _StieltjesCache(tg, n_base=n_base, per_octave=po)
-    s1, s2 = cache.value(Q, rule=rule)
+    po = _PER_OCTAVE.get(Q.tail_class, 64)
+    cache = None if _caches is None else _caches.get(po)
+    if cache is None:
+        cache = _StieltjesCache(tg, n_base=n_base, per_octave=po)
+        if _caches is not None:
+            _caches[po] = cache
+    (s1,), (s2,) = cache.values([Q], rule=rule)
     value = s2 + (s2 - s1) / 3.0
     tol = _tolerance(Q, rel_tol)
     # the observed order is ~2 in the partition density, so the extrapolated
@@ -247,32 +321,26 @@ def quantile_moments(Q: QuantileFn, rel_tol: Optional[float] = None,
     """(mean, variance) of the distribution represented by ``Q``.
 
     Plain integrals of Q and Q^2 on breakpoint-split panels with geometric
-    endpoint refinement; two refinement depths are compared and NonConvergent
-    is raised if they disagree beyond 10x tolerance.
+    endpoint refinement, both powers from one evaluation of Q per node set;
+    two refinement depths are compared and NonConvergent is raised if they
+    disagree beyond 10x tolerance.
     """
-    q_up = Q._upper()
-    q_lo = Q._lower()
+    def powers(fn):
+        def f(u):
+            v = np.asarray(fn(u), dtype=float)
+            return np.stack([v, v * v])
+        return f
+
+    f, f_lo, f_hi = powers(Q.fn), powers(Q._lower()), powers(Q._upper())
     edges = [0.0] + sorted(b for b in Q.breakpoints if 0.0 < b < 1.0) + [1.0]
     results = []
     for po in (3, 6):
-        m1 = 0.0
-        m2 = 0.0
+        m = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            for power in (1, 2):
-                def f(u, p=power):
-                    return np.asarray(Q.fn(u), dtype=float) ** p
-
-                f_lo = (lambda t, p=power: np.asarray(q_lo(t), dtype=float) ** p) \
-                    if a == 0.0 else None
-                f_hi = (lambda t, p=power: np.asarray(q_up(t), dtype=float) ** p) \
-                    if b == 1.0 else None
-                val = integrate_segment(f, a, b, fn_lo=f_lo, fn_hi=f_hi,
-                                        t_floor=t_floor, per_octave=po)
-                if power == 1:
-                    m1 += val
-                else:
-                    m2 += val
-        results.append((m1, m2))
+            m = m + integrate_segment(f, a, b, fn_lo=f_lo if a == 0.0 else None,
+                                      fn_hi=f_hi if b == 1.0 else None,
+                                      t_floor=t_floor, per_octave=po)
+        results.append(tuple(m))
     (m1a, m2a), (m1b, m2b) = results
     tol = _tolerance(Q, rel_tol)
     scale = max(1.0, abs(m1b), abs(m2b))
@@ -286,6 +354,8 @@ def quantile_moments(Q: QuantileFn, rel_tol: Optional[float] = None,
 # ---------------------------------------------------------------------------
 
 _SHAPES = ("uniform", "two-point", "three-point", "gaussian", "exponential", "spline")
+#: shapes that draw nothing from their trial's stream, so every repeat is equal
+_FIXED = ("uniform", "gaussian", "exponential")
 
 
 def _affine(Q0: QuantileFn, mu: float, sigma: float) -> QuantileFn:
@@ -330,6 +400,8 @@ def _standard_shape(kind: str, rng: np.random.Generator) -> QuantileFn:
 
         return QuantileFn(fn=fn, breakpoints=(float(q1), float(q2)), name="three-point")
     if kind == "gaussian":
+        from scipy.special import ndtri
+
         return QuantileFn(fn=lambda u: ndtri(np.asarray(u, dtype=float)),
                           tail_class="log-divergent",
                           upper_tail=lambda t: -ndtri(np.asarray(t, dtype=float)),
@@ -386,21 +458,31 @@ class StressReport:
 
 
 def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
-                       trials: int = 1000, seed: int = 0) -> StressReport:
+                       trials: int = 1000, seed: int = 0,
+                       result=None) -> StressReport:
     """Evaluate the riskmetric at randomized feasible distributions.
 
     Draws quantile functions of six shape types, affinely standardized to the
     requested mean and standard deviation, and asserts none exceeds the sharp
     bound beyond 1e-8 relative slack.  Trials run on a cheap quadrature; any
     trial landing near the bound is re-evaluated at full precision before the
-    comparison.  Deterministic for a fixed seed: trial k uses the
-    counter-based stream seeded with (seed, k).
-    """
-    from .bounds import worst_case_bound
+    comparison.  Deterministic for a fixed seed: trial k has shape k mod 6
+    and uses the counter-based stream seeded with (seed, k).
 
+    The uniform, Gaussian and exponential shapes draw nothing, so each is
+    evaluated once and its value stands for every repeat.  The trials of each
+    random shape are evaluated together, as one matrix per partition level,
+    and the full-precision partitions (one per tail class) are built at most
+    once per call and shared by all refinements.  ``result`` is the
+    ``BoundResult`` of ``worst_case_bound`` for these inputs when the caller
+    already has it; otherwise it is computed here.
+    """
     if trials < 0:
         raise DomainError("trials must be >= 0")
-    result = worst_case_bound(g, mode, extras, moments)
+    if result is None:
+        from .bounds import worst_case_bound
+
+        result = worst_case_bound(g, mode, extras, moments)
     tg = _as_transform(g, mode, extras)
     bound = result.sup_value
     if trials == 0:
@@ -408,29 +490,41 @@ def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
                             bound=bound, max_observed=-math.inf, gap=math.inf,
                             trials=0, seed=seed, worst_shape="")
     cheap = _StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45)
+    fine: dict = {}
     near = 2e-3 * (1.0 + abs(bound))
     mu, sigma = moments.mu, moments.sigma
+    vals = np.empty(trials)
+    quantiles = {}
+    for j, kind in enumerate(_SHAPES[:trials]):
+        if kind in _FIXED:
+            batch = [_affine(_standard_shape(kind, None), mu, sigma)]
+        else:
+            batch = [_affine(_standard_shape(kind, np.random.default_rng([seed, k])),
+                             mu, sigma) for k in range(j, trials, len(_SHAPES))]
+        s1, s2 = cheap.values(batch)
+        v = s2 + (s2 - s1) / 3.0
+        for i in np.flatnonzero(v > bound - near):
+            v[i] = riskmetric_of_quantile(tg, None, None, batch[i], n_base=4096,
+                                          _caches=fine)
+        vals[j::len(_SHAPES)] = v
+        quantiles[kind] = batch
     max_obs = -math.inf
-    worst_shape = ""
-    worst_Q = None
+    worst = -1
     shape_max: dict = {}
-    for k in range(trials):
+    for k, val in enumerate(vals.tolist()):
         kind = _SHAPES[k % len(_SHAPES)]
-        rng = np.random.default_rng([seed, k])
-        Q = _affine(_standard_shape(kind, rng), mu, sigma)
-        s1, s2 = cheap.value(Q)
-        val = s2 + (s2 - s1) / 3.0
-        if val > bound - near:
-            val = riskmetric_of_quantile(tg, None, None, Q, n_base=4096)
         if val > shape_max.get(kind, -math.inf):
             shape_max[kind] = val
         if val > max_obs:
-            max_obs, worst_shape, worst_Q = val, kind, Q
+            max_obs, worst = val, k
+    worst_shape = _SHAPES[worst % len(_SHAPES)] if worst >= 0 else ""
     gap = bound - max_obs
     if max_obs > bound + 1e-8 * (1.0 + abs(bound)):
+        batch = quantiles[worst_shape]
         raise BoundViolated(
             f"{g.family}: feasible value {max_obs} exceeds bound {bound}",
-            quantile=worst_Q, shape=worst_shape, observed=max_obs, bound=bound)
+            quantile=batch[0 if worst_shape in _FIXED else worst // len(_SHAPES)],
+            shape=worst_shape, observed=max_obs, bound=bound)
     return StressReport(family=g.family, params=dict(g.params), mode=tg.mode,
                         bound=bound, max_observed=max_obs, gap=gap, trials=trials,
                         seed=seed, worst_shape=worst_shape, shape_max=shape_max)

@@ -1,9 +1,11 @@
 """Shared fixtures: the family/parameter sweep and random custom transforms."""
 
+import math
+
 import numpy as np
 import pytest
 
-from riskbound import bounds, envelope
+from riskbound import bounds, envelope, oracle
 from riskbound.distortion import egs_tau_max
 
 # Family/parameter coverage used by the agreement, attainment and envelope
@@ -155,6 +157,81 @@ def reference_lower_hull(us, ys) -> list:
             stack.pop()
         stack.append(i)
     return stack
+
+
+def reference_stieltjes_sums(cache, Q, rule: str = "midpoint"):
+    """(coarse, fine) Stieltjes sums of one quantile on a
+    ``riskbound.oracle._StieltjesCache``, with the quantile's breakpoints
+    inserted into each level's partition.  The per-quantile reference for
+    the batched ``_StieltjesCache.values``."""
+    q_up = Q._upper()
+    q_lo = Q._lower()
+    out = []
+    for level in cache.levels:
+        pts, gv = level["pts"], level["gv"]
+        breaks = np.asarray([b for b in Q.breakpoints
+                             if pts[0] < b < pts[-1]], dtype=float)
+        if breaks.size:
+            idx = np.searchsorted(pts, breaks)
+            pts = np.insert(pts, idx, breaks)
+            gv = np.insert(gv, idx, np.asarray(cache.tg.ghat(breaks), dtype=float))
+        dg = np.diff(gv)
+        # the increments of ghat along each tail chain, then over its sliver
+        ts, wu, wl = level["ts"], level["wu"], level["wl"]
+        mid_t = 0.5 * (ts[:-1] + ts[1:])
+        if rule == "trapezoid":
+            qv = np.asarray(Q.fn(pts), dtype=float)
+            total = float(np.dot(0.5 * (qv[:-1] + qv[1:]), dg))
+            quv = np.asarray(q_up(ts), dtype=float)
+            total += float(np.dot(0.5 * (quv[:-1] + quv[1:]), wu[:-1]))
+            qlv = np.asarray(q_lo(ts), dtype=float)
+            total += float(np.dot(0.5 * (qlv[:-1] + qlv[1:]), wl[:-1]))
+        else:
+            mids = 0.5 * (pts[:-1] + pts[1:])
+            total = float(np.dot(np.asarray(Q.fn(mids), dtype=float), dg))
+            total += float(np.dot(np.asarray(q_up(mid_t), dtype=float), wu[:-1]))
+            total += float(np.dot(np.asarray(q_lo(mid_t), dtype=float), wl[:-1]))
+        # slivers [1 - ts[-1], 1] and [0, ts[-1]]
+        total += float(np.asarray(q_up(0.5 * ts[-1]))) * wu[-1]
+        total += float(np.asarray(q_lo(0.5 * ts[-1]))) * wl[-1]
+        out.append(total)
+    return out[0], out[1]
+
+
+def reference_feasibility_stress(g, moments, trials: int, seed: int):
+    """The dominance stress test one trial at a time: every trial drawn,
+    summed on its own, and refined on a partition of its own when it lands
+    near the bound.  Returns the ``StressReport`` and the worst trial's
+    quantile, and raises nothing.  The reference for the batched
+    ``riskbound.oracle.feasibility_stress``."""
+    tg = oracle._as_transform(g, None, None)
+    bound = bounds.worst_case_bound(g, None, None, moments).sup_value
+    cheap = oracle._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45)
+    near = 2e-3 * (1.0 + abs(bound))
+    max_obs = -math.inf
+    worst_shape = ""
+    worst_Q = None
+    shape_max: dict = {}
+    for k in range(trials):
+        kind = oracle._SHAPES[k % len(oracle._SHAPES)]
+        rng = np.random.default_rng([seed, k])
+        Q = oracle._affine(oracle._standard_shape(kind, rng), moments.mu, moments.sigma)
+        s1, s2 = reference_stieltjes_sums(cheap, Q)
+        val = s2 + (s2 - s1) / 3.0
+        if val > bound - near:
+            fine = oracle._StieltjesCache(tg, n_base=4096,
+                                          per_octave=oracle._PER_OCTAVE[Q.tail_class])
+            s1, s2 = reference_stieltjes_sums(fine, Q)
+            val = s2 + (s2 - s1) / 3.0
+        if val > shape_max.get(kind, -math.inf):
+            shape_max[kind] = val
+        if val > max_obs:
+            max_obs, worst_shape, worst_Q = val, kind, Q
+    report = oracle.StressReport(
+        family=g.family, params=dict(g.params), mode=tg.mode, bound=bound,
+        max_observed=max_obs, gap=bound - max_obs, trials=trials, seed=seed,
+        worst_shape=worst_shape, shape_max=shape_max)
+    return report, worst_Q
 
 
 @pytest.fixture

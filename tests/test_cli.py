@@ -2,6 +2,9 @@ import io
 import csv as csvmod
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -194,6 +197,34 @@ def test_verify_ok_and_failure(capsys, monkeypatch):
                            "--mu", "0", "--sigma", "1", "--trials", "12",
                            "--seed", "2")
     assert code == 4
+
+
+def test_verify_computes_the_bound_once(capsys, monkeypatch):
+    real = B.worst_case_bound
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].family)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(B, "worst_case_bound", counted)
+    code, out, _ = run_cli(capsys, "verify", "--family", "TCRE", "--param", "p=0.5",
+                           "--mu", "0.3", "--sigma", "1.7", "--trials", "24")
+    assert code == 0
+    assert calls == ["TCRE"]
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special is most of the import time; it loads on first use
+    code = ("import sys, riskbound\n"
+            "from riskbound import cli\n"
+            "print('scipy.special' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_weighted_bound_cli(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,17 @@ import pytest
 from riskbound import bounds as B
 from riskbound import distortion as D
 from riskbound import oracle as O
+from riskbound._num import integrate_segment
 from riskbound.errors import BoundViolated, DomainError, NonConvergent
 
+from conftest import SWEEP, reference_feasibility_stress, reference_stieltjes_sums
+
 STD = B.MomentInfo(0.0, 1.0)
+PARITY_MOMENTS = B.MomentInfo(0.3, 1.7)
+#: the first swept parameter set of every catalog family
+FIRST_PARAMS = {}
+for _family, _params in SWEEP:
+    FIRST_PARAMS.setdefault(_family, _params)
 
 
 def test_identity_distortion_is_the_mean():
@@ -150,3 +159,153 @@ def test_stress_detects_violation(monkeypatch):
                              STD, trials=12, seed=1)
     assert exc.value.observed > exc.value.bound
     assert exc.value.quantile is not None
+
+
+def test_quantile_moments_integrate_both_powers_from_one_evaluation():
+    res = B.worst_case_bound(D.catalog_lookup("CRE", {}), moments=PARITY_MOMENTS)
+    gauss = O._affine(O._standard_shape("gaussian", None), 0.3, 1.7)
+    for Q in (res.quantile, gauss):
+        calls = [0]
+
+        def fn(u, inner=Q.fn):
+            calls[0] += 1
+            return inner(u)
+
+        counted = dataclasses.replace(Q, fn=fn)
+        mean, var = O.quantile_moments(counted)
+        once = calls[0]
+        # the finer depth again, each power integrated on its own
+        calls[0] = 0
+        edges = [0.0] + sorted(b for b in Q.breakpoints if 0.0 < b < 1.0) + [1.0]
+        m = [0.0, 0.0]
+        for p in (1, 2):
+            for a, b in zip(edges[:-1], edges[1:]):
+                m[p - 1] += integrate_segment(
+                    lambda u: np.asarray(counted.fn(u), dtype=float) ** p, a, b,
+                    fn_lo=(lambda t: np.asarray(Q._lower()(t), dtype=float) ** p)
+                    if a == 0.0 else None,
+                    fn_hi=(lambda t: np.asarray(Q._upper()(t), dtype=float) ** p)
+                    if b == 1.0 else None,
+                    t_floor=1e-60, per_octave=6)
+        # quantile_moments runs two depths and this one depth twice, so
+        # equal counts mean one evaluation of Q per node set for both powers
+        assert calls[0] == once
+        assert mean == pytest.approx(m[0], rel=1e-14, abs=1e-15)
+        assert var == pytest.approx(m[1] - m[0] * m[0], rel=1e-14)
+
+
+def test_batched_sums_match_the_reference():
+    shapes = [O._affine(O._standard_shape(kind, np.random.default_rng([3, k])), 0.3, 1.7)
+              for k, kind in enumerate(O._SHAPES * 3)]
+    for family, params, engine in (("TCRE", {"p": 0.5}, "auto"),
+                                   ("DCT", {"alpha": 3.0, "F_t": 0.5}, "numeric")):
+        g = D.catalog_lookup(family, params)
+        tg = O._as_transform(g, None, None)
+        # the worst-case quantile carries every envelope knot as a breakpoint
+        Qs = [B.worst_case_bound(g, moments=PARITY_MOMENTS, engine=engine).quantile] + shapes
+        for cache in (O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45),
+                      O._StieltjesCache(tg, n_base=2048, per_octave=12)):
+            for rule in ("midpoint", "trapezoid"):
+                s1, s2 = cache.values(Qs, rule)
+                for j, Q in enumerate(Qs):
+                    r1, r2 = reference_stieltjes_sums(cache, Q, rule)
+                    assert abs(s1[j] - r1) <= 1e-12 * max(1.0, abs(r1)), (family, rule, Q.name)
+                    assert abs(s2[j] - r2) <= 1e-12 * max(1.0, abs(r2)), (family, rule, Q.name)
+
+
+@pytest.mark.parametrize("family", D.family_names())
+def test_stress_matches_the_per_trial_reference(family):
+    g = D.catalog_lookup(family, FIRST_PARAMS[family])
+    for seed in (0, 7, 20240808):
+        rep = O.feasibility_stress(g, None, None, PARITY_MOMENTS, trials=48, seed=seed)
+        ref, _ = reference_feasibility_stress(g, PARITY_MOMENTS, 48, seed)
+        assert rep.bound == ref.bound
+        assert rep.worst_shape == ref.worst_shape
+        assert rep.max_observed == pytest.approx(ref.max_observed, rel=1e-12)
+        assert rep.shape_max.keys() == ref.shape_max.keys()
+        # a step shape on a flat stretch of ghat sums to rounding noise near
+        # zero, so each shape is compared on the scale of the bound at least
+        for kind, val in ref.shape_max.items():
+            scale = max(abs(val), abs(ref.bound))
+            assert abs(rep.shape_max[kind] - val) <= 1e-12 * scale, (seed, kind)
+
+
+def test_stress_evaluates_each_fixed_shape_once(monkeypatch):
+    real_shape = O._standard_shape
+    real_refine = O.riskmetric_of_quantile
+    calls, refines = {}, {}
+
+    def counted_shape(kind, rng):
+        Q = real_shape(kind, rng)
+
+        def fn(u, inner=Q.fn):
+            calls[kind] = calls.get(kind, 0) + 1
+            return inner(u)
+
+        return dataclasses.replace(Q, fn=fn)
+
+    def counted_refine(*args, **kwargs):
+        name = args[3].name
+        refines[name] = refines.get(name, 0) + 1
+        return real_refine(*args, **kwargs)
+
+    monkeypatch.setattr(O, "_standard_shape", counted_shape)
+    monkeypatch.setattr(O, "riskmetric_of_quantile", counted_refine)
+    g = D.catalog_lookup("GiniSemidiff", {})
+    seen = []
+    for trials in (12, 120):
+        calls.clear()
+        refines.clear()
+        O.feasibility_stress(g, None, None, STD, trials=trials, seed=5)
+        seen.append(({k: calls.get(k, 0) for k in O._FIXED},
+                     {k: refines.get(k, 0) for k in O._FIXED}))
+    # ten times the trials, the same work on the shapes that draw nothing
+    assert seen[0] == seen[1]
+    assert all(seen[0][0].values())
+    # the uniform attains the Gini bound, so it is refined, once
+    assert seen[0][1]["uniform"] == 1
+    assert max(seen[0][1].values()) == 1
+
+
+def test_stress_shares_one_fine_partition_per_tail_class(monkeypatch):
+    builds = []
+    refines = []
+    real_refine = O.riskmetric_of_quantile
+
+    class Counted(O._StieltjesCache):
+        def __init__(self, tg, n_base=2048, per_octave=16, t_floor=1e-60):
+            builds.append((n_base, per_octave))
+            super().__init__(tg, n_base, per_octave, t_floor)
+
+    def counted_refine(*args, **kwargs):
+        refines.append(args[3].tail_class)
+        return real_refine(*args, **kwargs)
+
+    monkeypatch.setattr(O, "_StieltjesCache", Counted)
+    monkeypatch.setattr(O, "riskmetric_of_quantile", counted_refine)
+    O.feasibility_stress(D.catalog_lookup("GiniSemidiff", {}), None, None, STD,
+                         trials=120, seed=4)
+    fine = [b for b in builds if b[0] == 4096]
+    assert len(fine) == len(set(fine)) == len(set(refines)) >= 1
+    assert len(refines) > len(fine)
+    assert [b for b in builds if b[0] != 4096] == [(512, 6)]
+
+
+@pytest.mark.parametrize("family, params", [("GiniSemidiff", {}), ("ES", {"p": 0.9})])
+def test_stress_violation_reports_the_worst_trial(monkeypatch, family, params):
+    real = B.worst_case_bound
+
+    def shrunken(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, sup_value=res.sup_value * 0.9)
+
+    monkeypatch.setattr(B, "worst_case_bound", shrunken)
+    g = D.catalog_lookup(family, params)
+    ref, ref_Q = reference_feasibility_stress(g, STD, 48, 3)
+    with pytest.raises(BoundViolated) as exc:
+        O.feasibility_stress(g, None, None, STD, trials=48, seed=3)
+    assert exc.value.shape == ref.worst_shape
+    assert exc.value.observed == pytest.approx(ref.max_observed, rel=1e-12)
+    assert exc.value.bound == ref.bound
+    u = np.linspace(0.0005, 0.9995, 1999)
+    assert np.array_equal(exc.value.quantile.fn(u), ref_Q.fn(u))
