@@ -180,30 +180,30 @@ def _quantile_from_envelope(env: PiecewiseEnvelope, center: float, L: float,
     def fn(u):
         return mu + scale * (np.asarray(env.slope(u), dtype=float) - center)
 
+    def branch_tail(slope_at, length, beyond):
+        # Q at distance t from an end: the branch's stable slope form inside
+        # it, and ``beyond(t)`` only at the points past its far end
+        def tail(t):
+            t = np.asarray(t, dtype=float)
+            inside = t <= length
+            safe = np.where(inside, t, 0.5 * length)
+            vals = mu + scale * (np.asarray(slope_at(safe), dtype=float) - center)
+            if not inside.all():
+                vals = np.asarray(vals)
+                vals[~inside] = beyond(t[~inside])
+            return vals
+        return tail
+
     # only an analytic envelope's end pieces carry stable tail evaluators
     last = env.pieces[-1] if env.pieces else None
     first = env.pieces[0] if env.pieces else None
     if last is not None and last.slope_hi is not None:
-        hi_len = 1.0 - last.lo
-
-        def upper_tail(t):
-            t = np.asarray(t, dtype=float)
-            inside = t <= hi_len
-            safe = np.where(inside, t, 0.5 * hi_len)
-            vals = mu + scale * (np.asarray(last.slope_hi(safe), dtype=float) - center)
-            return np.where(inside, vals, fn(1.0 - t))
+        upper_tail = branch_tail(last.slope_hi, 1.0 - last.lo, lambda t: fn(1.0 - t))
     else:
         top = mu + scale * (env.slope(1.0) - center)
         upper_tail = (lambda t: np.full_like(np.asarray(t, dtype=float), top))
     if first is not None and first.slope_lo is not None:
-        lo_len = first.hi
-
-        def lower_tail(t):
-            t = np.asarray(t, dtype=float)
-            inside = t <= lo_len
-            safe = np.where(inside, t, 0.5 * lo_len)
-            vals = mu + scale * (np.asarray(first.slope_lo(safe), dtype=float) - center)
-            return np.where(inside, vals, fn(t))
+        lower_tail = branch_tail(first.slope_lo, first.hi, fn)
     else:
         bottom = mu + scale * (env.slope(0.0) - center)
         lower_tail = (lambda t: np.full_like(np.asarray(t, dtype=float), bottom))

@@ -158,9 +158,14 @@ def _lower_hull_indices(us: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Indices of the lower convex hull of points with increasing ``us``.
 
     Level-synchronous quickhull: each pass assigns every remaining candidate
-    to the chord between its enclosing hull vertices, drops the candidates on
-    or above that chord, and makes the deepest point below each chord a
-    vertex.  Collinear points (1e-14 scale) are merged.
+    to the chord between its enclosing hull vertices and drops the candidates
+    on or above that chord.  A candidate that is not below the chord joining
+    its two neighbours in the sequence of vertices and candidates cannot be a
+    vertex either, and is dropped.  Where every candidate of a chord passes
+    that test, the run through them is strictly convex, so all of them become
+    vertices at once; elsewhere the deepest point below the chord does.  A
+    sampled convex arc thus resolves in one pass, not one vertex per chord
+    per pass.  Collinear points (1e-14 scale) are merged.
     """
     n = len(us)
     hull = np.array([0, n - 1]) if n > 1 else np.arange(n)
@@ -172,12 +177,21 @@ def _lower_hull_indices(us: np.ndarray, ys: np.ndarray) -> np.ndarray:
         if not cand.size:
             break
         first = np.concatenate([[True], j[1:] != j[:-1]])
-        chord = np.cumsum(first) - 1
-        deepest = depth == np.maximum.reduceat(depth, np.flatnonzero(first))[chord]
-        at = np.flatnonzero(deepest)
-        at = at[np.concatenate([[True], chord[at[1:]] != chord[at[:-1]]])]
-        hull = np.sort(np.concatenate([hull, cand[at]]))
-        cand = np.delete(cand, at)
+        last = np.concatenate([first[1:], [True]])
+        starts, chord = np.flatnonzero(first), np.cumsum(first) - 1
+        # neighbours in the sequence of hull vertices and candidates
+        prev = np.where(first, hull[j - 1], np.roll(cand, 1))
+        succ = np.where(last, hull[j], np.roll(cand, -1))
+        convex = _below(us, ys, prev, cand, succ)[1]
+        run = np.logical_and.reduceat(convex, starts)[chord]
+        rest = convex & ~run
+        # the first deepest survivor of each chord that is not one run
+        depth = np.where(rest, depth, -np.inf)
+        at = np.flatnonzero(rest & (depth == np.maximum.reduceat(depth, starts)[chord]))
+        at = at[np.unique(chord[at], return_index=True)[1]]
+        rest[at] = False
+        hull = np.sort(np.concatenate([hull, cand[run], cand[at]]))
+        cand = cand[rest]
     # quickhull tested each vertex against the wide chord it was found under;
     # the collinearity test is local, as in a monotone chain: a vertex stays
     # only when it lies below the chords from its left neighbour to the next
@@ -232,12 +246,20 @@ def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
         offs = log_chain(2.0 / n_grid, 1e-7, 16)
         extra = (centers[:, None] + np.concatenate([-offs, offs])).ravel()
         extra = extra[(extra > 0.0) & (extra < 1.0)]
-        above = np.delete(us, idx)
+        first_us, first_ys = us, ys
         us = _drop_twins(np.unique(np.concatenate([us, extra])))
-        ys = np.asarray(ghat.ghat(us), dtype=float)
+        # first-pass points keep their values; ghat runs on the new ones only
+        at = np.minimum(np.searchsorted(first_us, us), len(first_us) - 1)
+        known = first_us[at] == us
+        ys = np.empty_like(us)
+        ys[known] = first_ys[at[known]]
+        if not known.all():
+            ys[~known] = np.asarray(ghat.ghat(us[~known]), dtype=float)
         # points above the first hull stay above the refined one, so only
         # its vertices and the new points can be vertices now
-        sub = np.flatnonzero(~np.isin(us, above, assume_unique=True))
+        vertex = np.zeros(len(first_us), dtype=bool)
+        vertex[idx] = True
+        sub = np.flatnonzero(~known | vertex[at])
         idx = sub[_lower_hull_indices(us[sub], ys[sub])]
     knots = us[idx]
     values = ys[idx]

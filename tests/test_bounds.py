@@ -5,6 +5,7 @@ import pytest
 
 from riskbound import bounds as B
 from riskbound import distortion as D
+from riskbound import envelope as E
 from riskbound import oracle as O
 from riskbound.errors import (
     DegenerateResult,
@@ -240,6 +241,36 @@ def test_worst_case_quantile_domain():
         B.worst_case_quantile(res, 1.0)
     with pytest.raises(DomainError):
         B.worst_case_quantile(res, -0.2)
+
+
+def test_quantile_tails_inside_their_branch_read_no_envelope_slope(monkeypatch):
+    calls = []
+    real = E.PiecewiseEnvelope.slope
+
+    def counting(self, u):
+        calls.append(np.size(u))
+        return real(self, u)
+
+    # CRE's envelope is one analytic branch over [0, 1], so every t in (0, 1)
+    # lies inside both tails' branches
+    res = B.worst_case_bound(D.catalog_lookup("CRE", {}), moments=STD)
+    ts = np.geomspace(0.5, 1e-40, 200)
+    monkeypatch.setattr(E.PiecewiseEnvelope, "slope", counting)
+    up = res.quantile.upper_tail(ts)
+    lo = res.quantile.lower_tail(ts)
+    assert calls == []
+    assert np.allclose(up, -(np.log(ts) + 1.0), rtol=1e-12, atol=0.0)
+    assert np.allclose(lo, -(np.log1p(-ts) + 1.0), rtol=1e-12, atol=0.0)
+    # FGRE's branch starts at its contact point: only t beyond it reads the
+    # envelope, and there the tail is Q(1 - t)
+    res = B.worst_case_bound(D.catalog_lookup("FGRE", {"alpha": 3.0}), moments=STD)
+    hi_len = 1.0 - res.envelope.knots[1]
+    ts = np.array([0.5, 2.0 * hi_len, 0.5 * hi_len, 1e-30])
+    calls.clear()
+    up = res.quantile.upper_tail(ts)
+    assert calls == [2]
+    assert np.array_equal(up[:2], res.quantile.fn(1.0 - ts[:2]))
+    assert np.all(np.diff(up) >= 0.0) and up[-1] > up[1]
 
 
 def test_bound_result_invariant_and_record():

@@ -19,7 +19,7 @@ from riskbound.errors import (
     RiskboundError,
 )
 
-from conftest import random_piecewise_smooth, reference_lower_hull
+from conftest import SWEEP, random_piecewise_smooth, reference_lower_hull
 
 REPRESENTATIVE = [
     ("GiniSemidiff", {}),
@@ -270,6 +270,57 @@ def test_lower_hull_random_customs(seed):
     tg = D.custom_transform(raw, kinks=kinks)
     us = E._numeric_grid(tg, 513)
     _check_hull(us, tg.ghat(us))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_lower_hull_rounding_noise(seed):
+    # a line plus noise at the level of rounding: the collinear merges decide
+    # every vertex, so the hull's properties and its L are pinned, not its indices
+    us = np.linspace(0.0, 1.0, 257)
+    noise = np.random.default_rng(seed).standard_normal(us.size)
+    _check_hull(us, 2.0 * us + 1e-15 * noise)
+
+
+def test_first_pass_hulls_match_the_chain():
+    cases = [_transform(f, p) for f, p in SWEEP]
+    rng = np.random.default_rng(20240808)
+    for _ in range(20):
+        raw, kinks = random_piecewise_smooth(rng)
+        cases.append(D.custom_transform(raw, kinks=kinks))
+    for tg in cases:
+        us = E._numeric_grid(tg, 1025)
+        ys = np.asarray(tg.ghat(us), dtype=float)
+        idx = E._lower_hull_indices(us, ys)
+        assert idx.tolist() == reference_lower_hull(us, ys), tg.source.params
+
+
+def _pass_calls(monkeypatch, us, ys):
+    """``_below`` calls made by the quickhull passes of one hull, two a pass.
+    The final merge rounds test overlapping slices of the hull itself, and
+    are not counted."""
+    calls = []
+    real = E._below
+
+    def counting(us_, ys_, lo, mid, hi):
+        if not np.shares_memory(lo, mid):
+            calls.append(mid.size)
+        return real(us_, ys_, lo, mid, hi)
+
+    monkeypatch.setattr(E, "_below", counting)
+    idx = E._lower_hull_indices(us, ys)
+    assert idx.tolist() == reference_lower_hull(us, ys)
+    return len(calls)
+
+
+def test_convex_runs_resolve_in_few_passes(monkeypatch):
+    # a strictly convex sample is its own hull, found in one pass
+    us = np.linspace(0.0, 1.0, 4097)
+    assert _pass_calls(monkeypatch, us, np.exp(3.0 * us)) <= 2 * 2
+    # the geometric cascades toward 0, 1 and the kinks are convex runs too
+    tg = _transform("CT", {"alpha": 3.0})
+    us = E._numeric_grid(tg, 4097)
+    assert _pass_calls(monkeypatch, us, tg.ghat(us)) <= 2 * 12
 
 
 def test_numeric_envelope_matches_the_reference_hull(monkeypatch):
