@@ -3,7 +3,13 @@
 Bracketed root finding, the named tangency equations solved with it, and
 Gauss-Legendre panel quadrature on geometric panel chains (stable down to
 distances ~1e-60 from an endpoint, far below what a double can represent as
-``1 - t``).
+``1 - t``).  Each half of a segment is one chain of panels toward its end,
+``per_octave`` panels per halving of the distance, closed by a midpoint-rule
+sliver; the integrand is evaluated once per chain, at all panel nodes and the
+sliver midpoint together.  Integrands analytic off the endpoint (t^p- and
+log-type blow-ups) need only one 20-point panel per octave: the Bernstein
+ellipse of a panel [x, 2x] that avoids t = 0 has parameter 3 + 2*sqrt(2), so
+the panel's error is ~(3 + 2*sqrt(2))^-40 ~ 1e-31 relative.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from .errors import NoSignChange, ParamOutOfDomain
 
 _GL20 = np.polynomial.legendre.leggauss(20)
 _GL10 = np.polynomial.legendre.leggauss(10)
+# bisection stops once the bracket is this many ulps (relative) wide
+_BRACKET_TOL = 4.0 * float(np.finfo(float).eps)
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,
@@ -39,7 +47,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
     a, b, fa, fb = lo, hi, flo, fhi
     for _ in range(max_iter):
         m = 0.5 * (a + b)
-        if b - a <= 4.0 * np.finfo(float).eps * max(1.0, abs(m)):
+        if b - a <= _BRACKET_TOL * max(1.0, abs(m)):
             break
         fm = f(m)
         if fm == 0.0:
@@ -168,31 +176,34 @@ def log_chain(hi: float, lo: float, per_octave: int) -> np.ndarray:
     return hi * np.exp2(-np.arange(n + 1, dtype=float) / per_octave)
 
 
-def panel_gauss(f: Callable[[np.ndarray], np.ndarray], edges_desc: np.ndarray,
-                order: int = 20) -> float | np.ndarray:
-    """Integrate ``f`` over [edges[-1], edges[0]] given descending panel edges.
+def _chain_side(f: Callable[[np.ndarray], np.ndarray], edges_desc: np.ndarray,
+                order: int) -> float | np.ndarray:
+    """``∫_0^edges[0] f(t) dt`` given the descending edges of a geometric chain.
 
-    ``f`` may return a stack of k rows of values, shape (k, n), to integrate
-    k integrands from one evaluation; the result is then an array of k
-    integrals, each equal to the one its row alone would give.
+    Gauss-Legendre panels cover [edges[-1], edges[0]] and the sliver
+    [0, edges[-1]] is valued at its midpoint; the sliver midpoint rides along
+    with the panel nodes, so ``f`` is called once.  ``f`` may return a stack
+    of k rows of values, shape (k, n), to integrate k integrands from one
+    evaluation; the result is then an array of k integrals, each equal to the
+    one its row alone would give.
     """
     nodes, weights = _GL20 if order >= 20 else _GL10
     hi = edges_desc[:-1]
     lo = edges_desc[1:]
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    ts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    ts = np.append((mid[:, None] + half[:, None] * nodes[None, :]).ravel(),
+                   0.5 * edges_desc[-1])
+    n_panels, end = len(mid), float(edges_desc[-1])
+
+    def one(row):
+        panels = row[:-1].reshape(n_panels, len(nodes)) @ weights
+        return float(np.dot(half, panels)) + float(row[-1]) * end
+
     vals = np.asarray(f(ts), dtype=float)
     if vals.ndim == 1:
-        return float(np.dot(half, vals.reshape(len(mid), len(nodes)) @ weights))
-    return np.array([np.dot(half, row.reshape(len(mid), len(nodes)) @ weights)
-                     for row in vals])
-
-
-def _at_point(f: Callable[[np.ndarray], np.ndarray], x: float):
-    """``f`` at the single point ``x``: a float, or one per row of a stacked ``f``."""
-    v = np.asarray(f(np.array([x])), dtype=float)[..., 0]
-    return float(v) if v.ndim == 0 else v
+        return one(vals)
+    return np.array([one(row) for row in vals])
 
 
 def integrate_segment(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -202,11 +213,23 @@ def integrate_segment(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float
                       order: int = 20) -> float | np.ndarray:
     """``∫_a^b fn(u) du`` with geometric panels accumulating toward both ends.
 
+    Each half of the segment is a chain of panels [x 2^(-1/per_octave), x]
+    from the midpoint toward its end, with ``order``-point Gauss-Legendre on
+    each panel and the midpoint rule on the sliver left below the chain.  The
+    integrand is called once per side, at every panel node and the sliver
+    midpoint together.
+
     ``fn_lo(t)`` / ``fn_hi(t)`` are stable reparametrizations of the integrand
     at distance ``t`` from u=0 / u=1; they are used (and the chain deepened to
     ``t_floor``) only when the segment actually ends at 0 or 1.  Interior ends
     are assumed smooth and chained to a relative depth of ~1e-14.  Stacked
-    integrands are integrated row by row, as in ``panel_gauss``.
+    integrands are integrated row by row, as in ``_chain_side``.
+
+    Panel density: an integrand analytic off t = 0 (t^p- and log-type
+    blow-ups) is analytic inside the largest Bernstein ellipse of the panel
+    [x, 2x] that avoids t = 0, whose parameter is 3 + 2*sqrt(2) ~ 5.83, so
+    20-point Gauss-Legendre errs there by ~5.83^-40 ~ 1e-31 relative and one
+    panel per octave (``per_octave=1``) integrates such a tail to rounding.
     """
     if b <= a:
         return 0.0
@@ -214,20 +237,14 @@ def integrate_segment(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float
     total = 0.0
     # lower side: u = a + t
     if a == 0.0 and fn_lo is not None:
-        edges = log_chain(half, t_floor, per_octave)
-        total += panel_gauss(fn_lo, edges, order)
-        total += _at_point(fn_lo, 0.5 * edges[-1]) * edges[-1]
+        total += _chain_side(fn_lo, log_chain(half, t_floor, per_octave), order)
     else:
-        edges = log_chain(half, half * 1e-14, per_octave)
-        total += panel_gauss(lambda t: fn(a + t), edges, order)
-        total += _at_point(fn, a + 0.5 * edges[-1]) * edges[-1]
+        total += _chain_side(lambda t: fn(a + t),
+                             log_chain(half, half * 1e-14, per_octave), order)
     # upper side: u = b - t
     if b == 1.0 and fn_hi is not None:
-        edges = log_chain(half, t_floor, per_octave)
-        total += panel_gauss(fn_hi, edges, order)
-        total += _at_point(fn_hi, 0.5 * edges[-1]) * edges[-1]
+        total += _chain_side(fn_hi, log_chain(half, t_floor, per_octave), order)
     else:
-        edges = log_chain(half, half * 1e-14, per_octave)
-        total += panel_gauss(lambda t: fn(b - t), edges, order)
-        total += _at_point(fn, b - 0.5 * edges[-1]) * edges[-1]
+        total += _chain_side(lambda t: fn(b - t),
+                             log_chain(half, half * 1e-14, per_octave), order)
     return total

@@ -14,6 +14,7 @@ quantile is the standardized excess slope mu + sigma * (slope(u) - c) / L.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -145,15 +146,26 @@ class BoundResult:
         """
         if self.quantile is None:
             raise DegenerateResult("no quantile stored for a degenerate bound")
-        n_uniform = max(2, int(0.5 * n))
-        per_end = max(8, (n - n_uniform) // 2)
-        ends = np.geomspace(1e-9, 0.5, per_end)
-        parts = [np.linspace(1e-9, 1.0 - 1e-9, n_uniform), ends, 1.0 - ends]
+        us = _grid_skeleton(n).copy()
         if self.envelope is not None:
             knots = self.envelope.knots
-            parts.append(knots[(knots > 1e-9) & (knots < 1.0 - 1e-9)])
-        us = np.unique(np.concatenate(parts))
+            knots = knots[(knots > 1e-9) & (knots < 1.0 - 1e-9)]
+            if knots.size:
+                us = np.union1d(us, knots)
         return us, np.asarray(self.quantile.fn(us), dtype=float)
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_skeleton(n: int) -> np.ndarray:
+    """The knot-free points of ``BoundResult.quantile_grid(n)``, sorted and
+    deduplicated, built once per ``n``; read-only, so callers hand out copies."""
+    n_uniform = max(2, int(0.5 * n))
+    per_end = max(8, (n - n_uniform) // 2)
+    ends = np.geomspace(1e-9, 0.5, per_end)
+    us = np.unique(np.concatenate([np.linspace(1e-9, 1.0 - 1e-9, n_uniform),
+                                   ends, 1.0 - ends]))
+    us.flags.writeable = False
+    return us
 
 
 # ---------------------------------------------------------------------------

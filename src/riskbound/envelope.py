@@ -527,7 +527,7 @@ def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
             def f_hi(t, _s=seg):
                 return (np.asarray(_s.slope_hi(t), dtype=float) - center) ** 2
         total += integrate_segment(f, seg.lo, seg.hi, fn_lo=f_lo, fn_hi=f_hi,
-                                   t_floor=CHAIN_FLOOR, per_octave=4)
+                                   t_floor=CHAIN_FLOOR, per_octave=1)
         floor_mass += sum(float(fn(CHAIN_FLOOR)) * CHAIN_FLOOR
                           for fn in (f_lo, f_hi) if fn is not None)
     if floor_mass > FLOOR_MASS_TOL * total:

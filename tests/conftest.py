@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from riskbound import bounds, envelope, oracle
+from riskbound._num import log_chain
+from riskbound.errors import NonConvergent
 from riskbound.distortion import egs_tau_max
 
 # Family/parameter coverage used by the agreement, attainment and envelope
@@ -157,6 +159,67 @@ def reference_lower_hull(us, ys) -> list:
             stack.pop()
         stack.append(i)
     return stack
+
+
+def _reference_chain_side(f, edges, order):
+    """Gauss panels over [edges[-1], edges[0]], then the sliver [0, edges[-1]]
+    at its midpoint from a second call of ``f``."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[:-1] - edges[1:])
+    vals = np.asarray(f((mid[:, None] + half[:, None] * nodes[None, :]).ravel()),
+                      dtype=float)
+    panels = vals.reshape(vals.shape[:-1] + (len(mid), order)) @ weights
+    sliver = np.asarray(f(np.array([0.5 * edges[-1]])), dtype=float)[..., 0]
+    return panels @ half + sliver * edges[-1]
+
+
+def reference_integrate_segment(fn, a, b, fn_lo=None, fn_hi=None, t_floor=1e-60,
+                                per_octave=4, order=20):
+    """``∫_a^b fn`` on geometric panel chains toward both ends, each chain's
+    panels and closing sliver evaluated by separate calls.  The reference
+    for ``riskbound._num.integrate_segment``."""
+    if b <= a:
+        return 0.0
+    half = 0.5 * (b - a)
+    total = 0.0
+    if a == 0.0 and fn_lo is not None:
+        total += _reference_chain_side(fn_lo, log_chain(half, t_floor, per_octave), order)
+    else:
+        total += _reference_chain_side(lambda t: fn(a + t),
+                                       log_chain(half, half * 1e-14, per_octave), order)
+    if b == 1.0 and fn_hi is not None:
+        total += _reference_chain_side(fn_hi, log_chain(half, t_floor, per_octave), order)
+    else:
+        total += _reference_chain_side(lambda t: fn(b - t),
+                                       log_chain(half, half * 1e-14, per_octave), order)
+    return total
+
+
+def reference_slope_l2_norm(env, center):
+    """The squared-slope norm of an analytic envelope with four Gauss panels
+    per octave and a separate sliver call per chain, raising NonConvergent
+    on the same floor-mass test.  The reference for the analytic branch of
+    ``riskbound.envelope.slope_l2_norm``."""
+    def squared(slope):
+        return lambda x: (np.asarray(slope(x), dtype=float) - center) ** 2
+
+    total = 0.0
+    floor_mass = 0.0
+    for seg in env.pieces:
+        if seg.kind == "chord":
+            total += (seg.slope - center) ** 2 * (seg.hi - seg.lo)
+            continue
+        f_lo = squared(seg.slope_lo) if seg.lo == 0.0 and seg.slope_lo else None
+        f_hi = squared(seg.slope_hi) if seg.hi == 1.0 and seg.slope_hi else None
+        total += reference_integrate_segment(
+            squared(seg.slope_fn), seg.lo, seg.hi, fn_lo=f_lo, fn_hi=f_hi,
+            t_floor=envelope.CHAIN_FLOOR, per_octave=4)
+        floor_mass += sum(float(f(envelope.CHAIN_FLOOR)) * envelope.CHAIN_FLOOR
+                          for f in (f_lo, f_hi) if f is not None)
+    if floor_mass > envelope.FLOOR_MASS_TOL * total:
+        raise NonConvergent("squared-slope mass at the quadrature floor")
+    return math.sqrt(max(total, 0.0))
 
 
 def reference_stieltjes_sums(cache, Q, rule: str = "midpoint"):

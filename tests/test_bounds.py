@@ -288,6 +288,45 @@ def test_bound_result_invariant_and_record():
     assert np.all(np.diff(qs) >= -1e-12)
 
 
+def _grid_results():
+    # an analytic envelope with an interior contact knot, a numeric
+    # envelope, and a weighted result
+    yield B.worst_case_bound(D.catalog_lookup("TCRE", {"p": 0.9}), moments=STD)
+    yield B.worst_case_bound(D.catalog_lookup("CT", {"alpha": 2.0}), moments=STD,
+                             engine="numeric")
+    yield B.worst_case_weighted(D.catalog_lookup("DWGCE", {"F_t": 0.5}),
+                                D.linear_weight(), B.MomentInfo(0.0, 1.0, weighted=True))
+
+
+@pytest.mark.parametrize("n", [11, 101, 1001])
+def test_quantile_grid_points_are_the_unique_union(n):
+    for res in _grid_results():
+        knots = res.envelope.knots
+        assert np.any((knots > 1e-9) & (knots < 1.0 - 1e-9))
+        n_uniform = max(2, int(0.5 * n))
+        ends = np.geomspace(1e-9, 0.5, max(8, (n - n_uniform) // 2))
+        parts = [np.linspace(1e-9, 1.0 - 1e-9, n_uniform), ends, 1.0 - ends,
+                 knots[(knots > 1e-9) & (knots < 1.0 - 1e-9)]]
+        expected = np.unique(np.concatenate(parts))
+        us, qs = res.quantile_grid(n)
+        assert us.dtype == expected.dtype and us.shape == expected.shape
+        assert us.tobytes() == expected.tobytes()
+        assert qs.tobytes() == np.asarray(res.quantile.fn(expected), dtype=float).tobytes()
+
+
+def test_quantile_grid_returns_a_fresh_array():
+    res = B.worst_case_bound(D.catalog_lookup("CT", {"alpha": 2.0}), moments=STD)
+    assert not np.any((res.envelope.knots > 1e-9) & (res.envelope.knots < 1.0 - 1e-9))
+    first, _ = res.quantile_grid(101)
+    before = first.copy()
+    first[:] = 0.5
+    again, _ = res.quantile_grid(101)
+    assert again.tobytes() == before.tobytes()
+    assert not np.shares_memory(first, again)
+    again[0] = -1.0
+    assert res.quantile_grid(101)[0][0] == before[0]
+
+
 @pytest.mark.parametrize("alpha", [1.5, 3.0, 8.0, 20.0, 34.0])
 def test_fgre_and_fge_closed_forms_agree(alpha):
     # the two tangency equations mirror each other, so the bounds are equal

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,13 +14,20 @@ from riskbound import envelope as E
 from riskbound._num import bisect_root, integrate_segment
 from riskbound.errors import (
     NoAnalyticForm,
+    NonConvergent,
     NonFiniteValue,
     NoSignChange,
     ParamOutOfDomain,
     RiskboundError,
 )
 
-from conftest import SWEEP, random_piecewise_smooth, reference_lower_hull
+from conftest import (
+    SWEEP,
+    random_piecewise_smooth,
+    reference_integrate_segment,
+    reference_lower_hull,
+    reference_slope_l2_norm,
+)
 
 REPRESENTATIVE = [
     ("GiniSemidiff", {}),
@@ -447,3 +455,83 @@ def test_integrate_segment_log_singularity():
         fn_lo=lambda t: (np.log1p(-np.asarray(t)) + 1.0) ** 2,
         fn_hi=lambda t: (np.log(np.asarray(t)) + 1.0) ** 2)
     assert val == pytest.approx(1.0, rel=1e-12)
+
+
+def test_slope_quadrature_matches_the_reference():
+    for family, params in SWEEP + [("FGRE", {"alpha": 30.0}), ("FGE", {"alpha": 30.0})]:
+        tg = _transform(family, params)
+        env = E.convex_envelope_analytic(tg)
+        ref = reference_slope_l2_norm(env, tg.center)
+        assert E.slope_l2_norm(env, tg.center) == pytest.approx(ref, rel=1e-12), \
+            (family, params)
+    # where a share of ~1e-8 of the squared-slope mass lies at the 1e-60
+    # floor, the value depends on where the deepest panel edge falls; the
+    # octave-wide chain ends deeper, so it must come no farther from the
+    # closed form than the reference does
+    for family, params in (("FGE", {"alpha": 40.0}), ("CT", {"alpha": 0.56}),
+                           ("CRT", {"alpha": 0.56})):
+        tg = _transform(family, params)
+        env = E.convex_envelope_analytic(tg)
+        exact = B.closed_form_sup(family, params, B.MomentInfo(0.0, 1.0))
+        err = abs(E.slope_l2_norm(env, tg.center) - exact)
+        assert err <= abs(reference_slope_l2_norm(env, tg.center) - exact)
+        assert err <= 1e-7 * exact, (family, params)
+    # a material share below the floor still raises, as in the reference
+    for family, params in (("CT", {"alpha": 0.51}), ("CRT", {"alpha": 0.51}),
+                           ("FGE", {"alpha": 45.0})):
+        tg = _transform(family, params)
+        env = E.convex_envelope_analytic(tg)
+        with pytest.raises(NonConvergent):
+            reference_slope_l2_norm(env, tg.center)
+        with pytest.raises(NonConvergent):
+            E.slope_l2_norm(env, tg.center)
+
+
+def test_each_chain_side_evaluates_once():
+    # CRE's branch spans [0, 1] with a stable form at each end; TCRE's runs
+    # from an interior contact point to 1.  Each chain side makes one array
+    # call, and an end side adds the scalar floor-mass point: the calls are
+    # listed by the ndim of their argument
+    for family, params, expected in (
+            ("CRE", {}, {"slope_fn": [], "slope_lo": [0, 1], "slope_hi": [0, 1]}),
+            ("TCRE", {"p": 0.9}, {"slope_fn": [1], "slope_lo": [], "slope_hi": [0, 1]})):
+        tg = _transform(family, params)
+        env = E.convex_envelope_analytic(tg)
+        calls = {name: [] for name in expected}
+
+        def counted(name, inner):
+            def f(x):
+                calls[name].append(np.ndim(x))
+                return inner(x)
+            return f
+
+        pieces = tuple(
+            dataclasses.replace(seg, **{name: counted(name, getattr(seg, name))
+                                        for name in expected
+                                        if getattr(seg, name) is not None})
+            if seg.kind == "analytic" else seg for seg in env.pieces)
+        L = E.slope_l2_norm(dataclasses.replace(env, pieces=pieces), tg.center)
+        assert L == E.slope_l2_norm(env, tg.center)
+        assert {k: sorted(v) for k, v in calls.items()} == expected, family
+
+
+def test_stacked_integrands_match_the_reference():
+    res = B.worst_case_bound(D.catalog_lookup("TCRE", {"p": 0.9}),
+                             moments=B.MomentInfo(0.0, 1.0))
+    Q = res.quantile
+
+    def powers(fn):
+        def f(u):
+            v = np.asarray(fn(u), dtype=float)
+            return np.stack([v, v * v])
+        return f
+
+    f, f_lo, f_hi = powers(Q.fn), powers(Q._lower()), powers(Q._upper())
+    edges = [0.0] + sorted(b for b in Q.breakpoints if 0.0 < b < 1.0) + [1.0]
+    for po in (3, 6):
+        for a, b in zip(edges[:-1], edges[1:]):
+            got = integrate_segment(f, a, b, fn_lo=f_lo, fn_hi=f_hi, per_octave=po)
+            ref = reference_integrate_segment(f, a, b, fn_lo=f_lo, fn_hi=f_hi,
+                                              per_octave=po)
+            assert got.shape == (2,)
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
