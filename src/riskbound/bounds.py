@@ -315,9 +315,14 @@ def worst_case_weighted(g: DistortionFn, w: Optional[WeightSpec],
                        moments=moments, envelope=inner.envelope, engine=inner.engine)
 
 
-def closed_form_sup(family: str, params: Optional[dict], moments: MomentInfo) -> float:
-    """The family's closed-form sharp supremum (constants from the named
-    tangency equations, incomplete-gamma terms by quadrature)."""
+def closed_form_factor(family: str, params: Optional[dict]) -> tuple:
+    """``(center, L)`` of a catalog family's closed-form sharp supremum
+    ``mu * center + sigma * L``, after validating its parameters.
+
+    The value needs no envelope, and ``L`` depends on the family and its
+    parameters alone, so a caller sweeping moments or a premium loading
+    computes it once.
+    """
     spec = family_spec(family)
     clean = {k: float(v) for k, v in dict(params or {}).items()}
     missing = [n for n in spec.param_names if n not in clean]
@@ -327,20 +332,37 @@ def closed_form_sup(family: str, params: Optional[dict], moments: MomentInfo) ->
     spec.sup_check(clean)
     L = spec.sup_factor(clean)
     center = 1.0 if spec.mode in ("riskmetric", "shortfall") else 0.0
+    return center, L
+
+
+def closed_form_sup(family: str, params: Optional[dict], moments: MomentInfo) -> float:
+    """The family's closed-form sharp supremum (constants from the named
+    tangency equations, incomplete-gamma terms by quadrature)."""
+    center, L = closed_form_factor(family, params)
     return moments.mu * center + moments.sigma * L
+
+
+def premium_factor(family: str, params: Optional[dict]) -> float:
+    """The entropy bound ``L`` at unit standard deviation that a premium
+    principle loads: ``premium_value(L, kappa, moments)`` is the premium."""
+    spec = family_spec(family)
+    if spec.mode != "entropy" or spec.weighted:
+        raise ParamOutOfDomain(
+            f"{family}: premium principles load a plain entropy family")
+    return closed_form_factor(family, params)[1]
+
+
+def premium_value(L: float, kappa: float, moments: MomentInfo) -> float:
+    """``mu + kappa * sigma * L`` for a loading ``kappa`` in [0, inf)."""
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise DomainError(f"kappa must be finite and >= 0, got {kappa}")
+    return moments.mu + kappa * (moments.sigma * L)
 
 
 def premium_bound(family: str, params: Optional[dict], kappa: float,
                   moments: MomentInfo) -> float:
     """mu + kappa times the entropy bound: the sharp premium-principle value."""
-    if kappa < 0.0:
-        raise DomainError(f"kappa must be >= 0, got {kappa}")
-    spec = family_spec(family)
-    if spec.mode != "entropy" or spec.weighted:
-        raise ParamOutOfDomain(
-            f"{family}: premium principles load a plain entropy family")
-    return moments.mu + kappa * closed_form_sup(family, params,
-                                                MomentInfo(0.0, moments.sigma))
+    return premium_value(premium_factor(family, params), kappa, moments)
 
 
 def shortfall_value(spec: ShortfallSpec, moments: MomentInfo) -> float:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import os
 import sys
 
@@ -93,6 +95,8 @@ def _parse_grid(text: str):
         a, b, n = float(a), float(b), int(n)
     except ValueError:
         raise _UsageError(f"grid must look like a:b:n, got {text!r}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise _UsageError(f"grid ends must be finite numbers, got {text!r}")
     if n < 1:
         raise _UsageError("grid needs at least one point")
     return np.linspace(a, b, n)
@@ -200,8 +204,8 @@ def _cmd_premium(args) -> int:
         kappas = [args.kappa]
     else:
         raise _UsageError("provide --kappa or --kappa-grid a:b:n")
-    rows = [(float(k), B.premium_bound(args.family, params, float(k), moments))
-            for k in kappas]
+    L = B.premium_factor(args.family, params)
+    rows = [(float(k), B.premium_value(L, float(k), moments)) for k in kappas]
     if args.format == "human":
         lines = [f"kappa = {_fmt(k)}  bound = {_fmt(v)}" for k, v in rows]
         _emit(args, "\n".join(lines) + "\n")
@@ -297,7 +301,13 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command's argument parser, built once per process.
+
+    Parsing leaves the parser unchanged (each call fills a fresh namespace),
+    so every ``run`` shares this one.
+    """
     parser = argparse.ArgumentParser(
         prog="riskbound",
         description="Sharp worst-case bounds for distortion riskmetrics and "
@@ -393,7 +403,7 @@ def run(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except BoundViolated as exc:

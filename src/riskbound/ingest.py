@@ -9,12 +9,20 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import MomentInfo, ShortfallSpec, premium_bound, shortfall_value
+from .bounds import (
+    MomentInfo,
+    ShortfallSpec,
+    closed_form_factor,
+    premium_factor,
+    premium_value,
+    shortfall_value,
+)
 from .errors import (
     DomainError,
     EmptySeries,
@@ -80,42 +88,52 @@ def load_returns_csv(path: str, column, label: Optional[str] = None) -> ReturnSe
     """Parse a one-header-row CSV and extract the named or indexed column.
 
     Rows whose selected cell is blank are skipped and counted; any other
-    non-numeric cell raises NonNumericCell with its row number.
+    non-numeric cell raises NonNumericCell with its row number.  A file that
+    is not UTF-8 text, or that the csv module cannot split, raises
+    MalformedCsv.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsv(f"{path}: empty file") from None
-        if isinstance(column, int):
-            if not (0 <= column < len(header)):
-                raise MalformedCsv(f"{path}: column index {column} out of range")
-            col = column
-        else:
-            try:
-                col = header.index(str(column))
-            except ValueError:
-                raise MalformedCsv(
-                    f"{path}: no column {column!r} in header {header}") from None
-        values = []
-        skipped = 0
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedCsv(
-                    f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}")
-            cell = row[col].strip()
-            if not cell:
-                skipped += 1
-                continue
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise NonNumericCell(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
+            values, skipped = _read_column(csv.reader(fh), path, column)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise MalformedCsv(f"{path}: not a readable CSV text file ({exc})") from None
     if not values:
         raise EmptySeries(f"{path}: column {column!r} has no numeric cells")
     return ReturnSeries(label=label or str(column), values=np.asarray(values),
                         skipped=skipped)
+
+
+def _read_column(reader, path: str, column) -> tuple:
+    """(numeric cells, blank cells skipped) of one column of a CSV reader."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedCsv(f"{path}: empty file") from None
+    if isinstance(column, int):
+        if not (0 <= column < len(header)):
+            raise MalformedCsv(f"{path}: column index {column} out of range")
+        col = column
+    else:
+        try:
+            col = header.index(str(column))
+        except ValueError:
+            raise MalformedCsv(
+                f"{path}: no column {column!r} in header {header}") from None
+    values = []
+    skipped = 0
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise MalformedCsv(
+                f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}")
+        cell = row[col].strip()
+        if not cell:
+            skipped += 1
+            continue
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise NonNumericCell(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
+    return values, skipped
 
 
 def prices_to_simple_returns(prices: Sequence[float]) -> np.ndarray:
@@ -152,18 +170,26 @@ class Report:
     rows: tuple
 
     def to_csv(self) -> str:
+        # the csv module writes a float as its repr, so values round-trip
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
-        for row in self.rows:
-            cells = [repr(v) if isinstance(v, float) else v
-                     for v in (row[c] for c in REPORT_COLUMNS)]
-            writer.writerow(cells)
+        writer.writerows(map(itemgetter(*REPORT_COLUMNS), self.rows))
         return buf.getvalue()
 
 
 def _param_str(params: dict) -> str:
     return ";".join(f"{k}={params[k]:g}" for k in sorted(params))
+
+
+def _sweep_rows(label, family, params, grid_var, grid, bounds):
+    """One row per grid point, each with its change from the previous row."""
+    prev = None
+    for x, bound in zip(grid, bounds):
+        yield {"label": label, "family": family, "params": params,
+               "grid_var": grid_var, "grid_value": x, "bound": bound,
+               "delta_vs_prev": "" if prev is None else bound - prev}
+        prev = bound
 
 
 def build_report(moment_sets, premium_families=DEMO_PREMIUM_FAMILIES,
@@ -173,38 +199,37 @@ def build_report(moment_sets, premium_families=DEMO_PREMIUM_FAMILIES,
 
     ``moment_sets`` is a sequence of (label, MomentInfo).  Premium rows sweep
     kappa; shortfall rows sweep the tail level p at each shortfall's loading.
+    A premium's ``L`` depends only on its family and parameters, and a named
+    shortfall's only on its spec and p, so each distinct ``L`` is computed
+    once per report; a custom shortfall runs the engine for every row.
     """
-    kappa_grid = list(kappa_grid if kappa_grid is not None else np.linspace(0.0, 1.0, 11))
-    p_grid = list(p_grid if p_grid is not None else np.arange(0.90, 1.00, 0.01))
+    kappa_grid = [float(k) for k in
+                  (kappa_grid if kappa_grid is not None else np.linspace(0.0, 1.0, 11))]
+    p_grid = [float(p) for p in
+              (p_grid if p_grid is not None else np.arange(0.90, 1.00, 0.01))]
     if not kappa_grid or not p_grid:
         raise DomainError("grids must be nonempty")
     if any(not (0.0 < p < 1.0) for p in p_grid):
         raise DomainError("p grid must lie inside (0, 1)")
+    premiums = [(family, _param_str(dict(params)), premium_factor(family, params))
+                for family, params in premium_families]
+    shortfalls = []
+    for spec in shortfall_specs:
+        sweeps = [replace(spec, p=p) for p in p_grid]
+        params = dict(sweeps[0].catalog_params())
+        params.pop("p", None)
+        factors = None if spec.family == "custom" else \
+            [closed_form_factor(s.family, s.catalog_params()) for s in sweeps]
+        shortfalls.append((spec.family, _param_str(params), sweeps, factors))
     rows = []
     for label, mom in moment_sets:
-        for family, params in premium_families:
-            prev = None
-            for kappa in kappa_grid:
-                bound = premium_bound(family, params, float(kappa), mom)
-                rows.append({"label": label, "family": family,
-                             "params": _param_str(dict(params)),
-                             "grid_var": "kappa", "grid_value": float(kappa),
-                             "bound": bound,
-                             "delta_vs_prev": "" if prev is None else bound - prev})
-                prev = bound
-        for spec in shortfall_specs:
-            prev = None
-            for p in p_grid:
-                sweep = ShortfallSpec(spec.family, p=float(p), tau=spec.tau,
-                                      alpha=spec.alpha, r=spec.r,
-                                      custom_g=spec.custom_g)
-                bound = shortfall_value(sweep, mom)
-                params = dict(sweep.catalog_params())
-                params.pop("p", None)
-                rows.append({"label": label, "family": spec.family,
-                             "params": _param_str(params),
-                             "grid_var": "p", "grid_value": float(p),
-                             "bound": bound,
-                             "delta_vs_prev": "" if prev is None else bound - prev})
-                prev = bound
+        for family, params, L in premiums:
+            bounds = [premium_value(L, kappa, mom) for kappa in kappa_grid]
+            rows.extend(_sweep_rows(label, family, params, "kappa", kappa_grid, bounds))
+        for family, params, sweeps, factors in shortfalls:
+            if factors is None:
+                bounds = [shortfall_value(s, mom) for s in sweeps]
+            else:
+                bounds = [mom.mu * center + mom.sigma * L for center, L in factors]
+            rows.extend(_sweep_rows(label, family, params, "p", p_grid, bounds))
     return Report(rows=tuple(rows))

@@ -1,11 +1,13 @@
 """Shared fixtures: the family/parameter sweep and random custom transforms."""
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
-from riskbound import bounds, envelope, oracle
+from riskbound import bounds, envelope, ingest, oracle
 from riskbound._num import log_chain
 from riskbound.errors import NonConvergent
 from riskbound.distortion import egs_tau_max
@@ -295,6 +297,62 @@ def reference_feasibility_stress(g, moments, trials: int, seed: int):
         max_observed=max_obs, gap=bound - max_obs, trials=trials, seed=seed,
         worst_shape=worst_shape, shape_max=shape_max)
     return report, worst_Q
+
+
+def reference_build_report(moment_sets, premium_families=ingest.DEMO_PREMIUM_FAMILIES,
+                           shortfall_specs=ingest.DEMO_SHORTFALLS,
+                           kappa_grid=None, p_grid=None) -> tuple:
+    """The rows of ``ingest.build_report``, one row at a time: every bound is
+    its own ``closed_form_sup`` call (the engine for a custom shortfall)."""
+    kappa_grid = list(kappa_grid if kappa_grid is not None else np.linspace(0.0, 1.0, 11))
+    p_grid = list(p_grid if p_grid is not None else np.arange(0.90, 1.00, 0.01))
+
+    def param_str(params):
+        return ";".join(f"{k}={params[k]:g}" for k in sorted(params))
+
+    rows = []
+    for label, mom in moment_sets:
+        for family, params in premium_families:
+            prev = None
+            for kappa in kappa_grid:
+                bound = mom.mu + float(kappa) * bounds.closed_form_sup(
+                    family, params, bounds.MomentInfo(0.0, mom.sigma))
+                rows.append({"label": label, "family": family,
+                             "params": param_str(dict(params)),
+                             "grid_var": "kappa", "grid_value": float(kappa),
+                             "bound": bound,
+                             "delta_vs_prev": "" if prev is None else bound - prev})
+                prev = bound
+        for spec in shortfall_specs:
+            prev = None
+            for p in p_grid:
+                sweep = bounds.ShortfallSpec(spec.family, p=float(p), tau=spec.tau,
+                                             alpha=spec.alpha, r=spec.r,
+                                             custom_g=spec.custom_g)
+                if spec.family == "custom":
+                    bound = bounds.shortfall_bound(sweep, mom).sup_value
+                else:
+                    bound = bounds.closed_form_sup(spec.family, sweep.catalog_params(), mom)
+                params = dict(sweep.catalog_params())
+                params.pop("p", None)
+                rows.append({"label": label, "family": spec.family,
+                             "params": param_str(params),
+                             "grid_var": "p", "grid_value": float(p),
+                             "bound": bound,
+                             "delta_vs_prev": "" if prev is None else bound - prev})
+                prev = bound
+    return tuple(rows)
+
+
+def reference_report_csv(rows) -> str:
+    """Report rows as CSV, each float cell written as its own ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ingest.REPORT_COLUMNS)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v
+                         for v in (row[c] for c in ingest.REPORT_COLUMNS)])
+    return buf.getvalue()
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import argparse
 import io
 import csv as csvmod
 import json
@@ -232,3 +233,76 @@ def test_weighted_bound_cli(capsys):
                            "--mu", "0", "--sigma", "1")
     assert code == 0
     assert "sup = 1.000000" in out
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, *args, **kwargs):
+        built.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli.build_parser.cache_clear()
+    try:
+        first = run_cli(capsys, "premium", "--family", "CT", "--param", "alpha=3",
+                        "--kappa", "1", "--mu", "0", "--sigma", "1")
+        # a second --param list must not see the first call's entries
+        second = run_cli(capsys, "premium", "--family", "EGini", "--param", "r=1.5",
+                         "--kappa", "1", "--mu", "0", "--sigma", "1")
+        parser = cli.build_parser()
+        params = [parser.parse_args(["bound", "--family", "TGini", "--param", p]).param
+                  for p in ("p=0.5", "p=0.9")]
+    finally:
+        cli.build_parser.cache_clear()
+    assert built == ["riskbound"]
+    assert first == (0, f"kappa = 1.000000  bound = {1 / math.sqrt(5):.6f}\n", "")
+    expected = B.premium_bound("EGini", {"r": 1.5}, 1.0, B.MomentInfo(0.0, 1.0))
+    assert second == (0, f"kappa = 1.000000  bound = {expected:.6f}\n", "")
+    assert params == [["p=0.5"], ["p=0.9"]]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("report", "--kappa-grid", "0:nan:3"), 2),
+    (("report", "--kappa-grid", "0:inf:3"), 2),
+    (("report", "--p-grid", "0.9:nan:2"), 2),
+    (("premium", "--family", "Gini", "--kappa-grid", "0:inf:3", "--mu", "0", "--sigma", "1"), 2),
+    (("premium", "--family", "Gini", "--kappa", "nan", "--mu", "0", "--sigma", "1"), 3),
+    (("premium", "--family", "Gini", "--kappa", "inf", "--mu", "0", "--sigma", "1"), 3),
+])
+def test_non_finite_kappa_is_rejected(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert "nan" in err or "inf" in err
+
+
+def _unreadable_input(tmp_path, kind):
+    if kind == "input-dir":
+        return ("--input", str(tmp_path))
+    if kind == "input-binary":
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+        return ("--input", str(path))
+    return ("--out", str(tmp_path))
+
+
+@pytest.mark.parametrize("kind", ["input-dir", "input-binary", "out-dir"])
+def test_unreadable_files_exit_with_one_error_line(tmp_path, capsys, kind):
+    code, out, err = run_cli(capsys, "report", "--kappa-grid", "0:1:2", "--p-grid",
+                             "0.9:0.95:2", *_unreadable_input(tmp_path, kind))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family, params", [("Gini", []), ("CT", ["--param", "alpha=3"]),
+                                            ("FGRE", ["--param", "alpha=2"])])
+def test_premium_grid_matches_one_closed_form_per_point(capsys, family, params):
+    code, out, _ = run_cli(capsys, "premium", "--family", family, *params,
+                           "--kappa-grid", "0:2.3:7", "--mu", "0.3", "--sigma", "1.7",
+                           "--format", "json")
+    assert code == 0
+    parsed = {k: float(v) for k, v in (p.split("=") for p in params[1:])}
+    expected = [0.3 + k * B.closed_form_sup(family, parsed, B.MomentInfo(0.0, 1.7))
+                for k in np.linspace(0.0, 2.3, 7).tolist()]
+    assert [row["bound"] for row in json.loads(out)] == expected

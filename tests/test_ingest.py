@@ -1,7 +1,13 @@
+import dataclasses
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskbound import bounds as B
+from riskbound import distortion as D
 from riskbound import ingest as I
 from riskbound.errors import (
     DomainError,
@@ -10,6 +16,8 @@ from riskbound.errors import (
     NonNumericCell,
     TooFewObservations,
 )
+
+from conftest import reference_build_report, reference_report_csv
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -138,3 +146,73 @@ def test_report_builds_no_envelope(request):
     assert report.to_csv() == expected
     row = next(r for r in report.rows if r["label"] == label and r["family"] == "GS")
     assert row["grid_value"] == 0.9 and row["bound"] == gs
+
+
+def test_undecodable_csv_is_malformed(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"ret\n1.0\n\xff\xfe\x00\x81\n")
+    with pytest.raises(MalformedCsv):
+        I.load_returns_csv(str(path), "ret")
+
+
+def test_report_rejects_non_finite_kappa():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            I.build_report(I.DEMO_MOMENTS, kappa_grid=[0.0, bad], p_grid=[0.9])
+
+
+def _assert_matches_reference(moment_sets, **kwargs):
+    report = I.build_report(moment_sets, **kwargs)
+    expected = reference_build_report(moment_sets, **kwargs)
+    assert report.rows == expected
+    assert repr(report.rows) == repr(expected)
+    assert report.to_csv() == reference_report_csv(expected)
+
+
+def test_demo_report_matches_the_row_by_row_reference():
+    _assert_matches_reference(I.DEMO_MOMENTS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=12),
+       st.lists(st.floats(min_value=0.6, max_value=0.99), min_size=1, max_size=8))
+def test_random_grids_match_the_row_by_row_reference(kappas, ps):
+    _assert_matches_reference(I.DEMO_MOMENTS, kappa_grid=kappas, p_grid=ps)
+
+
+def test_extra_families_and_custom_shortfall_match_the_reference():
+    base = D.catalog_lookup("CRE", {})
+    custom = D.custom_distortion(base.g, g_prime=base.g_prime)
+    premiums = I.DEMO_PREMIUM_FAMILIES + (("FGRE", {"alpha": 2.0}), ("GCRE", {"n": 3}),
+                                          ("FGE", {"alpha": 0.6}), ("GCE", {"n": 2}))
+    shortfalls = I.DEMO_SHORTFALLS + (B.ShortfallSpec("ES", p=0.5),
+                                      B.ShortfallSpec("custom", p=0.9, tau=0.5,
+                                                      custom_g=custom))
+    moments = I.DEMO_MOMENTS[:2] + (("flat", B.MomentInfo(-0.2, 0.0)),)
+    _assert_matches_reference(moments, premium_families=premiums,
+                              shortfall_specs=shortfalls,
+                              kappa_grid=np.linspace(0.0, 2.0, 4),
+                              p_grid=np.linspace(0.9, 0.97, 3))
+
+
+def test_report_evaluates_each_closed_form_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, sup_factor):
+        def factor(params):
+            calls[name, tuple(sorted(params.items()))] += 1
+            return sup_factor(params)
+        return factor
+
+    for name in D.family_names():
+        spec = D.family_spec(name)
+        if spec.sup_factor is not None:
+            monkeypatch.setitem(D._CATALOG, name, dataclasses.replace(
+                spec, sup_factor=counted(name, spec.sup_factor)))
+    kappas, ps = np.linspace(0.0, 1.0, 7), np.linspace(0.9, 0.98, 5)
+    distinct = len(I.DEMO_PREMIUM_FAMILIES) + len(I.DEMO_SHORTFALLS) * len(ps)
+    for n_sets in (1, 3):
+        calls.clear()
+        I.build_report(I.DEMO_MOMENTS[:n_sets], kappa_grid=kappas, p_grid=ps)
+        assert len(calls) == distinct
+        assert set(calls.values()) == {1}
