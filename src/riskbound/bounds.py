@@ -28,6 +28,7 @@ from .distortion import (
     catalog_lookup,
     family_spec,
     make_ghat,
+    sup_admissible,
 )
 from .envelope import (
     DEFAULT_GRID,
@@ -172,17 +173,6 @@ def _grid_skeleton(n: int) -> np.ndarray:
 # envelope-driven quantile
 # ---------------------------------------------------------------------------
 
-def _tail_class_for(g: DistortionFn) -> str:
-    try:
-        spec = family_spec(g.family)
-    except UnknownFamily:
-        return "log-divergent"  # conservative quadrature for customs
-    try:
-        return spec.tail_class({k: float(v) for k, v in g.params.items()})
-    except Exception:
-        return "log-divergent"
-
-
 def _quantile_from_envelope(env: PiecewiseEnvelope, center: float, L: float,
                             moments: MomentInfo, tail_class: str,
                             name: str) -> QuantileFn:
@@ -251,12 +241,10 @@ def worst_case_bound(g: DistortionFn, mode: Optional[str] = None,
         mode = g.mode_default
         if extras is None:
             extras = dict(g.extras_default)
-    if mode == g.mode_default and dict(extras or {}) == dict(g.extras_default):
+    if (g.base != "custom" and mode == g.mode_default
+            and dict(extras or {}) == dict(g.extras_default)):
         # diverging-sup parameters are rejected up front for catalog families
-        try:
-            family_spec(g.family).sup_check({k: float(v) for k, v in g.params.items()})
-        except UnknownFamily:
-            pass
+        sup_admissible(g.family, g.params)
     tg = make_ghat(g, mode, extras)
     env, used = _build_envelope(tg, engine, n_grid)
     L = slope_l2_norm(env, tg.center)
@@ -273,7 +261,7 @@ def worst_case_bound(g: DistortionFn, mode: Optional[str] = None,
     quantile = None
     if not degenerate:
         quantile = _quantile_from_envelope(env, tg.center, L, moments,
-                                           _tail_class_for(g), f"worst[{g.family}]")
+                                           g.tail_class, f"worst[{g.family}]")
     return BoundResult(sup_value=float(sup), l2_term=float(L), center=tg.center,
                        degenerate=degenerate, quantile=quantile,
                        family=g.family, params=dict(g.params), mode=tg.mode,
@@ -324,13 +312,7 @@ def closed_form_factor(family: str, params: Optional[dict]) -> tuple:
     computes it once.
     """
     spec = family_spec(family)
-    clean = {k: float(v) for k, v in dict(params or {}).items()}
-    missing = [n for n in spec.param_names if n not in clean]
-    if missing:
-        raise ParamOutOfDomain(f"{family}: missing parameter(s) {missing}")
-    spec.validate(clean)
-    spec.sup_check(clean)
-    L = spec.sup_factor(clean)
+    L = spec.sup_factor(sup_admissible(family, params))
     center = 1.0 if spec.mode in ("riskmetric", "shortfall") else 0.0
     return center, L
 

@@ -102,6 +102,17 @@ def _parse_grid(text: str):
     return np.linspace(a, b, n)
 
 
+def _points(text: str) -> int:
+    """``--points``: a table needs both of its ends, so at least 2 rows."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"needs at least 2 points, got {n}")
+    return n
+
+
 def _emit(args, text: str):
     out = getattr(args, "out", None)
     if out:
@@ -342,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", metavar="key=value")
     p.add_argument("--mode", choices=D.MODES, default=None)
     p.add_argument("--engine", choices=("auto", "analytic", "numeric"), default="auto")
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--points", type=_points, default=1001)
     add_common(p)
     p.set_defaults(fn=_cmd_quantile)
 
@@ -351,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", metavar="key=value")
     p.add_argument("--mode", choices=D.MODES, default=None)
     p.add_argument("--engine", choices=("auto", "analytic", "numeric"), default="auto")
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--points", type=_points, default=1001)
     add_common(p, moments=False)
     p.set_defaults(fn=_cmd_envelope)
 

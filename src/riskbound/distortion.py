@@ -1,10 +1,15 @@
 """Distortion functions, the named-family catalog, and quantile-side transforms.
 
 A distortion function is a bounded-variation map ``g`` on [0, 1] with
-``g(0) = 0``.  Every catalog entry also carries numerically stable
-reparametrizations ``g_lo(t) = g(t)`` and ``g_hi(t) = g(1 - t)`` (and the
-same for the derivative) so that downstream quadrature can work at distances
-from an endpoint far below 1 ulp of 1.0.
+``g(0) = 0``.  Every catalog entry carries ``g`` and its right derivative
+``g_prime``, which are stable near u = 0, and their reflections
+``g_hi(t) = g(1 - t)`` and ``gp_hi(t) = g'(1 - t)``, which are stable near
+u = 1, so that downstream quadrature can work at distances from either
+endpoint far below 1 ulp of 1.0.
+
+The catalog is one table with a row per family: its base shape, default
+mode, scale and closed-form sup factor.  The parameter checks, transform
+extras and tail class are worked out from the row.
 
 ``make_ghat`` turns a distortion into the integrand of its quantile
 representation: the reflected function whose Stieltjes measure integrates a
@@ -156,10 +161,13 @@ def _fge_kernel_prime(w, a):
 class DistortionFn:
     """An evaluable distortion function with catalog metadata.
 
-    ``g_lo(t) = g(t)`` and ``g_hi(t) = g(1 - t)`` are stable near t = 0, and
-    ``gp_lo`` / ``gp_hi`` are the analogous forms of the right derivative.
-    ``base`` names the canonical shape the envelope recipes key on; it equals
-    ``family`` for base families and the underlying base for derived ones.
+    ``g`` and ``g_prime`` (the right derivative) are stable near u = 0, and
+    ``g_hi(t) = g(1 - t)`` and ``gp_hi(t) = g'(1 - t)`` are their stable
+    forms near u = 1.  ``base`` names the canonical shape the envelope
+    recipes key on, or is "custom" for a user-supplied distortion.
+    ``tail_class`` is the tail behaviour of the worst-case quantile, which
+    sets the oracle's quadrature depth; customs take the conservative
+    "log-divergent".
     """
 
     family: str
@@ -167,17 +175,16 @@ class DistortionFn:
     g: Evaluable
     g1: float
     g_prime: Optional[Evaluable] = None
-    g_lo: Optional[Evaluable] = None
     g_hi: Optional[Evaluable] = None
-    gp_lo: Optional[Evaluable] = None
     gp_hi: Optional[Evaluable] = None
     kinks: tuple = ()
-    base: str = ""
+    base: str = "custom"
     entropy_convex: bool = False
     concave: bool = False
     weighted: bool = False
     mode_default: str = "entropy"
     extras_default: Mapping[str, float] = field(default_factory=dict)
+    tail_class: str = "log-divergent"
 
     def __call__(self, u):
         return self.g(u)
@@ -252,73 +259,115 @@ def eval_weight(w: WeightSpec, x: float):
 
 
 # ---------------------------------------------------------------------------
+# base shapes: each returns the array kernels (g, g', g(1 - t), g'(1 - t))
+# ---------------------------------------------------------------------------
+
+def _phi_kernel(a: float, c: float):
+    """c * phi(., a): the Tsallis shape at c = 1, extended Gini at c = 2(r - 1)."""
+    return (lambda u: c * _phi(u, a), lambda u: c * _phi_prime(u, a),
+            lambda t: c * _phi_one_minus(t, a), lambda t: c * _phi_prime_one_minus(t, a))
+
+
+def _gini_kernel(c: float):
+    g = lambda u: c * u * (1.0 - u)
+    return g, lambda u: c * (1.0 - 2.0 * u), g, lambda t: c * (2.0 * t - 1.0)
+
+
+def _log_kernel():
+    return (lambda u: -_xlogx(u), lambda u: -_safe_log(u) - 1.0,
+            lambda t: -_xlog1m_one_minus(t), lambda t: -_safe_log1m(t) - 1.0)
+
+
+def _fractional_kernel(a: float, family: str):
+    try:
+        gam = math.gamma(a + 1.0)  # the normalizer Gamma(alpha + 1)
+    except OverflowError:
+        raise ParamOutOfDomain(
+            f"{family}: Gamma(alpha + 1) overflows double precision at alpha={a}") from None
+    return (lambda u: _pow_neglog(u, a) / gam,
+            lambda u: _fge_kernel_prime(-_safe_log(u), a) / gam,
+            lambda t: _pow_neglog_one_minus(t, a) / gam,
+            lambda t: _fge_kernel_prime(-_safe_log1m(t), a) / gam)
+
+
+def _es_kernel(p: float):
+    q = 1.0 - p
+    return (lambda u: np.minimum(u / q, 1.0), lambda u: np.where(u < q, 1.0 / q, 0.0),
+            lambda t: np.where(t <= p, 1.0, (1.0 - t) / q),
+            lambda t: np.where(t <= p, 0.0, 1.0 / q))
+
+
+def _mirror(g, gp, g_hi, gp_hi):
+    """The past-side shape u -> g(1 - u) of a residual-side kernel: the value
+    forms trade ends and the slopes change sign."""
+    return g_hi, lambda u: -gp_hi(u), g, lambda t: -gp(t)
+
+
+# past-side bases, each the mirror of the residual-side base it names
+_MIRRORS = {"CT": "CRT", "CE": "CRE", "FGE": "FGRE"}
+
+
+def _order(P: dict) -> float:
+    """The shape's order: alpha, the integer order n, or r; 2 for the Gini
+    shapes, which are the order-2 Tsallis and extended-Gini members."""
+    return P.get("alpha", P.get("n", P.get("r", 2.0)))
+
+
+def _kernels(base: str, P: dict, scale: float, family: str):
+    shape = _MIRRORS.get(base, base)
+    if shape == "CRT":
+        k = _phi_kernel(P["alpha"], scale)
+    elif shape == "EGini":
+        r = _order(P)
+        k = _phi_kernel(r, 2.0 * scale * (r - 1.0))
+    elif shape == "GiniSemidiff":
+        k = _gini_kernel(scale)
+    elif shape == "FGRE":
+        k = _fractional_kernel(_order(P), family)
+    elif shape == "CRE":
+        k = _log_kernel()
+    else:
+        k = _es_kernel(P["p"])
+    return _mirror(*k) if base in _MIRRORS else k
+
+
+def _tail_class(base: str, P: dict) -> str:
+    """The worst-case quantile's tail behaviour, the hint that sets the
+    oracle's quadrature depth."""
+    if base == "ES" or P.get("tau") == 0.0:  # a shortfall at tau = 0 is ES
+        return "bounded"
+    if base in ("CRE", "CE"):
+        return "log-divergent"
+    if base in ("FGRE", "FGE"):
+        return "log-divergent" if _order(P) >= 1.0 else "power-divergent"
+    # below order 2 the Tsallis and extended-Gini tails (or their
+    # derivatives) carry a fractional power singularity
+    return "power-divergent" if _order(P) < 2.0 else "bounded"
+
+
+# ---------------------------------------------------------------------------
 # family catalog
 # ---------------------------------------------------------------------------
 
+def _tail_scale(P: dict) -> float:
+    """(1 - p)^(r - 2), the extended-Gini factor of the tail and shortfall forms."""
+    return (1.0 - P["p"]) ** (P["r"] - 2.0)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
+    """One catalog row: ``scale(params)`` multiplies the base shape, and
+    ``sup_factor(params)`` is the closed-form ``L`` of the sharp bound
+    ``mu * center + sigma * L``."""
+
     name: str
     description: str
     param_names: tuple
-    validate: Callable[[dict], None]
-    build: Callable[[dict], DistortionFn]
+    base: str
     mode: str
-    extras: Callable[[dict], dict]
-    weighted: bool
-    sup_check: Callable[[dict], None]
-    sup_factor: Optional[Callable[[dict], float]]
-    tail_class: Callable[[dict], str]
-
-
-_CATALOG: dict = {}
-
-
-def _register(spec: FamilySpec):
-    _CATALOG[spec.name] = spec
-
-
-def _need(params: dict, names: tuple, family: str) -> dict:
-    unknown = set(params) - set(names)
-    if unknown:
-        raise ParamOutOfDomain(f"{family}: unexpected parameter(s) {sorted(unknown)}")
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise ParamOutOfDomain(f"{family}: missing parameter(s) {missing}")
-    return {n: float(params[n]) for n in names}
-
-
-def _check_alpha_tsallis(a: float, family: str):
-    if not (a > 0.0) or a == 1.0:
-        raise ParamOutOfDomain(
-            f"{family}: alpha must satisfy alpha > 0 and alpha != 1 (got {a})")
-
-
-def _check_sup_alpha(a: float, family: str):
-    if not (a > 0.5):
-        raise ParamOutOfDomain(f"{family}: supremum requires alpha > 1/2 (got {a})")
-
-
-def _check_r(r: float, family: str):
-    if not (r > 1.0):
-        raise ParamOutOfDomain(f"{family}: requires r > 1 (got {r})")
-
-
-def _check_p(p: float, family: str):
-    if not (0.0 < p < 1.0):
-        raise ParamOutOfDomain(f"{family}: p must lie in (0, 1) (got {p})")
-
-
-def _check_Ft(F: float, family: str, lo_open: bool, hi_open: bool):
-    lo_ok = F > 0.0 if lo_open else F >= 0.0
-    hi_ok = F < 1.0 if hi_open else F <= 1.0
-    if not (lo_ok and hi_ok):
-        raise ParamOutOfDomain(f"{family}: F_t={F} outside admissible range")
-
-
-def _check_tau(tau: float, tau_max: float, family: str):
-    if not (0.0 <= tau <= tau_max + 1e-12):
-        raise ParamOutOfDomain(
-            f"{family}: tau={tau} outside the convexity range [0, {tau_max:.6g}]")
+    sup_factor: Callable[[dict], float]
+    weighted: bool = False
+    scale: Callable[[dict], float] = lambda P: 1.0
 
 
 def egs_tau_max(r: float, p: float) -> float:
@@ -326,127 +375,46 @@ def egs_tau_max(r: float, p: float) -> float:
     return 1.0 / (2.0 * (r - 1.0) * (1.0 - p) ** (r - 2.0))
 
 
-# -- base builders ----------------------------------------------------------
-
-def _base_ct(a: float, family: str, params: dict, **meta) -> DistortionFn:
-    return DistortionFn(
-        family=family, params=params,
-        g=_ev(lambda u: _phi_one_minus(u, a)), g1=0.0,
-        g_prime=_ev(lambda u: -_phi_prime_one_minus(u, a)),
-        g_lo=_ev(lambda t: _phi_one_minus(t, a)),
-        g_hi=_ev(lambda t: _phi(t, a)),
-        gp_lo=_ev(lambda t: -_phi_prime_one_minus(t, a)),
-        gp_hi=_ev(lambda t: -_phi_prime(t, a)),
-        base="CT", entropy_convex=True, concave=True, **meta)
-
-
-def _base_crt(a: float, family: str, params: dict, **meta) -> DistortionFn:
-    return DistortionFn(
-        family=family, params=params,
-        g=_ev(lambda u: _phi(u, a)), g1=0.0,
-        g_prime=_ev(lambda u: _phi_prime(u, a)),
-        g_lo=_ev(lambda t: _phi(t, a)),
-        g_hi=_ev(lambda t: _phi_one_minus(t, a)),
-        gp_lo=_ev(lambda t: _phi_prime(t, a)),
-        gp_hi=_ev(lambda t: _phi_prime_one_minus(t, a)),
-        base="CRT", entropy_convex=True, concave=True, **meta)
-
-
-def _base_gini_semi(family: str, params: dict, scale: float = 1.0, **meta) -> DistortionFn:
-    g = _ev(lambda u: scale * u * (1.0 - u))
-    return DistortionFn(
-        family=family, params=params, g=g, g1=0.0,
-        g_prime=_ev(lambda u: scale * (1.0 - 2.0 * u)),
-        g_lo=g, g_hi=g,
-        gp_lo=_ev(lambda t: scale * (1.0 - 2.0 * t)),
-        gp_hi=_ev(lambda t: scale * (2.0 * t - 1.0)),
-        base="GiniSemidiff", entropy_convex=True, concave=True, **meta)
-
-
-def _base_egini(r: float, family: str, params: dict, scale: float = 1.0, **meta) -> DistortionFn:
-    c = 2.0 * scale * (r - 1.0)
-    base = "TEGini" if scale != 1.0 else "EGini"
-    return DistortionFn(
-        family=family, params=params,
-        g=_ev(lambda u: c * _phi(u, r)), g1=0.0,
-        g_prime=_ev(lambda u: c * _phi_prime(u, r)),
-        g_lo=_ev(lambda t: c * _phi(t, r)),
-        g_hi=_ev(lambda t: c * _phi_one_minus(t, r)),
-        gp_lo=_ev(lambda t: c * _phi_prime(t, r)),
-        gp_hi=_ev(lambda t: c * _phi_prime_one_minus(t, r)),
-        base=base, entropy_convex=True, concave=True, **meta)
-
-
-def _gamma_norm(a: float, family: str) -> float:
-    """Gamma(alpha + 1), the normalizer of the fractional entropies."""
-    try:
-        return math.gamma(a + 1.0)
-    except OverflowError:
-        raise ParamOutOfDomain(
-            f"{family}: Gamma(alpha + 1) overflows double precision at alpha={a}") from None
-
-
-def _base_fgre(a: float, family: str, params: dict, **meta) -> DistortionFn:
-    gam = _gamma_norm(a, family)
-    return DistortionFn(
-        family=family, params=params,
-        g=_ev(lambda u: _pow_neglog(u, a) / gam), g1=0.0,
-        g_prime=_ev(lambda u: _fge_kernel_prime(-_safe_log(u), a) / gam),
-        g_lo=_ev(lambda t: _pow_neglog(t, a) / gam),
-        g_hi=_ev(lambda t: _pow_neglog_one_minus(t, a) / gam),
-        gp_lo=_ev(lambda t: _fge_kernel_prime(-_safe_log(t), a) / gam),
-        gp_hi=_ev(lambda t: _fge_kernel_prime(-_safe_log1m(t), a) / gam),
-        base="FGRE", entropy_convex=(a <= 1.0), concave=(a <= 1.0), **meta)
-
-
-def _base_fge(a: float, family: str, params: dict, **meta) -> DistortionFn:
-    gam = _gamma_norm(a, family)
-    return DistortionFn(
-        family=family, params=params,
-        g=_ev(lambda u: _pow_neglog_one_minus(u, a) / gam), g1=0.0,
-        g_prime=_ev(lambda u: -_fge_kernel_prime(-_safe_log1m(u), a) / gam),
-        g_lo=_ev(lambda t: _pow_neglog_one_minus(t, a) / gam),
-        g_hi=_ev(lambda t: _pow_neglog(t, a) / gam),
-        gp_lo=_ev(lambda t: -_fge_kernel_prime(-_safe_log1m(t), a) / gam),
-        gp_hi=_ev(lambda t: -_fge_kernel_prime(-_safe_log(t), a) / gam),
-        base="FGE", entropy_convex=(a <= 1.0), concave=(a <= 1.0), **meta)
-
-
-def _base_cre(family: str, params: dict, **meta) -> DistortionFn:
-    return DistortionFn(
-        family=family, params=params,
-        g=_ev(lambda u: -_xlogx(u)), g1=0.0,
-        g_prime=_ev(lambda u: -_safe_log(u) - 1.0),
-        g_lo=_ev(lambda t: -_xlogx(t)),
-        g_hi=_ev(lambda t: -_xlog1m_one_minus(t)),
-        gp_lo=_ev(lambda t: -_safe_log(t) - 1.0),
-        gp_hi=_ev(lambda t: -_safe_log1m(t) - 1.0),
-        base="CRE", entropy_convex=True, concave=True, **meta)
-
-
-def _base_ce(family: str, params: dict, **meta) -> DistortionFn:
-    return DistortionFn(
-        family=family, params=params,
-        g=_ev(lambda u: -_xlog1m_one_minus(u)), g1=0.0,
-        g_prime=_ev(lambda u: _safe_log1m(u) + 1.0),
-        g_lo=_ev(lambda t: -_xlog1m_one_minus(t)),
-        g_hi=_ev(lambda t: -_xlogx(t)),
-        gp_lo=_ev(lambda t: _safe_log1m(t) + 1.0),
-        gp_hi=_ev(lambda t: _safe_log(t) + 1.0),
-        base="CE", entropy_convex=True, concave=True, **meta)
-
-
-def _base_es(p: float, family: str, params: dict, **meta) -> DistortionFn:
-    q = 1.0 - p
-    g = _ev(lambda u: np.minimum(u / q, 1.0))
-    return DistortionFn(
-        family=family, params=params, g=g, g1=1.0,
-        g_prime=_ev(lambda u: np.where(u < q, 1.0 / q, 0.0)),
-        g_lo=g,
-        g_hi=_ev(lambda t: np.where(t <= p, 1.0, (1.0 - t) / q)),
-        gp_lo=_ev(lambda t: np.where(t < q, 1.0 / q, 0.0)),
-        gp_hi=_ev(lambda t: np.where(t <= p, 0.0, 1.0 / q)),
-        kinks=(q,), base="ES", entropy_convex=False, concave=True, **meta)
+def _validated(spec: FamilySpec, params: Optional[dict]) -> dict:
+    """The row's parameters as floats, each checked in declaration order by
+    the rule its name, the base and the mode imply."""
+    family, names, params = spec.name, spec.param_names, dict(params or {})
+    unknown = set(params) - set(names)
+    if unknown:
+        raise ParamOutOfDomain(f"{family}: unexpected parameter(s) {sorted(unknown)}")
+    missing = [n for n in names if n not in params]
+    if missing:
+        raise ParamOutOfDomain(f"{family}: missing parameter(s) {missing}")
+    P = {n: float(params[n]) for n in names}
+    for name in names:
+        v = P[name]
+        if name == "alpha" and spec.base in ("FGRE", "FGE"):
+            if not v > 0.0:
+                raise ParamOutOfDomain(f"{family}: alpha must be > 0 (got {v})")
+        elif name == "alpha":
+            if not (v > 0.0) or v == 1.0:
+                raise ParamOutOfDomain(
+                    f"{family}: alpha must satisfy alpha > 0 and alpha != 1 (got {v})")
+        elif name == "n":
+            if not (v.is_integer() and v >= 1.0):
+                raise ParamOutOfDomain(f"{family}: n must be a positive integer (got {v})")
+        elif name == "r":
+            if not (v > 1.0):
+                raise ParamOutOfDomain(f"{family}: requires r > 1 (got {v})")
+        elif name == "p":
+            if not (0.0 < v < 1.0):
+                raise ParamOutOfDomain(f"{family}: p must lie in (0, 1) (got {v})")
+        elif name == "F_t":
+            # the residual window [F_t, 1] and the past window [0, F_t] are nonempty
+            if not ((0.0 <= v < 1.0) if spec.mode == "residual" else (0.0 < v <= 1.0)):
+                raise ParamOutOfDomain(f"{family}: F_t={v} outside admissible range")
+        else:  # tau: tau times the base's slope at 1 keeps the kink slope >= 0
+            tau_max = (egs_tau_max(P["r"], P["p"]) if spec.base == "EGini"
+                       else 1.0 / spec.scale(P))
+            if not (0.0 <= v <= tau_max + 1e-12):
+                raise ParamOutOfDomain(
+                    f"{family}: tau={v} outside the convexity range [0, {tau_max:.6g}]")
+    return P
 
 
 # -- closed-form sup factors (multiply sigma; the mu coefficient is the center)
@@ -555,259 +523,95 @@ def _L_crtes(a: float, p: float, tau: float) -> float:
     return math.sqrt((k * p + tau * tau) / (k * (1.0 - p)))
 
 
-# -- registration -----------------------------------------------------------
+# -- the table ----------------------------------------------------------------
+# name, description, parameters, base shape, default mode, closed-form L,
+# then the weighted flag and the kernel scale where they differ from the default
 
-def _tail_tsallis(a: float) -> str:
-    # below 2 the worst-case quantile tail (or its derivative) carries a
-    # fractional power singularity; the hint steers quadrature depth
-    return "power-divergent" if a < 2.0 else "bounded"
+_CATALOG: dict = {spec.name: spec for spec in (
+    # plain entropies
+    FamilySpec("CT", "cumulative Tsallis past entropy", ("alpha",),
+               "CT", "entropy", lambda P: _L_tsallis(P["alpha"])),
+    FamilySpec("CRT", "cumulative residual Tsallis entropy", ("alpha",),
+               "CRT", "entropy", lambda P: _L_tsallis(P["alpha"])),
+    FamilySpec("GiniSemidiff", "Gini mean semi-difference", (),
+               "GiniSemidiff", "entropy", lambda P: 1.0 / math.sqrt(3.0)),
+    FamilySpec("Gini", "Gini coefficient (twice the mean semi-difference)", (),
+               "GiniSemidiff", "entropy", lambda P: 2.0 / math.sqrt(3.0), scale=lambda P: 2.0),
+    FamilySpec("EGini", "extended Gini coefficient", ("r",),
+               "EGini", "entropy", lambda P: _L_egini(P["r"])),
+    FamilySpec("FGRE", "fractional generalized cumulative residual entropy", ("alpha",),
+               "FGRE", "entropy", lambda P: _L_fgre(_order(P))),
+    FamilySpec("GCRE", "generalized cumulative residual entropy (integer order)", ("n",),
+               "FGRE", "entropy", lambda P: _L_fgre(_order(P))),
+    FamilySpec("CRE", "cumulative residual entropy", (),
+               "CRE", "entropy", lambda P: 1.0),
+    FamilySpec("FGE", "fractional generalized cumulative entropy", ("alpha",),
+               "FGE", "entropy", lambda P: _L_fgre(_order(P))),
+    FamilySpec("GCE", "generalized cumulative entropy (integer order)", ("n",),
+               "FGE", "entropy", lambda P: _L_fgre(_order(P))),
+    FamilySpec("CE", "cumulative entropy", (),
+               "CE", "entropy", lambda P: 1.0),
 
+    # residual (tail) entropies
+    FamilySpec("DCRT", "dynamic cumulative residual Tsallis entropy", ("alpha", "F_t"),
+               "CRT", "residual", lambda P: _L_tcrt(P["alpha"], P["F_t"])),
+    FamilySpec("TCRTE", "tail cumulative residual Tsallis entropy", ("alpha", "p"),
+               "CRT", "residual", lambda P: _L_tcrt(P["alpha"], P["p"])),
+    FamilySpec("TNGini", "new-type tail Gini functional", ("p",),
+               "GiniSemidiff", "residual", lambda P: _L_tcrt(2.0, P["p"])),
+    FamilySpec("TCRE", "tail cumulative residual entropy", ("p",),
+               "CRE", "residual", lambda P: _L_tcre(P["p"])),
+    FamilySpec("TNEGini", "new-type tail extended Gini coefficient", ("r", "p"),
+               "EGini", "residual", lambda P: _L_tnegini(P["r"], P["p"])),
+    FamilySpec("TEGini", "tail extended Gini coefficient", ("r", "p"),
+               "EGini", "residual", lambda P: _L_tegini(P["r"], P["p"]), scale=_tail_scale),
+    FamilySpec("TGini", "tail Gini functional", ("p",),
+               "EGini", "residual", lambda P: _L_tnegini(2.0, P["p"])),
 
-def _no_sup_check(_params: dict):
-    return None
+    # past (dynamic) entropies
+    FamilySpec("DCT", "dynamic cumulative Tsallis entropy", ("alpha", "F_t"),
+               "CT", "past", lambda P: _L_dct(P["alpha"], P["F_t"])),
+    FamilySpec("DGini", "dynamic Gini functional", ("F_t",),
+               "GiniSemidiff", "past", lambda P: _L_dct(2.0, P["F_t"])),
+    FamilySpec("DCE", "dynamic cumulative past entropy", ("F_t",),
+               "CE", "past", lambda P: _L_dce(P["F_t"])),
 
+    # weighted entropies (moments refer to Psi(X))
+    FamilySpec("WCT", "weighted cumulative Tsallis entropy", ("alpha",),
+               "CT", "entropy", lambda P: _L_tsallis(P["alpha"]), weighted=True),
+    FamilySpec("WCRT", "weighted cumulative residual Tsallis entropy", ("alpha",),
+               "CRT", "entropy", lambda P: _L_tsallis(P["alpha"]), weighted=True),
+    FamilySpec("WGini", "weighted Gini functional", (),
+               "GiniSemidiff", "entropy", lambda P: 1.0 / math.sqrt(3.0), weighted=True),
+    FamilySpec("WGCRE", "weighted generalized cumulative residual entropy", (),
+               "CRE", "entropy", lambda P: 1.0, weighted=True),
+    FamilySpec("WCRE", "weighted cumulative residual entropy", (),
+               "CRE", "entropy", lambda P: 1.0, weighted=True),
+    FamilySpec("WGCE", "weighted generalized cumulative entropy", (),
+               "CE", "entropy", lambda P: 1.0, weighted=True),
+    FamilySpec("WCE", "weighted cumulative entropy", (),
+               "CE", "entropy", lambda P: 1.0, weighted=True),
+    FamilySpec("DWGCRE", "dynamic weighted generalized cumulative residual entropy", ("F_t",),
+               "CRE", "residual", lambda P: _L_tcre(P["F_t"]), weighted=True),
+    FamilySpec("DWCRE", "dynamic weighted cumulative residual entropy", ("F_t",),
+               "CRE", "residual", lambda P: _L_tcre(P["F_t"]), weighted=True),
+    FamilySpec("DWGCE", "dynamic weighted generalized cumulative entropy", ("F_t",),
+               "CE", "past", lambda P: _L_dce(P["F_t"]), weighted=True),
+    FamilySpec("DWCE", "dynamic weighted cumulative entropy", ("F_t",),
+               "CE", "past", lambda P: _L_dce(P["F_t"]), weighted=True),
 
-def _reg(name, desc, param_names, validate, build, mode, extras, weighted,
-         sup_check, sup_factor, tail_class):
-    _register(FamilySpec(name, desc, param_names, validate, build, mode, extras,
-                         weighted, sup_check, sup_factor, tail_class))
-
-
-def _meta(mode, extras, weighted=False):
-    return dict(weighted=weighted, mode_default=mode, extras_default=extras)
-
-
-def _positive_alpha(p: dict, family: str):
-    if not p["alpha"] > 0.0:
-        raise ParamOutOfDomain(f"{family}: alpha must be > 0 (got {p['alpha']})")
-
-
-def _integer_n(p: dict, family: str):
-    if p["n"] != int(p["n"]) or p["n"] < 1:
-        raise ParamOutOfDomain(f"{family}: n must be a positive integer (got {p['n']})")
-
-
-def _build_catalog():
-    # plain entropies -------------------------------------------------------
-    _reg("CT", "cumulative Tsallis past entropy", ("alpha",),
-         lambda p: _check_alpha_tsallis(p["alpha"], "CT"),
-         lambda p: _base_ct(p["alpha"], "CT", p, **_meta("entropy", {})),
-         "entropy", lambda p: {}, False,
-         lambda p: _check_sup_alpha(p["alpha"], "CT"),
-         lambda p: _L_tsallis(p["alpha"]),
-         lambda p: _tail_tsallis(p["alpha"]))
-    _reg("CRT", "cumulative residual Tsallis entropy", ("alpha",),
-         lambda p: _check_alpha_tsallis(p["alpha"], "CRT"),
-         lambda p: _base_crt(p["alpha"], "CRT", p, **_meta("entropy", {})),
-         "entropy", lambda p: {}, False,
-         lambda p: _check_sup_alpha(p["alpha"], "CRT"),
-         lambda p: _L_tsallis(p["alpha"]),
-         lambda p: _tail_tsallis(p["alpha"]))
-    _reg("GiniSemidiff", "Gini mean semi-difference", (),
-         lambda p: None,
-         lambda p: _base_gini_semi("GiniSemidiff", p, 1.0, **_meta("entropy", {})),
-         "entropy", lambda p: {}, False, _no_sup_check,
-         lambda p: 1.0 / math.sqrt(3.0), lambda p: "bounded")
-    _reg("Gini", "Gini coefficient (twice the mean semi-difference)", (),
-         lambda p: None,
-         lambda p: _base_gini_semi("Gini", p, 2.0, **_meta("entropy", {})),
-         "entropy", lambda p: {}, False, _no_sup_check,
-         lambda p: 2.0 / math.sqrt(3.0), lambda p: "bounded")
-    _reg("EGini", "extended Gini coefficient", ("r",),
-         lambda p: _check_r(p["r"], "EGini"),
-         lambda p: _base_egini(p["r"], "EGini", p, 1.0, **_meta("entropy", {})),
-         "entropy", lambda p: {}, False, _no_sup_check,
-         lambda p: _L_egini(p["r"]),
-         lambda p: "bounded" if p["r"] >= 2.0 else "power-divergent")
-    _reg("FGRE", "fractional generalized cumulative residual entropy", ("alpha",),
-         lambda p: _positive_alpha(p, "FGRE"),
-         lambda p: _base_fgre(p["alpha"], "FGRE", p, **_meta("entropy", {})),
-         "entropy", lambda p: {}, False,
-         lambda p: _check_sup_alpha(p["alpha"], "FGRE"),
-         lambda p: _L_fgre(p["alpha"]),
-         lambda p: "log-divergent" if p["alpha"] >= 1.0 else "power-divergent")
-    _reg("GCRE", "generalized cumulative residual entropy (integer order)", ("n",),
-         lambda p: _integer_n(p, "GCRE"),
-         lambda p: _base_fgre(float(int(p["n"])), "GCRE", p, **_meta("entropy", {})),
-         "entropy", lambda p: {}, False, _no_sup_check,
-         lambda p: _L_fgre(float(int(p["n"]))), lambda p: "log-divergent")
-    _reg("CRE", "cumulative residual entropy", (),
-         lambda p: None,
-         lambda p: _base_cre("CRE", p, **_meta("entropy", {})),
-         "entropy", lambda p: {}, False, _no_sup_check,
-         lambda p: 1.0, lambda p: "log-divergent")
-    _reg("FGE", "fractional generalized cumulative entropy", ("alpha",),
-         lambda p: _positive_alpha(p, "FGE"),
-         lambda p: _base_fge(p["alpha"], "FGE", p, **_meta("entropy", {})),
-         "entropy", lambda p: {}, False,
-         lambda p: _check_sup_alpha(p["alpha"], "FGE"),
-         lambda p: _L_fgre(p["alpha"]),
-         lambda p: "log-divergent" if p["alpha"] >= 1.0 else "power-divergent")
-    _reg("GCE", "generalized cumulative entropy (integer order)", ("n",),
-         lambda p: _integer_n(p, "GCE"),
-         lambda p: _base_fge(float(int(p["n"])), "GCE", p, **_meta("entropy", {})),
-         "entropy", lambda p: {}, False, _no_sup_check,
-         lambda p: _L_fgre(float(int(p["n"]))), lambda p: "log-divergent")
-    _reg("CE", "cumulative entropy", (),
-         lambda p: None,
-         lambda p: _base_ce("CE", p, **_meta("entropy", {})),
-         "entropy", lambda p: {}, False, _no_sup_check,
-         lambda p: 1.0, lambda p: "log-divergent")
-
-    # residual (tail) entropies ----------------------------------------------
-    _reg("DCRT", "dynamic cumulative residual Tsallis entropy", ("alpha", "F_t"),
-         lambda p: (_check_alpha_tsallis(p["alpha"], "DCRT"),
-                    _check_Ft(p["F_t"], "DCRT", False, True)),
-         lambda p: _base_crt(p["alpha"], "DCRT", p, **_meta("residual", {"F_t": p["F_t"]})),
-         "residual", lambda p: {"F_t": p["F_t"]}, False,
-         lambda p: _check_sup_alpha(p["alpha"], "DCRT"),
-         lambda p: _L_tcrt(p["alpha"], p["F_t"]),
-         lambda p: _tail_tsallis(p["alpha"]))
-    _reg("TCRTE", "tail cumulative residual Tsallis entropy", ("alpha", "p"),
-         lambda p: (_check_alpha_tsallis(p["alpha"], "TCRTE"), _check_p(p["p"], "TCRTE")),
-         lambda p: _base_crt(p["alpha"], "TCRTE", p, **_meta("residual", {"F_t": p["p"]})),
-         "residual", lambda p: {"F_t": p["p"]}, False,
-         lambda p: _check_sup_alpha(p["alpha"], "TCRTE"),
-         lambda p: _L_tcrt(p["alpha"], p["p"]),
-         lambda p: _tail_tsallis(p["alpha"]))
-    _reg("TNGini", "new-type tail Gini functional", ("p",),
-         lambda p: _check_p(p["p"], "TNGini"),
-         lambda p: _base_gini_semi("TNGini", p, 1.0, **_meta("residual", {"F_t": p["p"]})),
-         "residual", lambda p: {"F_t": p["p"]}, False, _no_sup_check,
-         lambda p: _L_tcrt(2.0, p["p"]), lambda p: "bounded")
-    _reg("TCRE", "tail cumulative residual entropy", ("p",),
-         lambda p: _check_p(p["p"], "TCRE"),
-         lambda p: _base_cre("TCRE", p, **_meta("residual", {"F_t": p["p"]})),
-         "residual", lambda p: {"F_t": p["p"]}, False, _no_sup_check,
-         lambda p: _L_tcre(p["p"]), lambda p: "log-divergent")
-    _reg("TNEGini", "new-type tail extended Gini coefficient", ("r", "p"),
-         lambda p: (_check_r(p["r"], "TNEGini"), _check_p(p["p"], "TNEGini")),
-         lambda p: _base_egini(p["r"], "TNEGini", p, 1.0, **_meta("residual", {"F_t": p["p"]})),
-         "residual", lambda p: {"F_t": p["p"]}, False, _no_sup_check,
-         lambda p: _L_tnegini(p["r"], p["p"]),
-         lambda p: "bounded" if p["r"] >= 2.0 else "power-divergent")
-    _reg("TEGini", "tail extended Gini coefficient", ("r", "p"),
-         lambda p: (_check_r(p["r"], "TEGini"), _check_p(p["p"], "TEGini")),
-         lambda p: _base_egini(p["r"], "TEGini", p, (1.0 - p["p"]) ** (p["r"] - 2.0),
-                               **_meta("residual", {"F_t": p["p"]})),
-         "residual", lambda p: {"F_t": p["p"]}, False, _no_sup_check,
-         lambda p: _L_tegini(p["r"], p["p"]),
-         lambda p: "bounded" if p["r"] >= 2.0 else "power-divergent")
-    _reg("TGini", "tail Gini functional", ("p",),
-         lambda p: _check_p(p["p"], "TGini"),
-         lambda p: _base_egini(2.0, "TGini", p, 1.0, **_meta("residual", {"F_t": p["p"]})),
-         "residual", lambda p: {"F_t": p["p"]}, False, _no_sup_check,
-         lambda p: _L_tnegini(2.0, p["p"]), lambda p: "bounded")
-
-    # past (dynamic) entropies ------------------------------------------------
-    _reg("DCT", "dynamic cumulative Tsallis entropy", ("alpha", "F_t"),
-         lambda p: (_check_alpha_tsallis(p["alpha"], "DCT"),
-                    _check_Ft(p["F_t"], "DCT", True, False)),
-         lambda p: _base_ct(p["alpha"], "DCT", p, **_meta("past", {"F_t": p["F_t"]})),
-         "past", lambda p: {"F_t": p["F_t"]}, False,
-         lambda p: _check_sup_alpha(p["alpha"], "DCT"),
-         lambda p: _L_dct(p["alpha"], p["F_t"]),
-         lambda p: _tail_tsallis(p["alpha"]))
-    _reg("DGini", "dynamic Gini functional", ("F_t",),
-         lambda p: _check_Ft(p["F_t"], "DGini", True, False),
-         lambda p: _base_gini_semi("DGini", p, 1.0, **_meta("past", {"F_t": p["F_t"]})),
-         "past", lambda p: {"F_t": p["F_t"]}, False, _no_sup_check,
-         lambda p: _L_dct(2.0, p["F_t"]), lambda p: "bounded")
-    _reg("DCE", "dynamic cumulative past entropy", ("F_t",),
-         lambda p: _check_Ft(p["F_t"], "DCE", True, False),
-         lambda p: _base_ce("DCE", p, **_meta("past", {"F_t": p["F_t"]})),
-         "past", lambda p: {"F_t": p["F_t"]}, False, _no_sup_check,
-         lambda p: _L_dce(p["F_t"]), lambda p: "log-divergent")
-
-    # weighted entropies (moments refer to Psi(X)) -----------------------------
-    _reg("WCT", "weighted cumulative Tsallis entropy", ("alpha",),
-         lambda p: _check_alpha_tsallis(p["alpha"], "WCT"),
-         lambda p: _base_ct(p["alpha"], "WCT", p, **_meta("entropy", {}, weighted=True)),
-         "entropy", lambda p: {}, True,
-         lambda p: _check_sup_alpha(p["alpha"], "WCT"),
-         lambda p: _L_tsallis(p["alpha"]),
-         lambda p: _tail_tsallis(p["alpha"]))
-    _reg("WCRT", "weighted cumulative residual Tsallis entropy", ("alpha",),
-         lambda p: _check_alpha_tsallis(p["alpha"], "WCRT"),
-         lambda p: _base_crt(p["alpha"], "WCRT", p, **_meta("entropy", {}, weighted=True)),
-         "entropy", lambda p: {}, True,
-         lambda p: _check_sup_alpha(p["alpha"], "WCRT"),
-         lambda p: _L_tsallis(p["alpha"]),
-         lambda p: _tail_tsallis(p["alpha"]))
-    _reg("WGini", "weighted Gini functional", (),
-         lambda p: None,
-         lambda p: _base_gini_semi("WGini", p, 1.0, **_meta("entropy", {}, weighted=True)),
-         "entropy", lambda p: {}, True, _no_sup_check,
-         lambda p: 1.0 / math.sqrt(3.0), lambda p: "bounded")
-    for wname, wdesc in (("WGCRE", "weighted generalized cumulative residual entropy"),
-                         ("WCRE", "weighted cumulative residual entropy")):
-        _reg(wname, wdesc, (),
-             lambda p: None,
-             lambda p, n=wname: _base_cre(n, p, **_meta("entropy", {}, weighted=True)),
-             "entropy", lambda p: {}, True, _no_sup_check,
-             lambda p: 1.0, lambda p: "log-divergent")
-    for wname, wdesc in (("WGCE", "weighted generalized cumulative entropy"),
-                         ("WCE", "weighted cumulative entropy")):
-        _reg(wname, wdesc, (),
-             lambda p: None,
-             lambda p, n=wname: _base_ce(n, p, **_meta("entropy", {}, weighted=True)),
-             "entropy", lambda p: {}, True, _no_sup_check,
-             lambda p: 1.0, lambda p: "log-divergent")
-    for wname, wdesc in (("DWGCRE", "dynamic weighted generalized cumulative residual entropy"),
-                         ("DWCRE", "dynamic weighted cumulative residual entropy")):
-        _reg(wname, wdesc, ("F_t",),
-             lambda p, n=wname: _check_Ft(p["F_t"], n, False, True),
-             lambda p, n=wname: _base_cre(n, p, **_meta("residual", {"F_t": p["F_t"]},
-                                                        weighted=True)),
-             "residual", lambda p: {"F_t": p["F_t"]}, True, _no_sup_check,
-             lambda p: _L_tcre(p["F_t"]), lambda p: "log-divergent")
-    for wname, wdesc in (("DWGCE", "dynamic weighted generalized cumulative entropy"),
-                         ("DWCE", "dynamic weighted cumulative entropy")):
-        _reg(wname, wdesc, ("F_t",),
-             lambda p, n=wname: _check_Ft(p["F_t"], n, True, False),
-             lambda p, n=wname: _base_ce(n, p, **_meta("past", {"F_t": p["F_t"]},
-                                                       weighted=True)),
-             "past", lambda p: {"F_t": p["F_t"]}, True, _no_sup_check,
-             lambda p: _L_dce(p["F_t"]), lambda p: "log-divergent")
-
-    # expected shortfall and entropy shortfalls --------------------------------
-    _reg("ES", "expected shortfall", ("p",),
-         lambda p: _check_p(p["p"], "ES"),
-         lambda p: _base_es(p["p"], "ES", p, **_meta("riskmetric", {})),
-         "riskmetric", lambda p: {}, False, _no_sup_check,
-         lambda p: _L_es(p["p"]), lambda p: "bounded")
-    _reg("GS", "Gini shortfall", ("p", "tau"),
-         lambda p: (_check_p(p["p"], "GS"), _check_tau(p["tau"], 0.5, "GS")),
-         lambda p: _base_gini_semi("GS", p, 2.0,
-                                   **_meta("shortfall", {"p": p["p"], "tau": p["tau"]})),
-         "shortfall", lambda p: {"p": p["p"], "tau": p["tau"]}, False, _no_sup_check,
-         lambda p: _L_gs(p["p"], p["tau"]), lambda p: "bounded")
-    _reg("EGS", "extended Gini shortfall", ("r", "p", "tau"),
-         lambda p: (_check_r(p["r"], "EGS"), _check_p(p["p"], "EGS"),
-                    _check_tau(p["tau"], egs_tau_max(p["r"], p["p"]), "EGS")),
-         lambda p: _base_egini(p["r"], "EGS", p, (1.0 - p["p"]) ** (p["r"] - 2.0),
-                               **_meta("shortfall", {"p": p["p"], "tau": p["tau"]})),
-         "shortfall", lambda p: {"p": p["p"], "tau": p["tau"]}, False, _no_sup_check,
-         lambda p: _L_egs(p["r"], p["p"], p["tau"]),
-         lambda p: "bounded" if (p["r"] >= 2.0 or p["tau"] == 0.0) else "power-divergent")
-    _reg("CRES", "cumulative residual entropy shortfall", ("p", "tau"),
-         lambda p: (_check_p(p["p"], "CRES"), _check_tau(p["tau"], 1.0, "CRES")),
-         lambda p: _base_cre("CRES", p, **_meta("shortfall", {"p": p["p"], "tau": p["tau"]})),
-         "shortfall", lambda p: {"p": p["p"], "tau": p["tau"]}, False, _no_sup_check,
-         lambda p: _L_cres(p["p"], p["tau"]),
-         lambda p: "log-divergent" if p["tau"] > 0 else "bounded")
-    _reg("CRTES", "cumulative residual Tsallis entropy shortfall", ("alpha", "p", "tau"),
-         lambda p: (_check_alpha_tsallis(p["alpha"], "CRTES"), _check_p(p["p"], "CRTES"),
-                    _check_tau(p["tau"], 1.0, "CRTES")),
-         lambda p: _base_crt(p["alpha"], "CRTES", p,
-                             **_meta("shortfall", {"p": p["p"], "tau": p["tau"]})),
-         "shortfall", lambda p: {"p": p["p"], "tau": p["tau"]}, False,
-         lambda p: _check_sup_alpha(p["alpha"], "CRTES"),
-         lambda p: _L_crtes(p["alpha"], p["p"], p["tau"]),
-         lambda p: _tail_tsallis(p["alpha"]) if p["tau"] > 0 else "bounded")
-
-
-_build_catalog()
+    # expected shortfall and entropy shortfalls
+    FamilySpec("ES", "expected shortfall", ("p",),
+               "ES", "riskmetric", lambda P: _L_es(P["p"])),
+    FamilySpec("GS", "Gini shortfall", ("p", "tau"),
+               "GiniSemidiff", "shortfall", lambda P: _L_gs(P["p"], P["tau"]), scale=lambda P: 2.0),
+    FamilySpec("EGS", "extended Gini shortfall", ("r", "p", "tau"),
+               "EGini", "shortfall", lambda P: _L_egs(P["r"], P["p"], P["tau"]), scale=_tail_scale),
+    FamilySpec("CRES", "cumulative residual entropy shortfall", ("p", "tau"),
+               "CRE", "shortfall", lambda P: _L_cres(P["p"], P["tau"])),
+    FamilySpec("CRTES", "cumulative residual Tsallis entropy shortfall", ("alpha", "p", "tau"),
+               "CRT", "shortfall", lambda P: _L_crtes(P["alpha"], P["p"], P["tau"])),
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +633,25 @@ def family_spec(name: str) -> FamilySpec:
 def catalog_lookup(family: str, params: Optional[dict] = None) -> DistortionFn:
     """Build the named distortion with validated parameters."""
     spec = family_spec(family)
-    clean = _need(dict(params or {}), spec.param_names, family)
-    spec.validate(clean)
-    return spec.build(clean)
+    P = _validated(spec, params)
+    base, mode = spec.base, spec.mode
+    g, gp, g_hi, gp_hi = _kernels(base, P, spec.scale(P), family)
+    if mode == "shortfall":
+        extras = {"p": P["p"], "tau": P["tau"]}
+    elif mode in ("residual", "past"):
+        extras = {"F_t": P["F_t"] if "F_t" in P else P["p"]}
+    else:
+        extras = {}
+    # the fractional shapes are concave only up to order 1; ES is concave,
+    # but its entropy transform is not convex
+    convex = base != "ES" and (base not in ("FGRE", "FGE") or _order(P) <= 1.0)
+    return DistortionFn(
+        family=family, params=P, g=_ev(g), g1=1.0 if base == "ES" else 0.0,
+        g_prime=_ev(gp), g_hi=_ev(g_hi), gp_hi=_ev(gp_hi),
+        kinks=(1.0 - P["p"],) if base == "ES" else (), base=base,
+        entropy_convex=convex, concave=convex or base == "ES",
+        weighted=spec.weighted, mode_default=mode, extras_default=extras,
+        tail_class=_tail_class(base, P))
 
 
 def default_transform(g: DistortionFn) -> "TransformedGHat":
@@ -839,12 +659,13 @@ def default_transform(g: DistortionFn) -> "TransformedGHat":
     return make_ghat(g, g.mode_default, dict(g.extras_default))
 
 
-def sup_admissible(family: str, params: Optional[dict]):
-    """Raise ParamOutOfDomain when the sharp bound diverges for these parameters."""
-    spec = family_spec(family)
-    clean = _need(dict(params or {}), spec.param_names, family)
-    spec.validate(clean)
-    spec.sup_check(clean)
+def sup_admissible(family: str, params: Optional[dict]) -> dict:
+    """The validated parameters as floats; ParamOutOfDomain when they are
+    outside the family's domain or the sharp bound diverges for them."""
+    P = _validated(family_spec(family), params)
+    if "alpha" in P and not P["alpha"] > 0.5:
+        raise ParamOutOfDomain(f"{family}: supremum requires alpha > 1/2 (got {P['alpha']})")
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -866,16 +687,15 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
     if mode not in MODES:
         raise ModeContractViolation(f"unknown mode {mode!r}; expected one of {MODES}")
 
-    exact = g.g_lo is not None and g.g_hi is not None
-    g_lo = g.g_lo or g.g
+    exact = g.g_hi is not None
     g_hi = g.g_hi or _ev(lambda t: np.asarray(g.g(1.0 - np.asarray(t, dtype=float))))
 
     if mode == "riskmetric":
         g1 = g.g1
         ghat = _ev(lambda u: g1 - np.asarray(g_hi(np.asarray(u, dtype=float))))
-        upper = _ev(lambda t: g1 - np.asarray(g_lo(t)))
+        upper = _ev(lambda t: g1 - np.asarray(g.g(t)))
         lower = _ev(lambda t: g1 - np.asarray(g_hi(t)))
-        rel = _ev(lambda t: -np.asarray(g_lo(t)))
+        rel = _ev(lambda t: -np.asarray(g.g(t)))
         kinks = tuple(sorted(1.0 - k for k in g.kinks))
         return TransformedGHat(mode=mode, source=g, ghat=ghat, center=g1,
                                ghat_upper=upper, ghat_lower=lower,
@@ -886,7 +706,7 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
             raise ModeContractViolation(
                 f"entropy mode requires g(1) = 0, got g(1) = {g.g1}")
         ghat = _ev(lambda u: -np.asarray(g_hi(np.asarray(u, dtype=float))))
-        upper = _ev(lambda t: -np.asarray(g_lo(t)))
+        upper = _ev(lambda t: -np.asarray(g.g(t)))
         lower = _ev(lambda t: -np.asarray(g_hi(t)))
         kinks = tuple(sorted(1.0 - k for k in g.kinks))
         return TransformedGHat(mode=mode, source=g, ghat=ghat, center=0.0,
@@ -907,7 +727,7 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
             return np.where(u >= F, -np.asarray(g.g(v)), 0.0)
 
         ghat = _ev(ghat_arr)
-        upper = _ev(lambda t: -np.asarray(g_lo(np.asarray(t, dtype=float) / q)))
+        upper = _ev(lambda t: -np.asarray(g.g(np.asarray(t, dtype=float) / q)))
         lower = _ev(ghat_arr)
         kinks = (F,) if F > 0.0 else ()
         return TransformedGHat(mode=mode, source=g, ghat=ghat, center=0.0,
@@ -956,9 +776,9 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
         return np.where(u >= p, (u - p) / q - tau * np.asarray(g.g(v)), 0.0)
 
     upper = _ev(lambda t: 1.0 - np.asarray(t, dtype=float) / q
-                - tau * np.asarray(g_lo(np.asarray(t, dtype=float) / q)))
+                - tau * np.asarray(g.g(np.asarray(t, dtype=float) / q)))
     rel = _ev(lambda t: -np.asarray(t, dtype=float) / q
-              - tau * np.asarray(g_lo(np.asarray(t, dtype=float) / q)))
+              - tau * np.asarray(g.g(np.asarray(t, dtype=float) / q)))
     return TransformedGHat(mode="shortfall", source=g, ghat=_ev(ghat_arr), center=1.0,
                            p=p, tau=tau, ghat_upper=upper, ghat_lower=_ev(ghat_arr),
                            ghat_upper_rel=rel, tails_exact=exact, kinks=(p,))
@@ -976,8 +796,7 @@ def custom_distortion(g: Callable, g_prime: Optional[Callable] = None,
         raise NonFiniteValue("custom distortion must be finite at 1")
     return DistortionFn(family=name, params={}, g=gv, g1=g1,
                         g_prime=_ev(g_prime) if g_prime is not None else None,
-                        kinks=tuple(kinks), base="custom",
-                        mode_default="riskmetric", extras_default={})
+                        kinks=tuple(kinks), mode_default="riskmetric", extras_default={})
 
 
 def custom_transform(raw: Callable, kinks: tuple = (), name: str = "custom") -> TransformedGHat:

@@ -293,7 +293,6 @@ _TANGENCY = {
     ("residual", "CRT"): ("TCRTE", "left"),
     ("residual", "CRE"): ("TCRE", "left"),
     ("residual", "EGini"): ("TNEGini", "left"),
-    ("residual", "TEGini"): ("TNEGini", "left"),
     ("past", "GiniSemidiff"): ("DCT", "right"),
     ("past", "CT"): ("DCT", "right"),
     ("past", "CE"): ("DCE", "right"),
@@ -329,10 +328,10 @@ def _tangent_env(tg: TransformedGHat, u: float, side: str,
     # stable tail forms at distance t from u = 1 and from u = 0, each read
     # only where the branch reaches that end; at scale 1 they are the
     # source's own, called directly on the quadrature's long chains
-    slope_hi, slope_lo = src.gp_lo, src.gp_hi
+    slope_hi, slope_lo = src.g_prime, src.gp_hi
     if scale != 1.0:
         def slope_hi(t):
-            return np.asarray(src.gp_lo(np.asarray(t, dtype=float) / scale)) / scale
+            return np.asarray(src.g_prime(np.asarray(t, dtype=float) / scale)) / scale
 
         def slope_lo(t):
             return np.asarray(src.gp_hi(np.asarray(t, dtype=float) / scale)) / scale
@@ -381,7 +380,7 @@ def _shortfall_env(tg: TransformedGHat) -> PiecewiseEnvelope:
             return (1.0 + tau * np.asarray(src.g_prime(v))) / q
 
         slope_hi = lambda t: (1.0 + tau * np.asarray(
-            src.gp_lo(np.asarray(t, dtype=float) / q))) / q
+            src.g_prime(np.asarray(t, dtype=float) / q))) / q
 
     segs = [Segment(0.0, p, "chord", slope=0.0, contact_run=True),
             Segment(p, 1.0, "analytic", slope_fn=slope_fn, slope_hi=slope_hi)]

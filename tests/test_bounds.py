@@ -360,3 +360,19 @@ def test_fractional_entropies_at_large_alpha(alpha):
         if value is not None:
             assert closed[fam] is not None
             assert value == pytest.approx(closed[fam], rel=1e-6)
+
+
+def test_closed_form_rejects_stray_parameters():
+    with pytest.raises(ParamOutOfDomain, match=r"unexpected parameter\(s\) \['alpha'\]"):
+        B.closed_form_sup("CRE", {"alpha": 2.0}, STD)
+    with pytest.raises(ParamOutOfDomain, match="unexpected"):
+        B.premium_factor("Gini", {"p": 0.5})
+
+
+@pytest.mark.parametrize("name", ["CT", "Gini"])
+def test_custom_named_like_a_family_stays_custom(name):
+    # no catalog sup check and no catalog tail class for a user distortion
+    g = D.custom_distortion(lambda u: u * (1.0 - u), name=name)
+    res = B.worst_case_bound(g, moments=STD)
+    assert res.sup_value == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-6)
+    assert res.quantile.tail_class == "log-divergent"

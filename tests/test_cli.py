@@ -306,3 +306,20 @@ def test_premium_grid_matches_one_closed_form_per_point(capsys, family, params):
     expected = [0.3 + k * B.closed_form_sup(family, parsed, B.MomentInfo(0.0, 1.7))
                 for k in np.linspace(0.0, 2.3, 7).tolist()]
     assert [row["bound"] for row in json.loads(out)] == expected
+
+
+def test_points_below_two_is_a_usage_error(capsys):
+    for argv in (["envelope", "--family", "Gini", "--points", "-3"],
+                 ["quantile", "--family", "Gini", "--mu", "0", "--sigma", "1",
+                  "--points", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2
+        assert "at least 2 points" in capsys.readouterr().err
+
+
+def test_premium_rejects_stray_parameter(capsys):
+    code, out, err = run_cli(capsys, "premium", "--family", "CRE", "--param", "alpha=2",
+                             "--kappa", "1", "--mu", "0", "--sigma", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: CRE: unexpected parameter(s) ['alpha']\n"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +84,30 @@ def test_sup_admissibility():
         D.sup_admissible("CT", {"alpha": 0.4})
     D.sup_admissible("CT", {"alpha": 0.6})
 
+
+
+@pytest.mark.parametrize("family", ["GCRE", "GCE"])
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 2.5, 0.0])
+def test_integer_order_rejects_non_integers(family, n):
+    with pytest.raises(ParamOutOfDomain, match="n must be a positive integer"):
+        D.catalog_lookup(family, {"n": n})
+
+
+# dyadic t in (0, 1), where 1 - t is exact: the grid of step 2^-10 and the
+# powers 2^-k down to 2^-52 and their complements
+_DYADIC = np.unique(np.concatenate([np.arange(1, 1024) / 1024.0,
+                                    2.0 ** -np.arange(11, 53),
+                                    1.0 - 2.0 ** -np.arange(11, 53)]))
+
+
+@pytest.mark.parametrize("family,params", SWEEP, ids=str)
+def test_tail_forms_reflect_g_and_g_prime(family, params):
+    g = D.catalog_lookup(family, params)
+    u = 1.0 - _DYADIC
+    far = np.min(np.abs(u[:, None] - np.asarray(g.kinks or (2.0,))[None, :]), axis=1) > 1e-9
+    t, u = _DYADIC[far], u[far]
+    np.testing.assert_allclose(g.g_hi(t), g.g(u), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(g.gp_hi(t), g.g_prime(u), rtol=1e-13, atol=1e-13)
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1.0))
