@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,6 +121,21 @@ def _at(fn, x: np.ndarray) -> np.ndarray:
     return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
 
 
+@lru_cache(maxsize=8)
+def _tail_chain(per_octave: int, t_floor: float) -> tuple:
+    """The t-space chain from ``_U_EDGE`` down to ~``t_floor`` and its nodes
+    per rule (the sliver's midpoint last), as read-only arrays.
+
+    They depend on no transform, so every partition shares them.
+    """
+    ts = log_chain(_U_EDGE, t_floor, per_octave)
+    nodes = (ts, np.append(0.5 * (ts[:-1] + ts[1:]), 0.5 * ts[-1]),
+             np.append(ts, 0.5 * ts[-1]))
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
 class _StieltjesCache:
     """Precomputed two-level partition of a transform for repeated evaluation.
 
@@ -134,22 +150,25 @@ class _StieltjesCache:
         self.tg = tg
         self.levels = []
         kinks = sorted(k for k in tg.kinks if 0.0 < k < 1.0)
+        edges = [0.0] + kinks + [1.0]
         for nb, po in ((n_base, per_octave), (2 * n_base, 2 * per_octave)):
-            edges = [0.0] + kinks + [1.0]
-            pts_parts = []
-            for a, b in zip(edges[:-1], edges[1:]):
-                pts_parts.append(_panel_points(a, b, nb, po,
-                                               is_global_lo=(a == 0.0),
-                                               is_global_hi=(b == 1.0)))
-            pts = np.unique(np.concatenate(pts_parts))
+            pts = np.concatenate([_panel_points(a, b, nb, po, is_global_lo=(a == 0.0),
+                                                is_global_hi=(b == 1.0))
+                                  for a, b in zip(edges[:-1], edges[1:])])
+            # each segment is sorted and meets the next at their shared kink,
+            # so dropping repeats merges them; only a kink within _U_EDGE of
+            # an end makes two segments overlap
+            step = np.diff(pts)
+            pts = pts[np.append(True, step > 0.0)] if (step >= 0.0).all() else np.unique(pts)
             gv = np.asarray(tg.ghat(pts), dtype=float)
-            ts = log_chain(_U_EDGE, t_floor, po)
+            ts, mid, trap = _tail_chain(po, t_floor)
             gu = np.asarray(tg.ghat_upper(ts), dtype=float) if tg.ghat_upper else \
                 np.asarray(tg.ghat(1.0 - np.maximum(ts, 1e-12)), dtype=float)
             gl = np.asarray(tg.ghat_lower(ts), dtype=float) if tg.ghat_lower else \
                 np.asarray(tg.ghat(np.maximum(ts, 1e-12)), dtype=float)
             # the weight of each tail cell, the sliver [0, ts[-1]] last
             self.levels.append({"pts": pts, "gv": gv, "ts": ts,
+                                "tail_nodes": (mid, trap),
                                 "wu": np.append(gu[1:] - gu[:-1], tg.center - gu[-1]),
                                 "wl": np.append(gl[:-1] - gl[1:], gl[-1])})
         self._nodes = {}
@@ -158,25 +177,24 @@ class _StieltjesCache:
         """Per level, the interior nodes and the tail nodes (the sliver's
         midpoint last) at which quantiles are evaluated."""
         if rule not in self._nodes:
+            trap = rule == "trapezoid"
             self._nodes[rule] = [
-                (lv["pts"], np.append(lv["ts"], 0.5 * lv["ts"][-1]))
-                if rule == "trapezoid" else
-                (0.5 * (lv["pts"][:-1] + lv["pts"][1:]),
-                 np.append(0.5 * (lv["ts"][:-1] + lv["ts"][1:]), 0.5 * lv["ts"][-1]))
+                (lv["pts"] if trap else 0.5 * (lv["pts"][:-1] + lv["pts"][1:]),
+                 lv["tail_nodes"][trap])
                 for lv in self.levels]
         return self._nodes[rule]
 
-    def _split_terms(self, Qs, rule, cells) -> np.ndarray:
+    def _split_terms(self, batch, rule, cells) -> np.ndarray:
         """What inserting each quantile's breakpoints into each level's
         partition adds to its sum, shape (levels, quantiles).
 
         A cell [p_c, p_c+1] holding breakpoints b_1 < ... < b_m is replaced
         by its sub-cells [p_c, b_1], ..., [b_m, p_c+1].  ghat is evaluated
-        once on the breakpoints of all quantiles, and each quantile once on
-        its sub-cells of all levels.
+        once on the breakpoints of all quantiles, and the batch once on the
+        sub-cells of all levels.
         """
-        n, n_lv = len(Qs), len(self.levels)
-        brk = [np.sort(np.asarray(Q.breakpoints, dtype=float)) for Q in Qs]
+        n, n_lv = batch.size, len(self.levels)
+        brk = batch.breakpoints
         tr = np.repeat(np.arange(n), [len(b) for b in brk])
         b = np.concatenate(brk)
         inside = (b > min(lv["pts"][0] for lv in self.levels)) \
@@ -209,22 +227,21 @@ class _StieltjesCache:
         key, lo, hi, dg = (np.concatenate(a) for a in (key, lo, hi, dg))
         order = np.argsort(key % n, kind="stable")
         key, lo, hi, dg = key[order], lo[order], hi[order], dg[order]
-        ends = np.cumsum(np.bincount(key % n, minlength=n)).tolist()
-        vals = []
-        for Q, a, z in zip(Qs, [0] + ends[:-1], ends):
-            if rule == "trapezoid":
-                v = _at(Q.fn, np.concatenate([lo[a:z], hi[a:z]]))
-                vals.append(0.5 * (v[:z - a] + v[z - a:]))
-            else:
-                vals.append(_at(Q.fn, 0.5 * (lo[a:z] + hi[a:z])))
-        added = np.bincount(key, weights=np.concatenate(vals) * dg, minlength=n_lv * n)
+        tr = key % n
+        if rule == "trapezoid":
+            vals = 0.5 * (batch.pairs(tr, lo) + batch.pairs(tr, hi))
+        else:
+            vals = batch.pairs(tr, 0.5 * (lo + hi))
+        added = np.bincount(key, weights=vals * dg, minlength=n_lv * n)
         return (added - split).reshape(n_lv, n)
 
     def values(self, Qs, rule: str = "midpoint"):
-        """(coarse, fine) Stieltjes sums of the integral of each Q in ``Qs``
-        against dghat, as two arrays.  The cells of all quantiles form one
-        matrix per level, multiplied by that level's fixed increments of
-        ghat."""
+        """(coarse, fine) Stieltjes sums of the integral of each quantile
+        against dghat, as two arrays.  ``Qs`` is a list of ``QuantileFn`` or
+        the ``_Trials`` of one random shape.  The cells of all quantiles
+        form one matrix per level, multiplied by that level's fixed
+        increments of ghat."""
+        batch = _Rows(Qs) if isinstance(Qs, (list, tuple)) else Qs
         trap = rule == "trapezoid"
 
         def cells_of(v):
@@ -232,16 +249,39 @@ class _StieltjesCache:
 
         cells, sums = [], []
         for level, (inner, tail) in zip(self.levels, self.nodes(rule)):
-            cells.append(cells_of(np.stack([_at(Q.fn, inner) for Q in Qs])))
-            up, lo = (np.stack([_at(q, tail) for q in qs])
-                      for qs in ([Q._upper() for Q in Qs], [Q._lower() for Q in Qs]))
+            cells.append(cells_of(batch.inner(inner)))
+            up, lo = batch.upper(tail), batch.lower(tail)
             if trap:  # the last node is the sliver's midpoint
                 up, lo = (np.concatenate([cells_of(q[:, :-1]), q[:, -1:]], axis=1)
                           for q in (up, lo))
             sums.append(cells[-1] @ np.diff(level["gv"]) + up @ level["wu"]
                         + lo @ level["wl"])
-        coarse, fine = np.stack(sums) + self._split_terms(Qs, rule, cells)
+        coarse, fine = np.stack(sums) + self._split_terms(batch, rule, cells)
         return coarse, fine
+
+
+class _Rows:
+    """A list of ``QuantileFn`` evaluated as a batch, one row per quantile."""
+
+    def __init__(self, Qs):
+        self.Qs = list(Qs)
+        self.size = len(self.Qs)
+        self.breakpoints = [np.sort(np.asarray(Q.breakpoints, dtype=float))
+                            for Q in self.Qs]
+
+    def inner(self, u):
+        return np.stack([_at(Q.fn, u) for Q in self.Qs])
+
+    def upper(self, t):
+        return np.stack([_at(Q._upper(), t) for Q in self.Qs])
+
+    def lower(self, t):
+        return np.stack([_at(Q._lower(), t) for Q in self.Qs])
+
+    def pairs(self, rows, u):
+        """The value of quantile ``rows[i]`` at ``u[i]``; ``rows`` is sorted."""
+        parts = np.split(u, np.searchsorted(rows, np.arange(1, self.size)))
+        return np.concatenate([_at(Q.fn, x) for Q, x in zip(self.Qs, parts)])
 
 
 def _tolerance(Q: QuantileFn, rel_tol: Optional[float]) -> float:
@@ -334,7 +374,7 @@ def quantile_moments(Q: QuantileFn, rel_tol: Optional[float] = None,
     f, f_lo, f_hi = powers(Q.fn), powers(Q._lower()), powers(Q._upper())
     edges = [0.0] + sorted(b for b in Q.breakpoints if 0.0 < b < 1.0) + [1.0]
     results = []
-    for po in (3, 6):
+    for po in (1, 2):
         m = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             m = m + integrate_segment(f, a, b, fn_lo=f_lo if a == 0.0 else None,
@@ -370,35 +410,42 @@ def _affine(Q0: QuantileFn, mu: float, sigma: float) -> QuantileFn:
         name=Q0.name)
 
 
-def _standard_shape(kind: str, rng: np.random.Generator) -> QuantileFn:
-    """A quantile function with mean 0 and variance 1 of the requested shape."""
-    if kind == "uniform":
-        s3 = math.sqrt(3.0)
-        return QuantileFn(fn=lambda u: s3 * (2.0 * np.asarray(u, dtype=float) - 1.0),
-                          name="uniform")
+def _draw(kind: str, rng: np.random.Generator) -> tuple:
+    """(knots, levels) of a random shape with mean 0 and variance 1: a step
+    function taking ``levels[i]`` from knot i on (two- and three-point), or
+    the linear interpolant through (knots, levels) on [0, 1] (spline)."""
     if kind == "two-point":
         q = float(rng.uniform(0.05, 0.95))
-        a = -math.sqrt((1.0 - q) / q)
-        b = math.sqrt(q / (1.0 - q))
-        return QuantileFn(fn=lambda u: np.where(np.asarray(u, dtype=float) < q, a, b),
-                          breakpoints=(q,), name="two-point")
+        return np.array([q]), np.array([-math.sqrt((1.0 - q) / q), math.sqrt(q / (1.0 - q))])
     if kind == "three-point":
-        q1, q2 = np.sort(rng.uniform(0.05, 0.95, size=2))
+        q = np.sort(rng.uniform(0.05, 0.95, size=2))
         xs = np.sort(rng.normal(size=3))
-        masses = np.array([q1, q2 - q1, 1.0 - q2])
+        masses = np.array([q[0], q[1] - q[0], 1.0 - q[1]])
         mean = float(np.dot(masses, xs))
         var = float(np.dot(masses, (xs - mean) ** 2))
         if var < 1e-12:
             xs = xs + np.array([-1.0, 0.0, 1.0])
             mean = float(np.dot(masses, xs))
             var = float(np.dot(masses, (xs - mean) ** 2))
-        xs = (xs - mean) / math.sqrt(var)
+        return q, (xs - mean) / math.sqrt(var)
+    if kind == "spline":
+        nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.02, 0.98, size=6)), [1.0]])
+        vals = np.cumsum(rng.uniform(0.05, 1.0, size=len(nodes)))
+        # exact moments of the piecewise-linear quantile
+        a, b = vals[:-1], vals[1:]
+        dl = np.diff(nodes)
+        m1 = float(np.dot(0.5 * (a + b), dl))
+        m2 = float(np.dot((a * a + a * b + b * b) / 3.0, dl))
+        return nodes, (vals - m1) / math.sqrt(m2 - m1 * m1)
+    raise DomainError(f"unknown shape {kind!r}")
 
-        def fn(u, q1=q1, q2=q2, xs=xs):
-            u = np.asarray(u, dtype=float)
-            return np.where(u < q1, xs[0], np.where(u < q2, xs[1], xs[2]))
 
-        return QuantileFn(fn=fn, breakpoints=(float(q1), float(q2)), name="three-point")
+def _standard_shape(kind: str, rng: np.random.Generator) -> QuantileFn:
+    """A quantile function with mean 0 and variance 1 of the requested shape."""
+    if kind == "uniform":
+        s3 = math.sqrt(3.0)
+        return QuantileFn(fn=lambda u: s3 * (2.0 * np.asarray(u, dtype=float) - 1.0),
+                          name="uniform")
     if kind == "gaussian":
         from scipy.special import ndtri
 
@@ -417,19 +464,80 @@ def _standard_shape(kind: str, rng: np.random.Generator) -> QuantileFn:
                           upper_tail=lambda t: -np.log(np.asarray(t, dtype=float)) - 1.0,
                           lower_tail=lambda t: -np.log1p(-np.asarray(t, dtype=float)) - 1.0,
                           name="exponential")
-    if kind == "spline":
-        nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.02, 0.98, size=6)), [1.0]])
-        vals = np.cumsum(rng.uniform(0.05, 1.0, size=len(nodes)))
-        # exact moments of the piecewise-linear quantile
-        a, b = vals[:-1], vals[1:]
-        dl = np.diff(nodes)
-        m1 = float(np.dot(0.5 * (a + b), dl))
-        m2 = float(np.dot((a * a + a * b + b * b) / 3.0, dl))
-        var = m2 - m1 * m1
-        vals = (vals - m1) / math.sqrt(var)
-        return QuantileFn(fn=lambda u: np.interp(np.asarray(u, dtype=float), nodes, vals),
-                          breakpoints=tuple(nodes[1:-1]), name="spline")
-    raise DomainError(f"unknown shape {kind!r}")
+    knots, levels = _draw(kind, rng)
+    if kind == "two-point":
+        (q,), (a, b) = knots.tolist(), levels.tolist()
+        return QuantileFn(fn=lambda u: np.where(np.asarray(u, dtype=float) < q, a, b),
+                          breakpoints=(q,), name="two-point")
+    if kind == "three-point":
+        q1, q2 = knots
+
+        def fn(u, xs=levels):
+            u = np.asarray(u, dtype=float)
+            return np.where(u < q1, xs[0], np.where(u < q2, xs[1], xs[2]))
+
+        return QuantileFn(fn=fn, breakpoints=(float(q1), float(q2)), name="three-point")
+    return QuantileFn(fn=lambda u: np.interp(np.asarray(u, dtype=float), knots, levels),
+                      breakpoints=tuple(knots[1:-1]), name="spline")
+
+
+class _Trials:
+    """The trials of one random shape, drawn from their streams and
+    standardized to (mu, sigma), evaluated as arrays.
+
+    Each trial is piecewise in u: piece c holds the u with c knots at or
+    left of them.  A step shape takes its level there; the spline takes its
+    linear piece, flat left of the first node and from the last, which is
+    ``np.interp``'s arithmetic.  The affine map comes last, so row i matches
+    ``_affine(_standard_shape(kind, rngs[i]), mu, sigma)`` bit for bit.
+    """
+
+    def __init__(self, kind: str, rngs, mu: float, sigma: float):
+        knots, levels = (np.array(a) for a in zip(*(_draw(kind, rng) for rng in rngs)))
+        self.knots, self.mu, self.sigma = knots, mu, sigma
+        self.size = len(knots)
+        inf = np.full((self.size, 1), np.inf)
+        self._bounds = np.hstack([-inf, knots, inf])
+        if kind == "spline":
+            flat = np.zeros((self.size, 1))
+            self.breakpoints = knots[:, 1:-1]
+            # (slope, left node, value there) of each piece
+            self.pieces = (np.hstack([flat, np.diff(levels, axis=1) / np.diff(knots, axis=1), flat]),
+                           np.hstack([knots[:, :1], knots]), np.hstack([levels[:, :1], levels]))
+        else:
+            self.breakpoints = knots
+            self.pieces = (levels,)
+
+    def _on_pieces(self, take, u):
+        """The values at ``u``, given ``take(a)``: each point's entry of a
+        per-piece array ``a`` of shape (trials, pieces)."""
+        if len(self.pieces) == 1:
+            v = take(self.pieces[0])
+        else:
+            slope, x0, y0 = map(take, self.pieces)
+            v = slope * (u - x0) + y0
+        return self.mu + self.sigma * v
+
+    def inner(self, u):
+        """Every trial at the nondecreasing points ``u``, shape (trials, len(u))."""
+        # the knots split u into runs, one per piece
+        at = np.searchsorted(u, self._bounds)
+        runs = (at[:, 1:] - at[:, :-1]).ravel()
+        return self._on_pieces(
+            lambda a: np.repeat(a.ravel(), runs).reshape(self.size, len(u)), u)
+
+    def upper(self, t):
+        """At the nonincreasing distances ``t`` from u = 1."""
+        return self.inner(1.0 - np.maximum(t, 1e-12))
+
+    def lower(self, t):
+        """At the nonincreasing distances ``t`` from u = 0."""
+        return np.ascontiguousarray(self.inner(np.maximum(t[::-1], 1e-12))[:, ::-1])
+
+    def pairs(self, rows, u):
+        """The value of trial ``rows[i]`` at ``u[i]``."""
+        c = (self.knots[rows] <= u[:, None]).sum(axis=1)
+        return self._on_pieces(lambda a: a[rows, c], u)
 
 
 @dataclass(frozen=True)
@@ -493,21 +601,26 @@ def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
     fine: dict = {}
     near = 2e-3 * (1.0 + abs(bound))
     mu, sigma = moments.mu, moments.sigma
+
+    def trial(k):
+        """Trial k's quantile function, drawn again from its stream."""
+        kind = _SHAPES[k % len(_SHAPES)]
+        rng = None if kind in _FIXED else np.random.default_rng([seed, k])
+        return _affine(_standard_shape(kind, rng), mu, sigma)
+
     vals = np.empty(trials)
-    quantiles = {}
     for j, kind in enumerate(_SHAPES[:trials]):
         if kind in _FIXED:
-            batch = [_affine(_standard_shape(kind, None), mu, sigma)]
+            batch = [trial(j)]
         else:
-            batch = [_affine(_standard_shape(kind, np.random.default_rng([seed, k])),
-                             mu, sigma) for k in range(j, trials, len(_SHAPES))]
+            batch = _Trials(kind, [np.random.default_rng([seed, k])
+                                   for k in range(j, trials, len(_SHAPES))], mu, sigma)
         s1, s2 = cheap.values(batch)
         v = s2 + (s2 - s1) / 3.0
         for i in np.flatnonzero(v > bound - near):
-            v[i] = riskmetric_of_quantile(tg, None, None, batch[i], n_base=4096,
-                                          _caches=fine)
+            v[i] = riskmetric_of_quantile(tg, None, None, trial(j + i * len(_SHAPES)),
+                                          n_base=4096, _caches=fine)
         vals[j::len(_SHAPES)] = v
-        quantiles[kind] = batch
     max_obs = -math.inf
     worst = -1
     shape_max: dict = {}
@@ -520,11 +633,9 @@ def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
     worst_shape = _SHAPES[worst % len(_SHAPES)] if worst >= 0 else ""
     gap = bound - max_obs
     if max_obs > bound + 1e-8 * (1.0 + abs(bound)):
-        batch = quantiles[worst_shape]
         raise BoundViolated(
             f"{g.family}: feasible value {max_obs} exceeds bound {bound}",
-            quantile=batch[0 if worst_shape in _FIXED else worst // len(_SHAPES)],
-            shape=worst_shape, observed=max_obs, bound=bound)
+            quantile=trial(worst), shape=worst_shape, observed=max_obs, bound=bound)
     return StressReport(family=g.family, params=dict(g.params), mode=tg.mode,
                         bound=bound, max_observed=max_obs, gap=gap, trials=trials,
                         seed=seed, worst_shape=worst_shape, shape_max=shape_max)

@@ -309,3 +309,113 @@ def test_stress_violation_reports_the_worst_trial(monkeypatch, family, params):
     assert exc.value.bound == ref.bound
     u = np.linspace(0.0005, 0.9995, 1999)
     assert np.array_equal(exc.value.quantile.fn(u), ref_Q.fn(u))
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", [k for k in O._SHAPES if k not in O._FIXED])
+def test_trial_arrays_match_the_per_trial_shapes(kind):
+    def streams():
+        return [np.random.default_rng([11, k]) for k in range(40)]
+
+    trials = O._Trials(kind, streams(), 0.3, 1.7)
+    Qs = [O._affine(O._standard_shape(kind, rng), 0.3, 1.7) for rng in streams()]
+
+    def each(fn_of, x):
+        return np.stack([np.asarray(fn_of(Q)(x), dtype=float) for Q in Qs])
+
+    # interior and tail nodes of both partitions of a transform with a kink
+    tg = O._as_transform(D.catalog_lookup("ES", {"p": 0.9}), None, None)
+    for cache in (O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45),
+                  O._StieltjesCache(tg, n_base=4096, per_octave=12)):
+        for rule in ("midpoint", "trapezoid"):
+            for inner, tail in cache.nodes(rule):
+                assert _same_bits(trials.inner(inner), each(lambda Q: Q.fn, inner))
+                assert _same_bits(trials.upper(tail), each(lambda Q: Q._upper(), tail))
+                assert _same_bits(trials.lower(tail), each(lambda Q: Q._lower(), tail))
+    # distances reaching far past the partition's handover
+    t = np.geomspace(0.5, 1e-30, 301)
+    assert _same_bits(trials.upper(t), each(lambda Q: Q._upper(), t))
+    assert _same_bits(trials.lower(t), each(lambda Q: Q._lower(), t))
+    # exactly at each trial's breakpoints and knots, and between them
+    grid = np.linspace(0.0, 1.0, 257)
+    for i, Q in enumerate(Qs):
+        u = np.sort(np.concatenate([grid, trials.knots[i], np.asarray(Q.breakpoints)]))
+        ref = np.asarray(Q.fn(u), dtype=float)
+        assert _same_bits(trials.inner(u)[i], ref)
+        assert _same_bits(trials.pairs(np.full(len(u), i), u), ref)
+    # pairs mixing every trial, in no particular order
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, trials.size, 500)
+    u = np.where(rng.random(500) < 0.3, trials.knots[rows, 0], rng.random(500))
+    ref = np.array([float(Qs[r].fn(np.array([x]))[0]) for r, x in zip(rows, u)])
+    assert _same_bits(trials.pairs(rows, u), ref)
+
+
+def test_tail_chains_are_shared_and_read_only():
+    tg = O._as_transform(D.catalog_lookup("CRE", {}), None, None)
+    tg2 = O._as_transform(D.catalog_lookup("CT", {"alpha": 2.0}), None, None)
+    a = O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45)
+    b = O._StieltjesCache(tg2, n_base=2048, per_octave=6, t_floor=1e-45)
+    for la, lb in zip(a.levels, b.levels):
+        assert la["ts"] is lb["ts"]
+        with pytest.raises(ValueError):
+            la["ts"][0] = 1.0
+    for rule in ("midpoint", "trapezoid"):
+        for (_, ta), (_, tb) in zip(a.nodes(rule), b.nodes(rule)):
+            assert ta is tb and not ta.flags.writeable
+            with pytest.raises(ValueError):
+                ta[-1] = 0.0
+    assert a.levels[0]["ts"][0] == O._U_EDGE
+
+
+@pytest.mark.parametrize("p", [1e-13, 0.3, 0.5, 1.0 - 1e-13])
+def test_partition_merge_matches_a_global_sort(p):
+    for family, params in (("ES", {"p": p}), ("TCRE", {"p": p}), ("CRE", {})):
+        tg = O._as_transform(D.catalog_lookup(family, params), None, None)
+        edges = [0.0] + sorted(k for k in tg.kinks if 0.0 < k < 1.0) + [1.0]
+        cache = O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45)
+        for level, (nb, po) in zip(cache.levels, ((512, 6), (1024, 12))):
+            ref = np.unique(np.concatenate(
+                [O._panel_points(a, b, nb, po, a == 0.0, b == 1.0)
+                 for a, b in zip(edges[:-1], edges[1:])]))
+            assert _same_bits(level["pts"], ref), (family, params)
+
+
+def test_moments_match_a_dense_reference_on_every_worst_case():
+    checked = 0
+    for family, params in SWEEP:
+        g = D.catalog_lookup(family, params)
+        if g.weighted:
+            res = B.worst_case_weighted(g, D.linear_weight(),
+                                        B.MomentInfo(0.3, 1.7, weighted=True))
+            Q = res.weighted_quantile
+        else:
+            Q = B.worst_case_bound(g, moments=PARITY_MOMENTS).quantile
+        if Q is None:
+            continue
+        # the moments at six panels per octave, each power on its own.  Both
+        # chains run to 1e-200, where the sliver left below them carries no
+        # mass at double precision for any SWEEP tail; at the default 1e-60
+        # the sliver of the alpha = 0.6 tails holds ~1e-13 of the variance,
+        # and where it ends depends on the panel density
+        edges = [0.0] + sorted(b for b in Q.breakpoints if 0.0 < b < 1.0) + [1.0]
+        m = [0.0, 0.0]
+        for p in (1, 2):
+            for a, b in zip(edges[:-1], edges[1:]):
+                m[p - 1] += integrate_segment(
+                    lambda u: np.asarray(Q.fn(u), dtype=float) ** p, a, b,
+                    fn_lo=(lambda t: np.asarray(Q._lower()(t), dtype=float) ** p)
+                    if a == 0.0 else None,
+                    fn_hi=(lambda t: np.asarray(Q._upper()(t), dtype=float) ** p)
+                    if b == 1.0 else None,
+                    t_floor=1e-200, per_octave=6)
+        mean, var = O.quantile_moments(Q, t_floor=1e-200)
+        ref_var = m[1] - m[0] * m[0]
+        assert abs(mean - m[0]) <= 1e-14 * max(1.0, abs(m[0])), (family, params)
+        assert abs(var - ref_var) <= 1e-14 * max(1.0, ref_var), (family, params)
+        checked += 1
+    assert checked == len(SWEEP)
