@@ -196,13 +196,23 @@ def _lower_hull_indices(us: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # the collinearity test is local, as in a monotone chain: a vertex stays
     # only when it lies below the chords from its left neighbour to the next
     # sample and to its right neighbour.  Merging the runs that fail keeps the
-    # multi-step chords, and so the refinement centres, where the chain has them
-    while len(hull) > 2:
-        lo, v = hull[:-2], hull[1:-1]
-        keep = _below(us, ys, lo, v, v + 1)[1] & _below(us, ys, lo, v, hull[2:])[1]
+    # multi-step chords, and so the refinement centres, where the chain has them.
+    # A vertex's test reads only its two neighbours, so after a round only the
+    # neighbours of the vertices it removed are tested again
+    test = np.arange(1, len(hull) - 1)
+    while test.size:
+        v = hull[test]
+        lo = hull[test - 1]
+        keep = _below(us, ys, lo, v, v + 1)[1] & _below(us, ys, lo, v, hull[test + 1])[1]
         if keep.all():
             break
-        hull = np.concatenate([hull[:1], v[keep], hull[-1:]])
+        alive = np.ones(len(hull), dtype=bool)
+        alive[test[~keep]] = False
+        # the new position of each removed vertex's left neighbour
+        left = (np.cumsum(alive) - 1)[~alive]
+        hull = hull[alive]
+        test = np.unique(np.concatenate([left, left + 1]))
+        test = test[(test > 0) & (test < len(hull) - 1)]
     return hull
 
 
