@@ -486,6 +486,8 @@ def _L_tegini(r: float, p: float) -> float:
 
 def _L_dct(a: float, F: float) -> float:
     u1 = solve_breakpoint("DCT", {"alpha": a, "F_t": F})
+    if u1 == 1.0:  # F_t = 1 truncates nothing: the base family's L
+        return _L_tsallis(a)
     d1 = (u1 / (1.0 - u1)
           - 2.0 * u1 ** a / ((1.0 - u1) * F ** (a - 1.0))
           + (u1 ** (2.0 * a - 1.0) / F ** (2.0 * a - 2.0))
@@ -495,6 +497,8 @@ def _L_dct(a: float, F: float) -> float:
 
 def _L_dce(F: float) -> float:
     u1 = solve_breakpoint("DCE", {"F_t": F})
+    if u1 == 1.0:  # F_t = 1 truncates nothing: CE's L
+        return 1.0
     w = math.log(u1 / F)
     d1 = u1 + u1 * w * w / (1.0 - u1)
     return math.sqrt(d1) / F

@@ -376,3 +376,19 @@ def test_custom_named_like_a_family_stays_custom(name):
     res = B.worst_case_bound(g, moments=STD)
     assert res.sup_value == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-6)
     assert res.quantile.tail_class == "log-divergent"
+
+
+@pytest.mark.parametrize("family, params", [
+    ("DCE", {"F_t": 1.0}), ("DCT", {"alpha": 0.7, "F_t": 1.0}),
+    ("DCT", {"alpha": 3.0, "F_t": 1.0}), ("DGini", {"F_t": 1.0}),
+    ("DWCE", {"F_t": 1.0}), ("DWGCE", {"F_t": 1.0})])
+def test_closed_form_at_an_untruncated_past_level(family, params):
+    # F_t = 1 truncates nothing, so the bound is the base family's
+    g = D.catalog_lookup(family, params)
+    if g.weighted:
+        engine = B.worst_case_weighted(g, D.linear_weight(),
+                                       B.MomentInfo(0.0, 1.0, weighted=True))
+    else:
+        engine = B.worst_case_bound(g, moments=STD)
+    closed = B.closed_form_sup(family, params, STD)
+    assert abs(closed - engine.sup_value) <= 1e-10
