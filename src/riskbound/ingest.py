@@ -21,7 +21,7 @@ from .bounds import (
     closed_form_factor,
     premium_factor,
     premium_value,
-    shortfall_value,
+    shortfall_bound,
 )
 from .errors import (
     DomainError,
@@ -199,9 +199,10 @@ def build_report(moment_sets, premium_families=DEMO_PREMIUM_FAMILIES,
 
     ``moment_sets`` is a sequence of (label, MomentInfo).  Premium rows sweep
     kappa; shortfall rows sweep the tail level p at each shortfall's loading.
-    A premium's ``L`` depends only on its family and parameters, and a named
+    A premium's ``L`` depends only on its family and parameters, and a
     shortfall's only on its spec and p, so each distinct ``L`` is computed
-    once per report; a custom shortfall runs the engine for every row.
+    once per report: from the closed form for a named shortfall, and by one
+    engine run per tail level for a custom one.
     """
     kappa_grid = [float(k) for k in
                   (kappa_grid if kappa_grid is not None else np.linspace(0.0, 1.0, 11))]
@@ -218,18 +219,19 @@ def build_report(moment_sets, premium_families=DEMO_PREMIUM_FAMILIES,
         sweeps = [replace(spec, p=p) for p in p_grid]
         params = dict(sweeps[0].catalog_params())
         params.pop("p", None)
-        factors = None if spec.family == "custom" else \
-            [closed_form_factor(s.family, s.catalog_params()) for s in sweeps]
-        shortfalls.append((spec.family, _param_str(params), sweeps, factors))
+        if spec.family == "custom":
+            # the engine's sup is mu*center + sigma*L with L free of the moments
+            factors = [(r.center, r.l2_term) for r in
+                       (shortfall_bound(s, MomentInfo(0.0, 1.0)) for s in sweeps)]
+        else:
+            factors = [closed_form_factor(s.family, s.catalog_params()) for s in sweeps]
+        shortfalls.append((spec.family, _param_str(params), factors))
     rows = []
     for label, mom in moment_sets:
         for family, params, L in premiums:
             bounds = [premium_value(L, kappa, mom) for kappa in kappa_grid]
             rows.extend(_sweep_rows(label, family, params, "kappa", kappa_grid, bounds))
-        for family, params, sweeps, factors in shortfalls:
-            if factors is None:
-                bounds = [shortfall_value(s, mom) for s in sweeps]
-            else:
-                bounds = [mom.mu * center + mom.sigma * L for center, L in factors]
+        for family, params, factors in shortfalls:
+            bounds = [mom.mu * center + mom.sigma * L for center, L in factors]
             rows.extend(_sweep_rows(label, family, params, "p", p_grid, bounds))
     return Report(rows=tuple(rows))

@@ -216,3 +216,24 @@ def test_report_evaluates_each_closed_form_once(monkeypatch):
         I.build_report(I.DEMO_MOMENTS[:n_sets], kappa_grid=kappas, p_grid=ps)
         assert len(calls) == distinct
         assert set(calls.values()) == {1}
+
+
+def test_report_runs_the_engine_once_per_custom_shortfall_level(monkeypatch):
+    base = D.catalog_lookup("CRE", {})
+    custom = B.ShortfallSpec("custom", p=0.9, tau=0.5,
+                             custom_g=D.custom_distortion(base.g, g_prime=base.g_prime))
+    calls = Counter()
+    real = B.worst_case_bound
+
+    def counted(g, mode=None, extras=None, moments=None, **kw):
+        calls[mode, tuple(sorted((extras or {}).items()))] += 1
+        return real(g, mode, extras, moments, **kw)
+
+    monkeypatch.setattr(B, "worst_case_bound", counted)
+    ps = np.linspace(0.9, 0.96, 4)
+    for n_sets in (1, 3):
+        calls.clear()
+        I.build_report(I.DEMO_MOMENTS[:n_sets], premium_families=(),
+                       shortfall_specs=(custom,), kappa_grid=[1.0], p_grid=ps)
+        assert len(calls) == len(ps)
+        assert set(calls.values()) == {1}
