@@ -10,7 +10,14 @@ The Stieltjes sums use only values of the transformed distortion (never its
 derivative), on partitions whose spacing shrinks proportionally to the
 distance from 0 and 1 so that log- and power-divergent quantile tails are
 integrated to tolerance; below ~1e-12 the partition continues in
-distance-to-endpoint coordinates through the stable tail evaluators.
+distance-to-endpoint coordinates through the stable tail evaluators.  Those
+tail chains depend on no transform and are built once per density and floor.
+
+The stress test evaluates the trials of each random shape together: their
+parameters come from each trial's own seeded stream, and one array call per
+node set gives every trial's values there, bit for bit those of the trial's
+own quantile function.  Quantile moments use Gauss panels at 1 and 2 per
+octave of distance from each end.
 """
 
 from __future__ import annotations
