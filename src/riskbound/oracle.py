@@ -586,9 +586,11 @@ def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
 
     The uniform, Gaussian and exponential shapes draw nothing, so each is
     evaluated once and its value stands for every repeat.  The trials of each
-    random shape are evaluated together, as one matrix per partition level,
-    and the full-precision partitions (one per tail class) are built at most
-    once per call and shared by all refinements.  ``result`` is the
+    random shape are evaluated together as arrays (``_Trials``), one matrix
+    per partition level; a trial's own quantile function is built only when
+    it is refined or reported.  The full-precision partitions (one per tail
+    class) are built at most once per call and shared by all refinements.
+    ``result`` is the
     ``BoundResult`` of ``worst_case_bound`` for these inputs when the caller
     already has it; otherwise it is computed here.
     """
