@@ -211,8 +211,9 @@ def _lower_hull_indices(us: np.ndarray, ys: np.ndarray) -> np.ndarray:
         # the new position of each removed vertex's left neighbour
         left = (np.cumsum(alive) - 1)[~alive]
         hull = hull[alive]
-        test = np.unique(np.concatenate([left, left + 1]))
-        test = test[(test > 0) & (test < len(hull) - 1)]
+        again = np.zeros(len(hull), dtype=bool)
+        again[left] = again[left + 1] = True
+        test = np.flatnonzero(again[1:-1]) + 1
     return hull
 
 
