@@ -167,12 +167,16 @@ class _StieltjesCache:
             # an end makes two segments overlap
             step = np.diff(pts)
             pts = pts[np.append(True, step > 0.0)] if (step >= 0.0).all() else np.unique(pts)
-            gv = np.asarray(tg.ghat(pts), dtype=float)
+            gv = np.array(tg.ghat(pts), dtype=float)  # a copy: its ends are reset below
             ts, mid, trap = _tail_chain(po, t_floor)
             gu = np.asarray(tg.ghat_upper(ts), dtype=float) if tg.ghat_upper else \
                 np.asarray(tg.ghat(1.0 - np.maximum(ts, 1e-12)), dtype=float)
             gl = np.asarray(tg.ghat_lower(ts), dtype=float) if tg.ghat_lower else \
                 np.asarray(tg.ghat(np.maximum(ts, 1e-12)), dtype=float)
+            # the u-space ends hand over to the chains at t = ts[0]: take ghat
+            # there from the tail evaluators, so the increments of all three
+            # telescope to ghat(1) - ghat(0) with no cell dropped or counted twice
+            gv[-1], gv[0] = gu[0], gl[0]
             # the weight of each tail cell, the sliver [0, ts[-1]] last
             self.levels.append({"pts": pts, "gv": gv, "ts": ts,
                                 "tail_nodes": (mid, trap),

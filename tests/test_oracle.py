@@ -419,3 +419,28 @@ def test_moments_match_a_dense_reference_on_every_worst_case():
         assert abs(var - ref_var) <= 1e-14 * max(1.0, ref_var), (family, params)
         checked += 1
     assert checked == len(SWEEP)
+
+
+@pytest.mark.parametrize("family, alpha", [("FGRE", 9.0), ("FGE", 8.0)])
+def test_attainment_across_the_tail_handover(family, alpha):
+    # the worst case carries its mass near u = 1 - 1e-12 (FGRE) or 1e-12
+    # (FGE), where the u-space partition hands over to the tail chains
+    g = D.catalog_lookup(family, {"alpha": alpha})
+    res = B.worst_case_bound(g, moments=STD)
+    attained = O.riskmetric_of_quantile(g, None, None, res.quantile)
+    closed = B.closed_form_sup(family, {"alpha": alpha}, STD)
+    assert abs(attained - closed) <= 1e-8 * max(1.0, abs(closed))
+
+
+def test_handover_leaves_the_partition_points_alone():
+    # an identity ghat may hand back its input array; the handover values
+    # must not be written into the partition's points
+    tg = D.custom_transform(lambda u: u)
+    cache = O._StieltjesCache(tg, n_base=64, per_octave=4)
+    for level in cache.levels:
+        pts = level["pts"]
+        assert np.all(np.diff(pts) > 0.0)
+        assert pts[0] < O._U_EDGE and pts[-1] < 1.0 - O._U_EDGE / 2
+        assert level["gv"][0] == O._U_EDGE
+    Q = O.QuantileFn.from_callable(lambda u: 0.2 + u)
+    assert O.riskmetric_of_quantile(tg, None, None, Q) == pytest.approx(0.7, abs=1e-12)
