@@ -459,9 +459,10 @@ def _L_tcrt(a: float, F: float) -> float:
     u0 = solve_breakpoint("TCRTE", {"alpha": a, "F_t": F})
     q = 1.0 - F
     t = 1.0 - u0
+    # powers of t/q: t**(2a-1) and q**(2a-2) apart underflow at large alpha
     d = (t / u0
-         - 2.0 * t ** a / (u0 * q ** (a - 1.0))
-         + (t ** (2.0 * a - 1.0) / q ** (2.0 * a - 2.0))
+         - 2.0 * t * (t / q) ** (a - 1.0) / u0
+         + t * (t / q) ** (2.0 * a - 2.0)
          * (1.0 / u0 + (a - 1.0) ** 2 / (2.0 * a - 1.0)))
     return math.sqrt(d) / (abs(a - 1.0) * q)
 
@@ -471,9 +472,9 @@ def _d_tnegini(r: float, p: float) -> float:
     q = 1.0 - p
     t = 1.0 - u0
     return (t / u0
-            + (t ** (2.0 * r - 1.0) / q ** (2.0 * r - 2.0))
+            + t * (t / q) ** (2.0 * r - 2.0)
             * (1.0 / u0 + (r - 1.0) ** 2 / (2.0 * r - 1.0))
-            - 2.0 * t ** r / (u0 * q ** (r - 1.0)))
+            - 2.0 * t * (t / q) ** (r - 1.0) / u0)
 
 
 def _L_tnegini(r: float, p: float) -> float:

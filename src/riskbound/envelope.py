@@ -114,14 +114,14 @@ class PiecewiseEnvelope:
 # numeric envelope
 # ---------------------------------------------------------------------------
 
-def _drop_twins(grid: np.ndarray) -> np.ndarray:
-    """Drop 1-ulp twins created by unioning point sets; they carry
+def _untwinned(grid: np.ndarray) -> np.ndarray:
+    """Mask that drops 1-ulp twins created by unioning point sets; they carry
     rounding-level value noise that corrupts the hull's geometry."""
     keep = np.concatenate([[True], np.diff(grid) > 1e-15])
     if not keep[-1]:
         keep[-1] = True   # the endpoint itself must survive, not its twin
         keep[-2] = False
-    return grid[keep]
+    return keep
 
 
 def _numeric_grid(tg: TransformedGHat, n_grid: int):
@@ -140,7 +140,8 @@ def _numeric_grid(tg: TransformedGHat, n_grid: int):
             pieces.append(b - offs)
     for k in interior_kinks:
         pieces.append(np.array([k - 1e-12, k, k + 1e-12]))
-    return _drop_twins(np.unique(np.clip(np.concatenate(pieces), 0.0, 1.0)))
+    grid = np.unique(np.clip(np.concatenate(pieces), 0.0, 1.0))
+    return grid[_untwinned(grid)]
 
 
 def _below(us, ys, lo, mid, hi):
@@ -217,6 +218,89 @@ def _lower_hull_indices(us: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return hull
 
 
+def _unresolved_ends(us, ys, idx) -> np.ndarray:
+    """Interior ends of the first-pass hull chords whose contact points are
+    only known to one grid step: chords wider than 16 grid floors that skip a
+    sample standing above them by more than 1e-12 of the value range.  A
+    chord that skips only samples on it (a straight piece of the graph)
+    needs nothing, and the test scales with the values, not with rounding."""
+    above = ys - np.interp(us, us[idx], ys[idx])
+    clear = np.maximum.reduceat(above, idx[:-1]) > 1e-12 * (ys.max() - ys.min())
+    long = clear & (np.diff(us[idx]) > 16.0 * GRID_FLOOR)
+    centers = np.unique(np.concatenate([us[idx[:-1]][long], us[idx[1:]][long]]))
+    return centers[(centers > 0.0) & (centers < 1.0)]
+
+
+def _refine(ghat, us, ys, idx, centers, n_grid: int):
+    """The first grid with geometric offsets around each centre inserted.
+
+    Returns the refined grid and its values (``ghat`` runs on the new points
+    only), the positions ``sub`` of the points that can be vertices of the
+    refined hull (first-pass vertices and new points: a point above the
+    first hull stays above the refined one), and which of those are pinned:
+    first-pass vertices farther than the widest offset from every centre.
+    """
+    # 1e-7 pins the tangency to curvature*d^2 <= 1e-9 while keeping the
+    # local chord geometry resolvable in double precision
+    offs = log_chain(2.0 / n_grid, 1e-7, 16)
+    extra = (centers[:, None] + np.concatenate([-offs, offs])).ravel()
+    extra = np.unique(extra[(extra > 0.0) & (extra < 1.0)])
+    at = np.searchsorted(us, extra)
+    fresh = us[np.minimum(at, len(us) - 1)] != extra
+    extra, at = extra[fresh], at[fresh]
+    grid = np.insert(us, at, extra)
+    keep = _untwinned(grid)
+    grid = grid[keep]
+    known = np.insert(np.ones(len(us), dtype=bool), at, False)[keep]
+    vertex = np.zeros(len(us), dtype=bool)
+    vertex[idx] = True
+    vertex = np.insert(vertex, at, False)[keep]
+    vals = np.insert(ys, at, 0.0)[keep]
+    if not known.all():
+        vals[~known] = np.asarray(ghat.ghat(grid[~known]), dtype=float)
+    sub = np.flatnonzero(~known | vertex)
+    near = np.searchsorted(centers, grid[sub])
+    gap = np.minimum(np.abs(grid[sub] - centers[np.maximum(near - 1, 0)]),
+                     np.abs(centers[np.minimum(near, len(centers) - 1)] - grid[sub]))
+    pinned = known[sub] & (gap > offs[0])
+    pinned[[0, -1]] = True
+    return grid, vals, sub, pinned
+
+
+def _pinned_hull(us, ys, pinned) -> np.ndarray:
+    """``_lower_hull_indices(us, ys)`` when the ``pinned`` points are likely
+    vertices: only the windows between consecutive pinned points that hold
+    other points are hulled.  The chain so formed is convex inside each
+    window; a pinned point at a window's edge that fails the hull's local
+    vertex test against its final neighbours is released with the pinned
+    points next to it, and the merged window is hulled again.  A convex chain
+    through the points with every point on or above it is their lower hull.
+
+    ``pinned`` must hold both ends, and a pinned point whose neighbours are
+    pinned too is not tested: the caller pins vertices of the first hull,
+    whose neighbours there are the same points."""
+    pinned = pinned.copy()
+    last = len(us) - 1
+    while True:
+        pin = np.flatnonzero(pinned)
+        wide = np.flatnonzero(np.diff(pin) > 1)
+        parts = [pin]
+        for a, b in zip(pin[wide].tolist(), pin[wide + 1].tolist()):
+            parts.append(a + _lower_hull_indices(us[a:b + 1], ys[a:b + 1])[1:-1])
+        chain = np.sort(np.concatenate(parts))
+        # only pinned points at the edge of a window meet new neighbours
+        edge = np.union1d(pin[wide], pin[wide + 1])
+        edge = edge[(edge > 0) & (edge < last)]
+        k = np.searchsorted(chain, edge)
+        lo = chain[k - 1]
+        ok = _below(us, ys, lo, edge, edge + 1)[1] & _below(us, ys, lo, edge, chain[k + 1])[1]
+        if ok.all():
+            return chain
+        j = np.searchsorted(pin, edge[~ok])
+        pinned[np.concatenate([pin[j - 1], pin[j], pin[j + 1]])] = False
+        pinned[[0, last]] = True
+
+
 def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
                             extra_points=None) -> PiecewiseEnvelope:
     """Lower convex hull of the sampled graph of ``ghat``.
@@ -225,6 +309,14 @@ def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
     kinks) plus geometric refinement toward 0, 1 and every kink down to a
     spacing of ~1e-9, with jump guards at kink +/- 1e-12.  ``extra_points``
     are merged into the grid (useful to re-envelope an envelope exactly).
+
+    A second pass refines the ends of the first hull's chords that skip a
+    sample lying above them by more than 1e-12 of the value range, so the
+    choice scales with ``ghat`` and never rests on rounding.  Geometric
+    offsets around those ends are inserted into the grid, ``ghat`` runs on
+    them alone, and the hull is recomputed only in the windows around them;
+    first-pass vertices away from every refined end stay, unless the
+    recomputed hull next to them undercuts them.
     """
     if n_grid < 17:
         raise ParamOutOfDomain(f"n_grid must be >= 17, got {n_grid}")
@@ -246,32 +338,10 @@ def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
                 jump = True
 
     idx = _lower_hull_indices(us, ys)
-    # second pass: pin down contact points of long hull chords, whose exact
-    # location is only known to one grid step after the first pass
-    long = (np.diff(idx) != 1) & (np.diff(us[idx]) > 16.0 * GRID_FLOOR)
-    centers = np.unique(np.concatenate([us[idx[:-1]][long], us[idx[1:]][long]]))
-    centers = centers[(centers > 0.0) & (centers < 1.0)]
+    centers = _unresolved_ends(us, ys, idx)
     if centers.size:
-        # 1e-7 pins the tangency to curvature*d^2 <= 1e-9 while keeping the
-        # local chord geometry resolvable in double precision
-        offs = log_chain(2.0 / n_grid, 1e-7, 16)
-        extra = (centers[:, None] + np.concatenate([-offs, offs])).ravel()
-        extra = extra[(extra > 0.0) & (extra < 1.0)]
-        first_us, first_ys = us, ys
-        us = _drop_twins(np.unique(np.concatenate([us, extra])))
-        # first-pass points keep their values; ghat runs on the new ones only
-        at = np.minimum(np.searchsorted(first_us, us), len(first_us) - 1)
-        known = first_us[at] == us
-        ys = np.empty_like(us)
-        ys[known] = first_ys[at[known]]
-        if not known.all():
-            ys[~known] = np.asarray(ghat.ghat(us[~known]), dtype=float)
-        # points above the first hull stay above the refined one, so only
-        # its vertices and the new points can be vertices now
-        vertex = np.zeros(len(first_us), dtype=bool)
-        vertex[idx] = True
-        sub = np.flatnonzero(~known | vertex[at])
-        idx = sub[_lower_hull_indices(us[sub], ys[sub])]
+        us, ys, sub, pinned = _refine(ghat, us, ys, idx, centers, n_grid)
+        idx = sub[_pinned_hull(us[sub], ys[sub], pinned)]
     knots = us[idx]
     values = ys[idx]
     meta = {"kind": "numeric", "n_grid": n_grid, "grid_floor": GRID_FLOOR,
@@ -428,6 +498,8 @@ def convex_envelope_analytic(ghat: TransformedGHat) -> PiecewiseEnvelope:
 
 def _pool_convex(lengths: np.ndarray, slopes: np.ndarray):
     """Merge adjacent pieces (chord-combine) until slopes are nondecreasing."""
+    if np.all(np.diff(slopes) >= 0.0):
+        return np.asarray(lengths, dtype=float), np.asarray(slopes, dtype=float)
     Ls: list = []
     Ss: list = []
     for l, s in zip(lengths, slopes):

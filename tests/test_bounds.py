@@ -392,3 +392,13 @@ def test_closed_form_at_an_untruncated_past_level(family, params):
         engine = B.worst_case_bound(g, moments=STD)
     closed = B.closed_form_sup(family, params, STD)
     assert abs(closed - engine.sup_value) <= 1e-10
+
+
+@pytest.mark.parametrize("family,params", [
+    ("DCRT", {"alpha": 180.0, "F_t": 0.9}), ("TNEGini", {"r": 180.0, "p": 0.9})])
+def test_closed_form_at_a_large_residual_order(family, params):
+    # t**(2a-1) and q**(2a-2) both underflow here; their ratio does not
+    engine = B.worst_case_bound(D.catalog_lookup(family, params), moments=STD).sup_value
+    closed = B.closed_form_sup(family, params, STD)
+    assert engine > 0.0
+    assert abs(closed - engine) <= 1e-10 * engine

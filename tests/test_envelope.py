@@ -200,6 +200,73 @@ def test_scaling_equivariance(c, seed):
                        atol=1e-10 * c * max(1.0, float(np.max(np.abs(sl)))))
 
 
+@pytest.mark.parametrize("seed", [354, 405])
+def test_scaling_equivariance_fixed_draws(seed):
+    # draws where rounding-level first-pass vertices once decided which
+    # chords were refined, so the scaled copy got another certificate
+    test_scaling_equivariance.hypothesis.inner_test(3.75, seed)
+
+
+def test_linear_pieces_need_no_refinement():
+    # every long first-pass chord of a convex polygon skips only samples on
+    # it, so ghat runs on the first grid and the kink guards, nothing else
+    kinks = (0.2, 0.45, 0.7)
+    tg = D.custom_transform(lambda u: np.maximum.reduce(
+        [-2.0 * u, 0.5 * u - 0.5, 3.0 * u - 1.625, 6.0 * u - 3.725]), kinks=kinks)
+    seen = []
+
+    def ghat(u):
+        seen.append(np.atleast_1d(np.asarray(u, dtype=float)))
+        return tg.ghat(u)
+
+    env = E.convex_envelope_numeric(dataclasses.replace(tg, ghat=ghat), 1025)
+    first = np.concatenate([E._numeric_grid(tg, 1025),
+                            [k + d for k in kinks for d in (-1e-12, 1e-12)]])
+    assert np.isin(np.concatenate(seen), first).all()
+    us = np.linspace(0.0, 1.0, 2049)
+    assert np.allclose(env.value(us), tg.ghat(us), rtol=0.0, atol=1e-12)
+
+
+def test_windowed_second_pass_matches_a_full_rehull():
+    cases = [_transform(f, p) for f, p in SWEEP]
+    rng = np.random.default_rng(20241019)
+    for _ in range(24):
+        raw, kinks = random_piecewise_smooth(rng)
+        cases.append(D.custom_transform(raw, kinks=kinks))
+    passes = 0
+    for n_grid in (513, 1025):
+        for tg in cases:
+            us = E._numeric_grid(tg, n_grid)
+            ys = np.asarray(tg.ghat(us), dtype=float)
+            idx = E._lower_hull_indices(us, ys)
+            centers = E._unresolved_ends(us, ys, idx)
+            if not centers.size:
+                continue
+            us, ys, sub, pinned = E._refine(tg, us, ys, idx, centers, n_grid)
+            got = E._pinned_hull(us[sub], ys[sub], pinned)
+            assert got.tolist() == E._lower_hull_indices(us[sub], ys[sub]).tolist(), \
+                (tg.source.family, tg.source.params, n_grid)
+            passes += 1
+    assert passes >= len(cases)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pinned_hull_releases_undercut_pins(seed):
+    # pins on a convex arc, and new points dipping below it between some of
+    # them: pins next to a dip stop being vertices and must be released
+    rng = np.random.default_rng(seed)
+    us = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 400)]))
+    ys = (us - 0.3) ** 2
+    pinned = np.ones(len(us), dtype=bool)
+    for at in rng.integers(5, len(us) - 25, size=3):
+        width = int(rng.integers(2, 20))
+        pinned[at:at + width] = False
+        ys[at:at + width] -= rng.uniform(0.0, 0.05) * np.sin(
+            np.linspace(0.0, np.pi, width + 2)[1:-1])
+    got = E._pinned_hull(us, ys, pinned)
+    assert got.tolist() == E._lower_hull_indices(us, ys).tolist()
+
+
 def _chord_l2(us, ys, idx):
     """slope_l2_norm of the chords through the points ``idx``."""
     base = ys - ys[0]
