@@ -71,17 +71,19 @@ def _parse_params(pairs) -> dict:
     return params
 
 
+def _csv_moments(args) -> tuple:
+    """(label, sample moments) of the ``--input`` CSV's ``--column``."""
+    series = I.load_returns_csv(args.input, args.column if args.column is not None else 0)
+    return series.label, I.sample_moments(series, estimator=args.estimator)
+
+
 def _moments_from_args(args) -> B.MomentInfo:
     has_mu = args.mu is not None or args.sigma is not None
     has_csv = getattr(args, "input", None) is not None
     if has_mu and has_csv:
         raise _UsageError("--mu/--sigma and --input are mutually exclusive")
     if has_csv:
-        column = args.column if args.column is not None else 0
-        if isinstance(column, str) and column.isdigit():
-            column = int(column)
-        series = I.load_returns_csv(args.input, column)
-        return I.sample_moments(series, estimator=args.estimator)
+        return _csv_moments(args)[1]
     if args.mu is None or args.sigma is None:
         raise _UsageError("provide --mu and --sigma, or --input CSV")
     if args.sigma < 0:
@@ -299,14 +301,7 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     kappas = _parse_grid(args.kappa_grid) if args.kappa_grid else None
     ps = _parse_grid(args.p_grid) if args.p_grid else None
-    if args.input:
-        column = args.column if args.column is not None else 0
-        if isinstance(column, str) and column.isdigit():
-            column = int(column)
-        series = I.load_returns_csv(args.input, column)
-        moments = [(series.label, I.sample_moments(series, estimator=args.estimator))]
-    else:
-        moments = list(I.DEMO_MOMENTS)
+    moments = [_csv_moments(args)] if args.input else list(I.DEMO_MOMENTS)
     report = I.build_report(moments, kappa_grid=kappas, p_grid=ps)
     _emit(args, report.to_csv())
     return EXIT_OK
@@ -332,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mu", type=float, default=None)
             p.add_argument("--sigma", type=float, default=None)
             p.add_argument("--input", default=None, help="CSV of returns")
-            p.add_argument("--column", default=None, help="CSV column name or index")
+            p.add_argument("--column", default=None,
+                           help="CSV column: a header name, else a 0-based index")
             p.add_argument("--estimator", choices=("population", "sample"),
                            default="population")
 
@@ -396,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-grid", default=None, metavar="a:b:n")
     p.add_argument("--p-grid", default=None, metavar="a:b:n")
     p.add_argument("--input", default=None, help="CSV of returns")
-    p.add_argument("--column", default=None)
+    p.add_argument("--column", default=None,
+                   help="CSV column: a header name, else a 0-based index")
     p.add_argument("--estimator", choices=("population", "sample"),
                    default="population")
     p.add_argument("--out", default=None)

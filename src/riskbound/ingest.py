@@ -87,7 +87,9 @@ class ReturnSeries:
 def load_returns_csv(path: str, column, label: Optional[str] = None) -> ReturnSeries:
     """Parse a one-header-row CSV and extract the named or indexed column.
 
-    Rows whose selected cell is blank are skipped and counted; any other
+    ``column`` is an int index or a string.  A string is a header name
+    first; a string of digits that names no header cell is an index.  Rows
+    whose selected cell is blank are skipped and counted; any other
     non-numeric cell raises NonNumericCell with its row number.  A file that
     is not UTF-8 text, or that the csv module cannot split, raises
     MalformedCsv.
@@ -109,16 +111,17 @@ def _read_column(reader, path: str, column) -> tuple:
         header = next(reader)
     except StopIteration:
         raise MalformedCsv(f"{path}: empty file") from None
+    name = str(column)
     if isinstance(column, int):
-        if not (0 <= column < len(header)):
-            raise MalformedCsv(f"{path}: column index {column} out of range")
         col = column
+    elif name in header:
+        col = header.index(name)
+    elif name.isdecimal():
+        col = int(name)
     else:
-        try:
-            col = header.index(str(column))
-        except ValueError:
-            raise MalformedCsv(
-                f"{path}: no column {column!r} in header {header}") from None
+        raise MalformedCsv(f"{path}: no column {name!r} in header {header}")
+    if not (0 <= col < len(header)):
+        raise MalformedCsv(f"{path}: column index {col} out of range")
     values = []
     skipped = 0
     for lineno, row in enumerate(reader, start=2):
@@ -170,12 +173,47 @@ class Report:
     rows: tuple
 
     def to_csv(self) -> str:
-        # the csv module writes a float as its repr, so values round-trip
+        """The rows as CSV text, byte for byte what ``csv.writer`` writes.
+
+        The csv module quotes a sweep group's four string cells (label,
+        family, params, grid_var) once per run of rows that share them, and
+        each distinct grid value is formatted once.  A float cell is written
+        as its ``repr``, which is what ``csv.writer`` writes for a float, and
+        an empty delta as nothing; a row with any other value cell goes
+        through ``csv.writer`` whole.
+        """
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows(map(itemgetter(*REPORT_COLUMNS), self.rows))
-        return buf.getvalue()
+
+        def line(cells) -> str:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(cells)
+            return buf.getvalue()
+
+        lines = [line(REPORT_COLUMNS)]
+        label_ = family_ = params_ = grid_var_ = object()  # held by no row
+        head = ""
+        # keyed by id: 0.0 and -0.0 are equal keys with different reprs, and
+        # the rows keep every grid value alive, so no id is reused meanwhile
+        grid_text = {}
+        for row in map(itemgetter(*REPORT_COLUMNS), self.rows):
+            label, family, params, grid_var, x, bound, delta = row
+            if not (type(x) is float and type(bound) is float
+                    and (type(delta) is float or delta == "")):
+                lines.append(line(row))
+                continue
+            # a group's rows share its cell objects; identity, unlike
+            # equality, never takes 1 for 1.0 or True
+            if (label is not label_ or family is not family_
+                    or params is not params_ or grid_var is not grid_var_):
+                label_, family_, params_, grid_var_ = label, family, params, grid_var
+                head = line(row[:4])[:-1]
+            x_text = grid_text.get(id(x))
+            if x_text is None:
+                x_text = grid_text[id(x)] = repr(x)
+            lines.append(f"{head},{x_text},{bound!r},{'' if delta == '' else repr(delta)}\n")
+        return "".join(lines)
 
 
 def _param_str(params: dict) -> str:
@@ -216,15 +254,15 @@ def build_report(moment_sets, premium_families=DEMO_PREMIUM_FAMILIES,
                 for family, params in premium_families]
     shortfalls = []
     for spec in shortfall_specs:
-        sweeps = [replace(spec, p=p) for p in p_grid]
-        params = dict(sweeps[0].catalog_params())
-        params.pop("p", None)
+        params = spec.catalog_params()
         if spec.family == "custom":
             # the engine's sup is mu*center + sigma*L with L free of the moments
             factors = [(r.center, r.l2_term) for r in
-                       (shortfall_bound(s, MomentInfo(0.0, 1.0)) for s in sweeps)]
+                       (shortfall_bound(replace(spec, p=p), MomentInfo(0.0, 1.0))
+                        for p in p_grid)]
         else:
-            factors = [closed_form_factor(s.family, s.catalog_params()) for s in sweeps]
+            factors = [closed_form_factor(spec.family, dict(params, p=p)) for p in p_grid]
+        params.pop("p", None)
         shortfalls.append((spec.family, _param_str(params), factors))
     rows = []
     for label, mom in moment_sets:

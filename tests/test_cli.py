@@ -13,6 +13,7 @@ import pytest
 from riskbound import bounds as B
 from riskbound import cli
 from riskbound import distortion as D
+from riskbound import ingest
 from riskbound import oracle as O
 from riskbound.errors import BoundViolated
 
@@ -323,3 +324,28 @@ def test_premium_rejects_stray_parameter(capsys):
                              "--kappa", "1", "--mu", "0", "--sigma", "1")
     assert (code, out) == (3, "")
     assert err == "error: CRE: unexpected parameter(s) ['alpha']\n"
+
+
+COLUMNS_CSV = 'date,"ret,USD",2024\nd1,1,-3\nd2,2,5\nd3,4,2\nd4,-1,0\n'
+
+
+@pytest.mark.parametrize("column, label, values", [
+    ("2024", "2024", [-3.0, 5.0, 2.0, 0.0]),
+    ("ret,USD", "ret,USD", [1.0, 2.0, 4.0, -1.0]),
+    ("1", "1", [1.0, 2.0, 4.0, -1.0]),
+])
+def test_column_by_header_name_then_index(tmp_path, capsys, column, label, values):
+    path = tmp_path / "returns.csv"
+    path.write_text(COLUMNS_CSV, encoding="utf-8")
+    mom = B.MomentInfo.from_variance(np.mean(values), np.var(values))
+    code, out, err = run_cli(capsys, "bound", "--family", "Gini", "--format", "json",
+                             "--input", str(path), "--column", column)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sup"] == B.worst_case_bound(
+        D.catalog_lookup("Gini", {}), moments=mom).sup_value
+    code, out, err = run_cli(capsys, "report", "--kappa-grid", "0:1:3", "--p-grid",
+                             "0.9:0.95:2", "--input", str(path), "--column", column)
+    assert (code, err) == (0, "")
+    assert out == ingest.build_report([(label, mom)], kappa_grid=np.linspace(0, 1, 3),
+                                      p_grid=np.linspace(0.9, 0.95, 2)).to_csv()
+    assert {row["label"] for row in csvmod.DictReader(io.StringIO(out))} == {label}

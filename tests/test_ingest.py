@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 from collections import Counter
 
@@ -237,3 +239,63 @@ def test_report_runs_the_engine_once_per_custom_shortfall_level(monkeypatch):
                        shortfall_specs=(custom,), kappa_grid=[1.0], p_grid=ps)
         assert len(calls) == len(ps)
         assert set(calls.values()) == {1}
+
+
+def test_column_header_name_wins_over_index(tmp_path):
+    path = _write(tmp_path, 'x,2,"ret,USD",1\n1,10,100,1000\n2,20,200,2000\n')
+    assert list(I.load_returns_csv(path, "2").values) == [10.0, 20.0]
+    assert list(I.load_returns_csv(path, "1").values) == [1000.0, 2000.0]
+    assert list(I.load_returns_csv(path, "ret,USD").values) == [100.0, 200.0]
+    assert list(I.load_returns_csv(path, "0").values) == [1.0, 2.0]
+    assert list(I.load_returns_csv(path, 1).values) == [10.0, 20.0]
+    for column in ("4", 4, -1, "x2", "²"):
+        with pytest.raises(MalformedCsv):
+            I.load_returns_csv(path, column)
+
+
+QUOTED_LABELS = ("a,b", 'say "hi"', "two\nlines", " lead", "")
+
+
+def test_to_csv_quotes_labels_like_the_csv_module():
+    moments = tuple((label, mom) for label, (_, mom) in
+                    zip(QUOTED_LABELS, I.DEMO_MOMENTS * 2))
+    report = I.build_report(moments, kappa_grid=[0.0, 0.5], p_grid=[0.9, 0.95])
+    text = report.to_csv()
+    assert text == reference_report_csv(report.rows)
+    read = [row["label"] for row in csv.DictReader(io.StringIO(text))]
+    assert read == [row["label"] for row in report.rows]
+    assert set(read) == set(QUOTED_LABELS)
+
+
+def test_to_csv_of_rows_out_of_group_order():
+    rows = list(I.build_report(I.DEMO_MOMENTS, kappa_grid=[0.0, 0.3, 1.0],
+                               p_grid=[0.9, 0.93]).rows)
+    rows += reference_build_report(I.DEMO_MOMENTS[:1], kappa_grid=[0.25], p_grid=[0.91])
+    for seed in range(3):
+        shuffled = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+        assert I.Report(rows=tuple(shuffled)).to_csv() == reference_report_csv(shuffled)
+
+
+def test_to_csv_keeps_signed_zero_grid_values_apart():
+    report = I.build_report(I.DEMO_MOMENTS, kappa_grid=[-0.0, 0.0, 0.5, -0.0],
+                            p_grid=[0.9])
+    text = report.to_csv()
+    assert text == reference_report_csv(report.rows)
+    kappas = [row["grid_value"] for row in csv.DictReader(io.StringIO(text))
+              if row["grid_var"] == "kappa"]
+    assert kappas == ["-0.0", "0.0", "0.5", "-0.0"] * (len(kappas) // 4)
+
+
+def test_to_csv_writes_other_value_cells_through_the_csv_module():
+    base = I.build_report(I.DEMO_MOMENTS[:1], kappa_grid=[0.0, 1.0], p_grid=[0.9]).rows
+    odd = (dict(base[0], grid_value=0), dict(base[1], bound=np.float64(base[1]["bound"])),
+           dict(base[1], delta_vs_prev=None), dict(base[1], bound="x,y"))
+    numpy_moments = B.MomentInfo(np.float64(0.1), np.float64(2.0))
+    blank = dict(base[0], label=None, family=None, params=None, grid_var=None)
+    rows = (blank, base[0]) + odd + base[1:] + I.build_report(
+        [("np", numpy_moments)], kappa_grid=[0.0, 1.0], p_grid=[0.9]).rows
+    # csv.writer writes a float subclass as a plain float, unlike repr()
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [I.REPORT_COLUMNS] + [[row[c] for c in I.REPORT_COLUMNS] for row in rows])
+    assert I.Report(rows=rows).to_csv() == buf.getvalue()
