@@ -64,6 +64,9 @@ class MomentInfo:
             raise DomainError("moments must be finite")
         if self.sigma < 0.0:
             raise DomainError(f"sigma must be >= 0, got {self.sigma}")
+        # numpy scalars would carry their type into every bound and report cell
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "sigma", float(self.sigma))
 
     @classmethod
     def from_variance(cls, mu: float, variance: float, weighted: bool = False):

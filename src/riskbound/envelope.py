@@ -140,19 +140,33 @@ def _numeric_grid(tg: TransformedGHat, n_grid: int):
             pieces.append(b - offs)
     for k in interior_kinks:
         pieces.append(np.array([k - 1e-12, k, k + 1e-12]))
-    grid = np.unique(np.clip(np.concatenate(pieces), 0.0, 1.0))
+    # the pieces are sorted runs, which a stable sort (timsort) merges
+    grid = np.sort(np.clip(np.concatenate(pieces), 0.0, 1.0), kind="stable")
+    grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
     return grid[_untwinned(grid)]
 
 
 def _below(us, ys, lo, mid, hi):
     """Depth of the points ``mid`` below the chords ``lo``-``hi``, scaled by
     the chords' widths, and whether it passes the monotone chain's
-    collinearity test (more than 1e-14 of the cross products' scale)."""
+    collinearity test (more than 1e-14 of the cross products' scale).
+
+    The arithmetic runs in place on the gathered copies: a first pass covers
+    every grid point, and fresh temporaries of that length cost more than
+    the arithmetic itself."""
     x0, y0 = us[lo], ys[lo]
-    a = (us[mid] - x0) * (ys[hi] - y0)
-    b = (us[hi] - x0) * (ys[mid] - y0)
+    a = us[mid]
+    a -= x0
+    a *= ys[hi] - y0
+    b = ys[mid]
+    b -= y0
+    b *= us[hi] - x0
     depth = a - b
-    return depth, depth > 1e-14 * (np.abs(a) + np.abs(b) + 1e-300)
+    scale = np.abs(a, out=a)
+    scale += np.abs(b, out=b)
+    scale += 1e-300
+    scale *= 1e-14
+    return depth, depth > scale
 
 
 def _lower_hull_indices(us: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -167,22 +181,33 @@ def _lower_hull_indices(us: np.ndarray, ys: np.ndarray) -> np.ndarray:
     vertices at once; elsewhere the deepest point below the chord does.  A
     sampled convex arc thus resolves in one pass, not one vertex per chord
     per pass.  Collinear points (1e-14 scale) are merged.
+
+    The first pass, over every point, has the single chord ``0 -> n-1``, so
+    its ends are scalars and no point needs its chord looked up.
     """
     n = len(us)
-    hull = np.array([0, n - 1]) if n > 1 else np.arange(n)
+    if n < 3:
+        return np.arange(n)
+    hull = np.array([0, n - 1])
     cand = np.arange(1, n - 1)
+    depth, below = _below(us, ys, 0, cand, n - 1)
+    cand, depth = cand[below], depth[below]
+    j = np.ones(cand.size, dtype=np.intp)
     while cand.size:
-        j = np.searchsorted(hull, cand)
-        depth, below = _below(us, ys, hull[j - 1], cand, hull[j])
-        cand, j, depth = cand[below], j[below], depth[below]
-        if not cand.size:
-            break
-        first = np.concatenate([[True], j[1:] != j[:-1]])
-        last = np.concatenate([first[1:], [True]])
+        first = np.empty(cand.size, dtype=bool)
+        first[0] = True
+        np.not_equal(j[1:], j[:-1], out=first[1:])
+        last = np.empty_like(first)
+        last[:-1] = first[1:]
+        last[-1] = True
         starts, chord = np.flatnonzero(first), np.cumsum(first) - 1
         # neighbours in the sequence of hull vertices and candidates
-        prev = np.where(first, hull[j - 1], np.roll(cand, 1))
-        succ = np.where(last, hull[j], np.roll(cand, -1))
+        prev = np.empty_like(cand)
+        prev[1:] = cand[:-1]
+        prev[first] = hull[j[first] - 1]
+        succ = np.empty_like(cand)
+        succ[:-1] = cand[1:]
+        succ[last] = hull[j[last]]
         convex = _below(us, ys, prev, cand, succ)[1]
         run = np.logical_and.reduceat(convex, starts)[chord]
         rest = convex & ~run
@@ -193,6 +218,11 @@ def _lower_hull_indices(us: np.ndarray, ys: np.ndarray) -> np.ndarray:
         rest[at] = False
         hull = np.sort(np.concatenate([hull, cand[run], cand[at]]))
         cand = cand[rest]
+        if not cand.size:
+            break
+        j = np.searchsorted(hull, cand)
+        depth, below = _below(us, ys, hull[j - 1], cand, hull[j])
+        cand, j, depth = cand[below], j[below], depth[below]
     # quickhull tested each vertex against the wide chord it was found under;
     # the collinearity test is local, as in a monotone chain: a vertex stays
     # only when it lies below the chords from its left neighbour to the next
@@ -497,20 +527,30 @@ def convex_envelope_analytic(ghat: TransformedGHat) -> PiecewiseEnvelope:
 # ---------------------------------------------------------------------------
 
 def _pool_convex(lengths: np.ndarray, slopes: np.ndarray):
-    """Merge adjacent pieces (chord-combine) until slopes are nondecreasing."""
-    if np.all(np.diff(slopes) >= 0.0):
-        return np.asarray(lengths, dtype=float), np.asarray(slopes, dtype=float)
-    Ls: list = []
-    Ss: list = []
-    for l, s in zip(lengths, slopes):
-        Ls.append(float(l))
-        Ss.append(float(s))
-        while len(Ss) >= 2 and Ss[-1] < Ss[-2]:
-            l2, s2 = Ls.pop(), Ss.pop()
-            l1, s1 = Ls.pop(), Ss.pop()
-            Ls.append(l1 + l2)
-            Ss.append((s1 * l1 + s2 * l2) / (l1 + l2))
-    return np.asarray(Ls), np.asarray(Ss)
+    """Merge adjacent pieces (chord-combine) until slopes are nondecreasing.
+
+    Pool-adjacent-violators in rounds: each round merges every maximal run
+    of pieces whose slopes strictly fall (``s[i+1] < s[i]``) into one piece
+    with the run's total length and length-weighted mean slope, and rounds
+    repeat until no slope falls.  Equal neighbours stay separate.  The
+    tail chains pooled here need a handful of rounds; a chain that needs
+    one merge per round (a convex run ending in one steep drop) would take
+    as many rounds as it has pieces.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    slopes = np.asarray(slopes, dtype=float)
+    falls = slopes[1:] < slopes[:-1]
+    if not falls.any():
+        return lengths, slopes
+    mass = slopes * lengths
+    while falls.any():
+        # a piece opens a new one unless its slope falls below its left neighbour's
+        starts = np.flatnonzero(np.concatenate([[True], ~falls]))
+        lengths = np.add.reduceat(lengths, starts)
+        mass = np.add.reduceat(mass, starts)
+        slopes = mass / lengths
+        falls = slopes[1:] < slopes[:-1]
+    return lengths, slopes
 
 
 def _chord_sq_with_curvature(lengths: np.ndarray, slopes: np.ndarray,

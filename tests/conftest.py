@@ -142,6 +142,27 @@ def random_piecewise_smooth(rng: np.random.Generator):
     return raw, kinks
 
 
+def reference_numeric_grid(tg, n_grid: int) -> np.ndarray:
+    """The numeric envelope's first grid, deduplicated with ``np.unique``.
+    The reference for ``riskbound.envelope._numeric_grid``."""
+    interior_kinks = sorted(k for k in tg.kinks if 0.0 < k < 1.0)
+    specials = [0.0] + interior_kinks + [1.0]
+    pieces = []
+    for a, b in zip(specials[:-1], specials[1:]):
+        span = b - a
+        if span <= 0.0:
+            continue
+        pieces.append(np.linspace(a, b, n_grid))
+        if span > 4.0 * envelope.GRID_FLOOR:
+            offs = log_chain(0.5 * span, envelope.GRID_FLOOR, 32)
+            pieces.append(a + offs)
+            pieces.append(b - offs)
+    for k in interior_kinks:
+        pieces.append(np.array([k - 1e-12, k, k + 1e-12]))
+    grid = np.unique(np.clip(np.concatenate(pieces), 0.0, 1.0))
+    return grid[envelope._untwinned(grid)]
+
+
 def reference_lower_hull(us, ys) -> list:
     """Monotone-chain lower hull of points with increasing ``us``; a point
     is merged when it is not below the chord of its neighbours by more than
@@ -161,6 +182,25 @@ def reference_lower_hull(us, ys) -> list:
             stack.pop()
         stack.append(i)
     return stack
+
+
+def reference_pool_convex(lengths: np.ndarray, slopes: np.ndarray):
+    """Merge adjacent pieces (chord-combine) until slopes are nondecreasing,
+    one piece at a time on a stack.  The reference for the vectorized
+    ``riskbound.envelope._pool_convex``."""
+    if np.all(np.diff(slopes) >= 0.0):
+        return np.asarray(lengths, dtype=float), np.asarray(slopes, dtype=float)
+    Ls: list = []
+    Ss: list = []
+    for l, s in zip(lengths, slopes):
+        Ls.append(float(l))
+        Ss.append(float(s))
+        while len(Ss) >= 2 and Ss[-1] < Ss[-2]:
+            l2, s2 = Ls.pop(), Ss.pop()
+            l1, s1 = Ls.pop(), Ss.pop()
+            Ls.append(l1 + l2)
+            Ss.append((s1 * l1 + s2 * l2) / (l1 + l2))
+    return np.asarray(Ls), np.asarray(Ss)
 
 
 def _reference_chain_side(f, edges, order):

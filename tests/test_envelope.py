@@ -26,6 +26,8 @@ from conftest import (
     random_piecewise_smooth,
     reference_integrate_segment,
     reference_lower_hull,
+    reference_numeric_grid,
+    reference_pool_convex,
     reference_slope_l2_norm,
 )
 
@@ -368,6 +370,79 @@ def test_first_pass_hulls_match_the_chain():
         ys = np.asarray(tg.ghat(us), dtype=float)
         idx = E._lower_hull_indices(us, ys)
         assert idx.tolist() == reference_lower_hull(us, ys), tg.source.params
+
+
+def _kinked_transforms():
+    cases = [_transform("DCT", {"alpha": 3.0, "F_t": 0.9}), _transform("TCRE", {"p": 0.9})]
+    rng = np.random.default_rng(20240808)
+    for _ in range(9):
+        raw, kinks = random_piecewise_smooth(rng)
+        cases.append(D.custom_transform(raw, kinks=kinks))
+    return cases
+
+
+@pytest.mark.parametrize("n_grid", [4097, 8193])
+def test_first_pass_hulls_match_the_chain_on_large_grids(n_grid):
+    # the customs' grids hold 23k-69k points, so the first pass over all of
+    # them, with its scalar chord ends, is tested at the sizes it runs at
+    for tg in _kinked_transforms():
+        us = E._numeric_grid(tg, n_grid)
+        ys = np.asarray(tg.ghat(us), dtype=float)
+        idx = E._lower_hull_indices(us, ys)
+        assert idx.tolist() == reference_lower_hull(us, ys), tg.source.params
+
+
+def test_lower_hull_keeps_its_known_kink_skip():
+    # seed 722 of test_lower_hull_random_customs: the hull skips the convex
+    # kink at u = 0.8568, dropping the guard sample k + 1e-12 that the chain
+    # keeps (ROADMAP open item 3); that sample is the only difference
+    raw, kinks = random_piecewise_smooth(np.random.default_rng(722))
+    tg = D.custom_transform(raw, kinks=kinks)
+    us = E._numeric_grid(tg, 513)
+    ys = np.asarray(tg.ghat(us), dtype=float)
+    idx = E._lower_hull_indices(us, ys).tolist()
+    assert sorted(set(reference_lower_hull(us, ys)) ^ set(idx)) == [8756]
+    assert us[8756] == kinks[-1] + 1e-12
+
+
+@pytest.mark.parametrize("n_grid", [513, 4097, 8193])
+def test_numeric_grid_sorts_like_unique(n_grid):
+    for tg in [_transform(f, p) for f, p in SWEEP] + _kinked_transforms():
+        got = E._numeric_grid(tg, n_grid)
+        assert got.tobytes() == reference_numeric_grid(tg, n_grid).tobytes()
+
+
+# pieces whose sums and means are exact in binary: (lengths, slopes, pooled)
+DYADIC_CHAINS = {
+    "nondecreasing": ([1.0, 2.0, 1.0], [-1.0, 0.5, 0.5], ([1.0, 2.0, 1.0], [-1.0, 0.5, 0.5])),
+    "one-run": ([1.0] * 5, [0.0, 6.0, 2.0, 1.0, -1.0], ([1.0, 4.0], [0.0, 2.0])),
+    # the merged run meets its left neighbour's slope and stays apart from it
+    "equal-neighbours": ([1.0, 1.0, 1.0, 1.0, 2.0], [1.0, 1.0, 3.0, 2.0, 2.0],
+                         ([1.0, 1.0, 4.0], [1.0, 1.0, 2.25])),
+    # each round's merged piece falls below the piece before it: four rounds
+    "cascade": ([1.0, 8.0, 4.0, 2.0, 1.0, 1.0, 1.0, 2.0],
+                [-3.0, 4.0, 5.0, 6.0, 7.0, -9.0, 3.875, 10.0],
+                ([1.0, 16.0, 1.0, 2.0], [-3.0, 3.875, 3.875, 10.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DYADIC_CHAINS))
+def test_pooling_rounds_match_the_stack_on_exact_chains(case):
+    lengths, slopes, (pooled_l, pooled_s) = DYADIC_CHAINS[case]
+    got_l, got_s = E._pool_convex(np.array(lengths), np.array(slopes))
+    ref_l, ref_s = reference_pool_convex(np.array(lengths), np.array(slopes))
+    assert got_l.tolist() == ref_l.tolist() == pooled_l
+    assert got_s.tolist() == ref_s.tolist() == pooled_s
+
+
+@pytest.mark.parametrize("n_grid", [1025, 4097])
+def test_numeric_slope_norms_match_the_stack_pooling(monkeypatch, n_grid):
+    envs = [E.convex_envelope_numeric(_transform(f, p), n_grid) for f, p in SWEEP]
+    got = [E.slope_l2_norm(env, env.source.center) for env in envs]
+    monkeypatch.setattr(E, "_pool_convex", reference_pool_convex)
+    for env, L in zip(envs, got):
+        ref = E.slope_l2_norm(env, env.source.center)
+        assert L == pytest.approx(ref, rel=1e-12, abs=0.0), env.source.source.params
 
 
 def _pass_calls(monkeypatch, us, ys):

@@ -299,3 +299,12 @@ def test_to_csv_writes_other_value_cells_through_the_csv_module():
     csv.writer(buf, lineterminator="\n").writerows(
         [I.REPORT_COLUMNS] + [[row[c] for c in I.REPORT_COLUMNS] for row in rows])
     assert I.Report(rows=rows).to_csv() == buf.getvalue()
+
+
+def test_numpy_moments_report_like_plain_floats():
+    moments = B.MomentInfo(np.float64(0.1), np.float64(2.0))
+    report = I.build_report([("np", moments)], kappa_grid=[0.0, 1.0], p_grid=[0.9])
+    assert report.to_csv() == reference_report_csv(report.rows)
+    assert type(moments.mu) is float and type(moments.sigma) is float
+    rec = B.worst_case_bound(D.catalog_lookup("Gini", {}), moments=moments).record()
+    assert type(rec["mu"]) is float and type(rec["sigma"]) is float
