@@ -15,6 +15,7 @@ the panel's error is ~(3 + 2*sqrt(2))^-40 ~ 1e-31 relative.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -168,12 +169,24 @@ def solve_breakpoint(equation: str, params: dict) -> float:
     raise ParamOutOfDomain(f"unknown breakpoint equation {equation!r}")
 
 
+@lru_cache(maxsize=16)
+def _chain_ratios(per_octave: int) -> np.ndarray:
+    """2**(-k/per_octave) for k = 0 .. 200*per_octave, read-only: 200 octaves
+    cover every chain from 1/2 down to 1e-60."""
+    ratios = np.exp2(-np.arange(200 * per_octave + 1, dtype=float) / per_octave)
+    ratios.flags.writeable = False
+    return ratios
+
+
 def log_chain(hi: float, lo: float, per_octave: int) -> np.ndarray:
     """Descending geometric offsets from ``hi`` to ~``lo``, ratio 2**(-1/per_octave)."""
     if hi <= lo:
         return np.array([hi], dtype=float)
     n = int(math.ceil(per_octave * math.log2(hi / lo)))
-    return hi * np.exp2(-np.arange(n + 1, dtype=float) / per_octave)
+    ratios = _chain_ratios(per_octave)
+    if n >= len(ratios):
+        ratios = np.exp2(-np.arange(n + 1, dtype=float) / per_octave)
+    return hi * ratios[:n + 1]
 
 
 def _chain_side(f: Callable[[np.ndarray], np.ndarray], edges_desc: np.ndarray,

@@ -185,37 +185,41 @@ def _quantile_from_envelope(env: PiecewiseEnvelope, center: float, L: float,
     def fn(u):
         return mu + scale * (np.asarray(env.slope(u), dtype=float) - center)
 
-    def branch_tail(slope_at, length, beyond):
-        # Q at distance t from an end: the branch's stable slope form inside
-        # it, and ``beyond(t)`` only at the points past its far end
+    def end_tail(k, length, beyond):
+        # Q at distance t from the end of piece k (0 or -1): the piece's own
+        # form inside it, and ``beyond(t)`` past its far end, each only where
+        # it applies.  A chord's Q is constant there; an analytic branch
+        # needs its stable slope form, and without one QuantileFn reads fn
+        piece = env.pieces[k] if env.pieces else None
+        if piece is not None and piece.kind == "analytic":
+            stable = piece.slope_lo if k == 0 else piece.slope_hi
+            if stable is None:
+                return None
+
+            def own(t):
+                return mu + scale * (np.asarray(stable(t), dtype=float) - center)
+        else:
+            q = mu + scale * (float(env.slopes[k]) - center)
+
+            def own(t):
+                return np.full(t.shape, q)
+
         def tail(t):
             t = np.asarray(t, dtype=float)
             inside = t <= length
-            safe = np.where(inside, t, 0.5 * length)
-            vals = mu + scale * (np.asarray(slope_at(safe), dtype=float) - center)
-            if not inside.all():
-                vals = np.asarray(vals)
-                vals[~inside] = beyond(t[~inside])
+            if inside.all():
+                return own(t)
+            vals = np.empty(t.shape)
+            vals[inside] = own(t[inside])
+            vals[~inside] = beyond(t[~inside])
             return vals
         return tail
 
-    # only an analytic envelope's end pieces carry stable tail evaluators
-    last = env.pieces[-1] if env.pieces else None
-    first = env.pieces[0] if env.pieces else None
-    if last is not None and last.slope_hi is not None:
-        upper_tail = branch_tail(last.slope_hi, 1.0 - last.lo, lambda t: fn(1.0 - t))
-    else:
-        top = mu + scale * (env.slope(1.0) - center)
-        upper_tail = (lambda t: np.full_like(np.asarray(t, dtype=float), top))
-    if first is not None and first.slope_lo is not None:
-        lower_tail = branch_tail(first.slope_lo, first.hi, fn)
-    else:
-        bottom = mu + scale * (env.slope(0.0) - center)
-        lower_tail = (lambda t: np.full_like(np.asarray(t, dtype=float), bottom))
     knots = env.knots
     interior = tuple(knots[(knots > 0.0) & (knots < 1.0)].tolist())
     return QuantileFn(fn=fn, breakpoints=interior, tail_class=tail_class,
-                      upper_tail=upper_tail, lower_tail=lower_tail, name=name)
+                      upper_tail=end_tail(-1, 1.0 - knots[-2], lambda t: fn(1.0 - t)),
+                      lower_tail=end_tail(0, knots[1], fn), name=name)
 
 
 def _build_envelope(tg: TransformedGHat, engine: str, n_grid: Optional[int]):
@@ -292,13 +296,7 @@ def worst_case_weighted(g: DistortionFn, w: Optional[WeightSpec],
     wq = inner.quantile
     quantile = None
     if wq is not None and w is not None and w.Psi_inverse is not None:
-        inv = w.Psi_inverse
-        quantile = QuantileFn(
-            fn=lambda u: np.asarray(inv(wq.fn(u)), dtype=float),
-            breakpoints=wq.breakpoints, tail_class=wq.tail_class,
-            upper_tail=lambda t: np.asarray(inv(wq._upper()(t)), dtype=float),
-            lower_tail=lambda t: np.asarray(inv(wq._lower()(t)), dtype=float),
-            name=f"PsiInv({wq.name})")
+        quantile = wq.map(w.Psi_inverse, name=f"PsiInv({wq.name})")
     return BoundResult(sup_value=inner.sup_value, l2_term=inner.l2_term,
                        center=inner.center, degenerate=inner.degenerate,
                        quantile=quantile, weighted_quantile=wq,

@@ -576,9 +576,9 @@ def _chord_sq_with_curvature(lengths: np.ndarray, slopes: np.ndarray,
     return base
 
 
-def _tail_chain_sq(tail_fn, t_hi: float, end_val: float, center: float,
-                   ascending_u: bool, per_octave: int = 8,
-                   t_floor: float = CHAIN_FLOOR) -> float:
+def _end_chain_sq(tail_fn, t_hi: float, end_val: float, center: float,
+                  ascending_u: bool, per_octave: int = 8,
+                  t_floor: float = CHAIN_FLOOR) -> float:
     """Squared-slope mass of the function-following region within ``t_hi`` of
     an endpoint, from chords of the stable tail evaluator down to the floor."""
     ts = log_chain(t_hi, max(t_floor, 1e-3 * t_hi if t_hi < 1e-12 else t_floor),
@@ -614,8 +614,8 @@ def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
         floor = CHAIN_FLOOR if tg.tails_exact else 1e-12
         if (knots[1] - knots[0]) <= follow_floor and tg.ghat_lower is not None \
                 and correct[0]:
-            total += _tail_chain_sq(tg.ghat_lower, float(knots[1]),
-                                    0.0, center, ascending_u=False, t_floor=floor)
+            total += _end_chain_sq(tg.ghat_lower, float(knots[1]),
+                                   0.0, center, ascending_u=False, t_floor=floor)
             lo_cut = 1
         if (knots[-1] - knots[-2]) <= follow_floor and correct[-1] \
                 and (tg.ghat_upper_rel is not None or tg.ghat_upper is not None):
@@ -623,8 +623,8 @@ def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
             if rel is None:
                 up = tg.ghat_upper
                 rel = lambda t: np.asarray(up(t), dtype=float) - tg.center
-            total += _tail_chain_sq(rel, float(1.0 - knots[-2]),
-                                    0.0, center, ascending_u=True, t_floor=floor)
+            total += _end_chain_sq(rel, float(1.0 - knots[-2]),
+                                   0.0, center, ascending_u=True, t_floor=floor)
             hi_cut = len(slopes) - 1
         sl = slice(lo_cut, hi_cut)
         total += _chord_sq_with_curvature(lengths[sl], slopes[sl], center, correct[sl])

@@ -88,7 +88,8 @@ def load_returns_csv(path: str, column, label: Optional[str] = None) -> ReturnSe
     """Parse a one-header-row CSV and extract the named or indexed column.
 
     ``column`` is an int index or a string.  A string is a header name
-    first; a string of digits that names no header cell is an index.  Rows
+    first; a string of digits that names no header cell is an index.  The
+    series is labelled ``label``, or else the header cell of the column.  Rows
     whose selected cell is blank are skipped and counted; any other
     non-numeric cell raises NonNumericCell with its row number.  A file that
     is not UTF-8 text, or that the csv module cannot split, raises
@@ -96,17 +97,18 @@ def load_returns_csv(path: str, column, label: Optional[str] = None) -> ReturnSe
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
-            values, skipped = _read_column(csv.reader(fh), path, column)
+            name, values, skipped = _read_column(csv.reader(fh), path, column)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise MalformedCsv(f"{path}: not a readable CSV text file ({exc})") from None
     if not values:
         raise EmptySeries(f"{path}: column {column!r} has no numeric cells")
-    return ReturnSeries(label=label or str(column), values=np.asarray(values),
+    return ReturnSeries(label=label or name, values=np.asarray(values),
                         skipped=skipped)
 
 
 def _read_column(reader, path: str, column) -> tuple:
-    """(numeric cells, blank cells skipped) of one column of a CSV reader."""
+    """(header cell, numeric cells, blank cells skipped) of one column of a
+    CSV reader."""
     try:
         header = next(reader)
     except StopIteration:
@@ -136,7 +138,7 @@ def _read_column(reader, path: str, column) -> tuple:
             values.append(float(cell))
         except ValueError:
             raise NonNumericCell(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
-    return values, skipped
+    return header[col], values, skipped
 
 
 def prices_to_simple_returns(prices: Sequence[float]) -> np.ndarray:

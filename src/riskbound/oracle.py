@@ -7,11 +7,15 @@ feasible distributions.  Everything here deliberately avoids the envelope
 machinery so it can serve as an oracle for it.
 
 The Stieltjes sums use only values of the transformed distortion (never its
-derivative), on partitions whose spacing shrinks proportionally to the
-distance from 0 and 1 so that log- and power-divergent quantile tails are
-integrated to tolerance; below ~1e-12 the partition continues in
-distance-to-endpoint coordinates through the stable tail evaluators.  Those
-tail chains depend on no transform and are built once per density and floor.
+derivative).  Each segment between the transform's kinks is split at its
+midpoint, and each half is one chain in distance from its own end, as
+``_num.integrate_segment`` lays out its panels: the segment's uniform mesh
+points plus cells shrinking in proportion to the distance, so that log- and
+power-divergent quantile tails are integrated to tolerance.  The halves at
+u = 0 and u = 1 run down to ~1e-60 and are read in distance through the
+stable tail evaluators of the transform and the quantile; the others are
+read in u.  One ascending array of cell edges in u carries the values of the
+transform, so its increments telescope with no handover between coordinates.
 
 The stress test evaluates the trials of each random shape together: their
 parameters come from each trial's own seeded stream, and one array call per
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -32,10 +36,10 @@ import numpy as np
 
 from ._num import integrate_segment, log_chain
 from .distortion import DistortionFn, TransformedGHat, WeightSpec, make_ghat
-from .errors import BoundViolated, DomainError, NonConvergent
+from .errors import BoundViolated, DomainError, NonConvergent, NonFiniteValue
 
 _DIVERGENT = ("log-divergent", "power-divergent")
-_U_EDGE = 1e-12   # where the u-space partition hands over to t-space chains
+_T_MIN = 2.0 ** -53  # the least distance t from u = 1 with 1 - t < 1
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,11 @@ class QuantileFn:
     """A nondecreasing map on (0, 1) representing a distribution.
 
     ``upper_tail(t) = Q(1 - t)`` and ``lower_tail(t) = Q(t)`` are stable
-    evaluators for tiny t; when absent the tails are treated as bounded
-    (constant beyond 1e-12 of the endpoints).
+    evaluators at distance t from an end.  The oracle reads them at every
+    distance up to half the transform's end segment, so each must agree
+    with ``fn`` there, not only in the far tail.  When absent, the upper
+    tail reads ``fn(1 - t)`` with t clamped at 2**-53 so that 1 - t stays
+    below 1, and the lower tail reads ``fn(t)``.
     """
 
     fn: Callable
@@ -61,12 +68,20 @@ class QuantileFn:
     def _upper(self):
         if self.upper_tail is not None:
             return self.upper_tail
-        return lambda t: self.fn(1.0 - np.maximum(np.asarray(t, dtype=float), 1e-12))
+        return lambda t: self.fn(1.0 - np.maximum(np.asarray(t, dtype=float), _T_MIN))
 
     def _lower(self):
-        if self.lower_tail is not None:
-            return self.lower_tail
-        return lambda t: self.fn(np.maximum(np.asarray(t, dtype=float), 1e-12))
+        return self.fn if self.lower_tail is None else self.lower_tail
+
+    def map(self, f: Callable, **changes) -> "QuantileFn":
+        """The quantile ``f(Q)`` for a nondecreasing ``f`` of float arrays:
+        ``f`` applied to ``fn`` and to both tails.  Breakpoints, tail class
+        and name are kept unless ``changes`` overrides them."""
+        up, lo = self._upper(), self._lower()
+        return replace(self, fn=lambda u: f(np.asarray(self.fn(u), dtype=float)),
+                       upper_tail=lambda t: f(np.asarray(up(t), dtype=float)),
+                       lower_tail=lambda t: f(np.asarray(lo(t), dtype=float)),
+                       **changes)
 
     @classmethod
     def from_callable(cls, fn, **kw) -> "QuantileFn":
@@ -100,26 +115,24 @@ class QuantileFn:
 # Stieltjes machinery
 # ---------------------------------------------------------------------------
 
-def _panel_points(a: float, b: float, n_base: int, per_octave: int,
-                  is_global_lo: bool, is_global_hi: bool) -> np.ndarray:
-    """Points in (a, b) with spacing ~ min(uniform, theta * distance-to-edge)."""
-    span = b - a
-    half = 0.5 * span
-    stop_lo = _U_EDGE if is_global_lo else max(span * 1e-9, 1e-15)
-    stop_hi = _U_EDGE if is_global_hi else max(span * 1e-9, 1e-15)
-    parts = [np.linspace(a, b, n_base + 1)[1:-1],
-             a + log_chain(half, stop_lo, per_octave),
-             b - log_chain(half, stop_hi, per_octave)]
-    if not is_global_lo:
-        parts.append(np.array([a]))
-    if not is_global_hi:
-        parts.append(np.array([b]))
-    if is_global_lo:
-        parts.append(np.array([a + _U_EDGE]))
-    if is_global_hi:
-        parts.append(np.array([b - _U_EDGE]))
-    pts = np.unique(np.concatenate(parts))
-    return pts[(pts > a) | (not is_global_lo)]
+@lru_cache(maxsize=8)
+def _half_chain(span: float, n_base: int, per_octave: int, stop: float) -> tuple:
+    """Ascending distances from one end of a segment to its midpoint, 0 and
+    the midpoint included, and the midpoints of the cells between them.
+
+    The distances are the segment's uniform mesh points in that half and a
+    geometric chain from the midpoint down to ``stop``.  Both arrays are
+    read-only, so the partitions of every transform share them.
+    """
+    step = span / n_base
+    chain = log_chain(0.5 * span, stop, per_octave)[::-1]
+    # only the chain above the first mesh point interleaves with the mesh
+    k = np.searchsorted(chain, step)
+    mesh = step * np.arange(1, (n_base + 1) // 2)
+    d = np.concatenate([[0.0], chain[:k], np.unique(np.concatenate([mesh, chain[k:]]))])
+    mid = 0.5 * (d[:-1] + d[1:])
+    d.flags.writeable = mid.flags.writeable = False
+    return d, mid
 
 
 def _at(fn, x: np.ndarray) -> np.ndarray:
@@ -128,88 +141,62 @@ def _at(fn, x: np.ndarray) -> np.ndarray:
     return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
 
 
-@lru_cache(maxsize=8)
-def _tail_chain(per_octave: int, t_floor: float) -> tuple:
-    """The t-space chain from ``_U_EDGE`` down to ~``t_floor`` and its nodes
-    per rule (the sliver's midpoint last), as read-only arrays.
-
-    They depend on no transform, so every partition shares them.
-    """
-    ts = log_chain(_U_EDGE, t_floor, per_octave)
-    nodes = (ts, np.append(0.5 * (ts[:-1] + ts[1:]), 0.5 * ts[-1]),
-             np.append(ts, 0.5 * ts[-1]))
-    for a in nodes:
-        a.flags.writeable = False
-    return nodes
-
-
 class _StieltjesCache:
     """Precomputed two-level partition of a transform for repeated evaluation.
 
-    Quantiles are valued per cell at the cell's midpoint or, for the
-    trapezoid rule, as the mean of its two edge values.  Each tail chain in
-    distance-to-endpoint coordinates ends in the sliver [0, ts[-1]], always
-    valued at its midpoint.
+    Each segment between the transform's kinks is split at its midpoint, and
+    each half is one chain in distance from its own end (``_half_chain``):
+    down to ``t_floor`` at u = 0 and u = 1, to 1e-9 of the segment at a kink.
+    A level holds one ascending array of cell edges in u (0 and 1 included)
+    with ghat at each edge, ghat(0) = 0 and ghat(1) = ``center`` at the two
+    ends, so the increments telescope with no handover.
+    The two end halves are read in distance, through ``ghat_lower`` /
+    ``ghat_upper`` and the quantile's tails; every other half is read in u.
+    Quantiles are valued per cell at its midpoint in the coordinate it is
+    read in; the last cell at each end is the sliver [0, floor].
     """
 
     def __init__(self, tg: TransformedGHat, n_base: int = 2048,
                  per_octave: int = 16, t_floor: float = 1e-60):
         self.tg = tg
         self.levels = []
-        kinks = sorted(k for k in tg.kinks if 0.0 < k < 1.0)
-        edges = [0.0] + kinks + [1.0]
+        edges = [0.0] + sorted(k for k in tg.kinks if 0.0 < k < 1.0) + [1.0]
         for nb, po in ((n_base, per_octave), (2 * n_base, 2 * per_octave)):
-            pts = np.concatenate([_panel_points(a, b, nb, po, is_global_lo=(a == 0.0),
-                                                is_global_hi=(b == 1.0))
-                                  for a, b in zip(edges[:-1], edges[1:])])
-            # each segment is sorted and meets the next at their shared kink,
-            # so dropping repeats merges them; only a kink within _U_EDGE of
-            # an end makes two segments overlap
-            step = np.diff(pts)
-            pts = pts[np.append(True, step > 0.0)] if (step >= 0.0).all() else np.unique(pts)
-            gv = np.array(tg.ghat(pts), dtype=float)  # a copy: its ends are reset below
-            ts, mid, trap = _tail_chain(po, t_floor)
-            gu = np.asarray(tg.ghat_upper(ts), dtype=float) if tg.ghat_upper else \
-                np.asarray(tg.ghat(1.0 - np.maximum(ts, 1e-12)), dtype=float)
-            gl = np.asarray(tg.ghat_lower(ts), dtype=float) if tg.ghat_lower else \
-                np.asarray(tg.ghat(np.maximum(ts, 1e-12)), dtype=float)
-            # the u-space ends hand over to the chains at t = ts[0]: take ghat
-            # there from the tail evaluators, so the increments of all three
-            # telescope to ghat(1) - ghat(0) with no cell dropped or counted twice
-            gv[-1], gv[0] = gu[0], gl[0]
-            # the weight of each tail cell, the sliver [0, ts[-1]] last
-            self.levels.append({"pts": pts, "gv": gv, "ts": ts,
-                                "tail_nodes": (mid, trap),
-                                "wu": np.append(gu[1:] - gu[:-1], tg.center - gu[-1]),
-                                "wl": np.append(gl[:-1] - gl[1:], gl[-1])})
-        self._nodes = {}
+            d_lo, t_lo = _half_chain(edges[1], nb, po, t_floor)
+            d_hi, t_hi = (a[::-1] for a in _half_chain(1.0 - edges[-2], nb, po, t_floor))
+            # the u-read edges: each segment from its lower end up to (not
+            # including) its upper end, less the two end halves
+            inner = []
+            for a, b in zip(edges[:-1], edges[1:]):
+                if a > 0.0:
+                    inner.append(a + _half_chain(b - a, nb, po, 1e-9 * (b - a))[0])
+                if b < 1.0:
+                    inner.append(b - _half_chain(b - a, nb, po, 1e-9 * (b - a))[0][-2:0:-1])
+            inner = np.concatenate(inner) if inner else np.empty(0)
+            # the upper end half's edges 1 - d are written in place
+            pts = np.concatenate([d_lo, inner, d_hi[1:]])
+            np.subtract(1.0, d_hi[1:], out=pts[len(d_lo) + len(inner):])
+            gv = np.concatenate([[0.0], _at(tg.ghat_lower, d_lo[1:]), _at(tg.ghat, inner),
+                                 _at(tg.ghat_upper, d_hi[1:-1]), [tg.center]])
+            # the u-read cells run from the lower end half's last edge
+            u = pts[len(d_lo) - 1:len(d_lo) + len(inner)]
+            self.levels.append({"pts": pts, "gv": gv, "dg": np.diff(gv),
+                                "nodes": (t_lo, 0.5 * (u[:-1] + u[1:]), t_hi)})
 
-    def nodes(self, rule: str):
-        """Per level, the interior nodes and the tail nodes (the sliver's
-        midpoint last) at which quantiles are evaluated."""
-        if rule not in self._nodes:
-            trap = rule == "trapezoid"
-            self._nodes[rule] = [
-                (lv["pts"] if trap else 0.5 * (lv["pts"][:-1] + lv["pts"][1:]),
-                 lv["tail_nodes"][trap])
-                for lv in self.levels]
-        return self._nodes[rule]
-
-    def _split_terms(self, batch, rule, cells) -> np.ndarray:
+    def _split_terms(self, batch, cells) -> np.ndarray:
         """What inserting each quantile's breakpoints into each level's
         partition adds to its sum, shape (levels, quantiles).
 
         A cell [p_c, p_c+1] holding breakpoints b_1 < ... < b_m is replaced
-        by its sub-cells [p_c, b_1], ..., [b_m, p_c+1].  ghat is evaluated
-        once on the breakpoints of all quantiles, and the batch once on the
-        sub-cells of all levels.
+        by its sub-cells [p_c, b_1], ..., [b_m, p_c+1], each valued in u at
+        its midpoint.  ghat is evaluated once on the breakpoints of all
+        quantiles, and the batch once on the sub-cells of all levels.
         """
         n, n_lv = batch.size, len(self.levels)
         brk = batch.breakpoints
         tr = np.repeat(np.arange(n), [len(b) for b in brk])
         b = np.concatenate(brk)
-        inside = (b > min(lv["pts"][0] for lv in self.levels)) \
-            & (b < max(lv["pts"][-1] for lv in self.levels))
+        inside = (b > 0.0) & (b < 1.0)
         tr, b = tr[inside], b[inside]
         if not b.size:
             return np.zeros((n_lv, n))
@@ -218,56 +205,38 @@ class _StieltjesCache:
         split = np.zeros(n_lv * n)
         for li, (level, lv_cells) in enumerate(zip(self.levels, cells)):
             pts, gv = level["pts"], level["gv"]
-            ok = (b > pts[0]) & (b < pts[-1])
-            t, x, gx = tr[ok], b[ok], gb[ok]
-            c = np.searchsorted(pts, x) - 1
-            first = np.ones(len(x), dtype=bool)
-            first[1:] = (t[1:] != t[:-1]) | (c[1:] != c[:-1])
+            c = np.searchsorted(pts, b) - 1
+            first = np.ones(len(b), dtype=bool)
+            first[1:] = (tr[1:] != tr[:-1]) | (c[1:] != c[:-1])
             last = np.append(first[1:], True)
             # the sub-cell ending at each breakpoint, then the one closing each cell
-            x_lo, g_lo = np.empty_like(x), np.empty_like(gx)
-            x_lo[1:], g_lo[1:] = x[:-1], gx[:-1]
+            x_lo, g_lo = np.empty_like(b), np.empty_like(gb)
+            x_lo[1:], g_lo[1:] = b[:-1], gb[:-1]
             x_lo[first], g_lo[first] = pts[c[first]], gv[c[first]]
-            key += [li * n + t, li * n + t[last]]
-            lo += [x_lo, x[last]]
-            hi += [x, pts[c[last] + 1]]
-            dg += [gx - g_lo, gv[c[last] + 1] - gx[last]]
+            key += [li * n + tr, li * n + tr[last]]
+            lo += [x_lo, b[last]]
+            hi += [b, pts[c[last] + 1]]
+            dg += [gb - g_lo, gv[c[last] + 1] - gb[last]]
             cf = c[first]
-            split += np.bincount(li * n + t[first], minlength=n_lv * n,
-                                 weights=lv_cells[t[first], cf] * (gv[cf + 1] - gv[cf]))
+            split += np.bincount(li * n + tr[first], minlength=n_lv * n,
+                                 weights=lv_cells[tr[first], cf] * level["dg"][cf])
         key, lo, hi, dg = (np.concatenate(a) for a in (key, lo, hi, dg))
         order = np.argsort(key % n, kind="stable")
         key, lo, hi, dg = key[order], lo[order], hi[order], dg[order]
-        tr = key % n
-        if rule == "trapezoid":
-            vals = 0.5 * (batch.pairs(tr, lo) + batch.pairs(tr, hi))
-        else:
-            vals = batch.pairs(tr, 0.5 * (lo + hi))
+        vals = batch.pairs(key % n, 0.5 * (lo + hi))
         added = np.bincount(key, weights=vals * dg, minlength=n_lv * n)
         return (added - split).reshape(n_lv, n)
 
-    def values(self, Qs, rule: str = "midpoint"):
+    def values(self, Qs):
         """(coarse, fine) Stieltjes sums of the integral of each quantile
         against dghat, as two arrays.  ``Qs`` is a list of ``QuantileFn`` or
         the ``_Trials`` of one random shape.  The cells of all quantiles
         form one matrix per level, multiplied by that level's fixed
         increments of ghat."""
         batch = _Rows(Qs) if isinstance(Qs, (list, tuple)) else Qs
-        trap = rule == "trapezoid"
-
-        def cells_of(v):
-            return 0.5 * (v[:, :-1] + v[:, 1:]) if trap else v
-
-        cells, sums = [], []
-        for level, (inner, tail) in zip(self.levels, self.nodes(rule)):
-            cells.append(cells_of(batch.inner(inner)))
-            up, lo = batch.upper(tail), batch.lower(tail)
-            if trap:  # the last node is the sliver's midpoint
-                up, lo = (np.concatenate([cells_of(q[:, :-1]), q[:, -1:]], axis=1)
-                          for q in (up, lo))
-            sums.append(cells[-1] @ np.diff(level["gv"]) + up @ level["wu"]
-                        + lo @ level["wl"])
-        coarse, fine = np.stack(sums) + self._split_terms(batch, rule, cells)
+        cells = [batch.cells(*level["nodes"]) for level in self.levels]
+        sums = np.stack([c @ level["dg"] for c, level in zip(cells, self.levels)])
+        coarse, fine = sums + self._split_terms(batch, cells)
         return coarse, fine
 
 
@@ -280,14 +249,14 @@ class _Rows:
         self.breakpoints = [np.sort(np.asarray(Q.breakpoints, dtype=float))
                             for Q in self.Qs]
 
-    def inner(self, u):
-        return np.stack([_at(Q.fn, u) for Q in self.Qs])
-
-    def upper(self, t):
-        return np.stack([_at(Q._upper(), t) for Q in self.Qs])
-
-    def lower(self, t):
-        return np.stack([_at(Q._lower(), t) for Q in self.Qs])
+    def cells(self, t_lo, u, t_hi):
+        """Each quantile at the distances ``t_lo`` from u = 0, the points
+        ``u`` and the distances ``t_hi`` from u = 1, one row per quantile."""
+        out = np.empty((self.size, len(t_lo) + len(u) + len(t_hi)))
+        a, b = len(t_lo), len(t_lo) + len(u)
+        for row, Q in zip(out, self.Qs):
+            row[:a], row[a:b], row[b:] = Q._lower()(t_lo), Q.fn(u), Q._upper()(t_hi)
+        return out
 
     def pairs(self, rows, u):
         """The value of quantile ``rows[i]`` at ``u[i]``; ``rows`` is sorted."""
@@ -316,14 +285,14 @@ _PER_OCTAVE = {"bounded": 12, "log-divergent": 64, "power-divergent": 96}
 
 def riskmetric_of_quantile(g, mode=None, extras=None, Q: QuantileFn = None,
                            rel_tol: Optional[float] = None, n_base: int = 2048,
-                           rule: str = "midpoint", *, _caches=None) -> float:
+                           *, _caches=None) -> float:
     """Riemann-Stieltjes value of the riskmetric at an explicit quantile.
 
     A midpoint partition sum (kinks and quantile breakpoints inserted,
     spacing proportional to the distance from either endpoint), refined once
-    and Richardson-extrapolated.  Raises NonConvergent when the refinement
-    levels disagree beyond 10x the tolerance target (1e-8 smooth, 1e-6 for
-    divergent tails).
+    and Richardson-extrapolated.  Raises NonFiniteValue when a sum is not
+    finite, and NonConvergent when the refinement levels disagree beyond
+    10x the tolerance target (1e-8 smooth, 1e-6 for divergent tails).
 
     ``_caches`` maps points per octave (set by the tail class) to partitions
     of this transform at this ``n_base``; a partition missing from it is
@@ -338,8 +307,10 @@ def riskmetric_of_quantile(g, mode=None, extras=None, Q: QuantileFn = None,
         cache = _StieltjesCache(tg, n_base=n_base, per_octave=po)
         if _caches is not None:
             _caches[po] = cache
-    (s1,), (s2,) = cache.values([Q], rule=rule)
+    (s1,), (s2,) = cache.values([Q])
     value = s2 + (s2 - s1) / 3.0
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"Stieltjes sums of {Q.name} are {s1} and {s2}")
     tol = _tolerance(Q, rel_tol)
     # the observed order is ~2 in the partition density, so the extrapolated
     # value carries roughly a third of the level disagreement as residual
@@ -354,15 +325,7 @@ def weighted_entropy_of_quantile(g, w: WeightSpec, Q: QuantileFn,
                                  rel_tol: Optional[float] = None,
                                  n_base: int = 2048) -> float:
     """Stieltjes value of the weighted form: integral of Psi(Q) against dghat."""
-    up = Q._upper()
-    lo = Q._lower()
-    psiQ = QuantileFn(
-        fn=lambda u: np.asarray(w.Psi(Q.fn(u)), dtype=float),
-        breakpoints=Q.breakpoints,
-        tail_class=Q.tail_class,
-        upper_tail=lambda t: np.asarray(w.Psi(up(t)), dtype=float),
-        lower_tail=lambda t: np.asarray(w.Psi(lo(t)), dtype=float),
-        name=f"Psi({Q.name})")
+    psiQ = Q.map(w.Psi, name=f"Psi({Q.name})")
     return riskmetric_of_quantile(g, mode, extras, psiQ, rel_tol=rel_tol,
                                   n_base=n_base)
 
@@ -374,7 +337,7 @@ def quantile_moments(Q: QuantileFn, rel_tol: Optional[float] = None,
     Plain integrals of Q and Q^2 on breakpoint-split panels with geometric
     endpoint refinement, both powers from one evaluation of Q per node set;
     two refinement depths are compared and NonConvergent is raised if they
-    disagree beyond 10x tolerance.
+    disagree beyond 10x tolerance, NonFiniteValue if a moment is not finite.
     """
     def powers(fn):
         def f(u):
@@ -393,6 +356,8 @@ def quantile_moments(Q: QuantileFn, rel_tol: Optional[float] = None,
                                       t_floor=t_floor, per_octave=po)
         results.append(tuple(m))
     (m1a, m2a), (m1b, m2b) = results
+    if not (math.isfinite(m1b) and math.isfinite(m2b)):
+        raise NonFiniteValue(f"moments of {Q.name} are {m1b} and {m2b}")
     tol = _tolerance(Q, rel_tol)
     scale = max(1.0, abs(m1b), abs(m2b))
     if max(abs(m1b - m1a), abs(m2b - m2a)) > 10.0 * tol * scale:
@@ -410,15 +375,8 @@ _FIXED = ("uniform", "gaussian", "exponential")
 
 
 def _affine(Q0: QuantileFn, mu: float, sigma: float) -> QuantileFn:
-    up = Q0._upper()
-    lo = Q0._lower()
-    return QuantileFn(
-        fn=lambda u: mu + sigma * np.asarray(Q0.fn(u), dtype=float),
-        breakpoints=Q0.breakpoints,
-        tail_class=Q0.tail_class if sigma != 0.0 else "bounded",
-        upper_tail=lambda t: mu + sigma * np.asarray(up(t), dtype=float),
-        lower_tail=lambda t: mu + sigma * np.asarray(lo(t), dtype=float),
-        name=Q0.name)
+    return Q0.map(lambda v: mu + sigma * v,
+                  tail_class=Q0.tail_class if sigma != 0.0 else "bounded")
 
 
 def _draw(kind: str, rng: np.random.Generator) -> tuple:
@@ -537,13 +495,11 @@ class _Trials:
         return self._on_pieces(
             lambda a: np.repeat(a.ravel(), runs).reshape(self.size, len(u)), u)
 
-    def upper(self, t):
-        """At the nonincreasing distances ``t`` from u = 1."""
-        return self.inner(1.0 - np.maximum(t, 1e-12))
-
-    def lower(self, t):
-        """At the nonincreasing distances ``t`` from u = 0."""
-        return np.ascontiguousarray(self.inner(np.maximum(t[::-1], 1e-12))[:, ::-1])
+    def cells(self, t_lo, u, t_hi):
+        """Every trial at the nodes of one partition level, as ``_Rows.cells``:
+        the distances from u = 0 are points in u, and the distances from
+        u = 1 are read at 1 - t, t clamped as in ``QuantileFn._upper``."""
+        return self.inner(np.concatenate([t_lo, u, 1.0 - np.maximum(t_hi, _T_MIN)]))
 
     def pairs(self, rows, u):
         """The value of trial ``rows[i]`` at ``u[i]``."""

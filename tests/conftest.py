@@ -264,42 +264,34 @@ def reference_slope_l2_norm(env, center):
     return math.sqrt(max(total, 0.0))
 
 
-def reference_stieltjes_sums(cache, Q, rule: str = "midpoint"):
+def reference_stieltjes_sums(cache, Q):
     """(coarse, fine) Stieltjes sums of one quantile on a
     ``riskbound.oracle._StieltjesCache``, with the quantile's breakpoints
     inserted into each level's partition.  The per-quantile reference for
-    the batched ``_StieltjesCache.values``."""
-    q_up = Q._upper()
-    q_lo = Q._lower()
+    the batched ``_StieltjesCache.values``.
+
+    Each cell is valued at its node: the distances from u = 0 through the
+    lower tail, the u-read cells through ``Q.fn`` and the distances from
+    u = 1 through the upper tail.  A cell holding breakpoints is summed
+    instead over its sub-cells, one cell at a time, each valued in u at its
+    midpoint."""
+    def at(fn, x):
+        return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+
+    breaks = np.sort(np.asarray([b for b in Q.breakpoints if 0.0 < b < 1.0], dtype=float))
     out = []
     for level in cache.levels:
         pts, gv = level["pts"], level["gv"]
-        breaks = np.asarray([b for b in Q.breakpoints
-                             if pts[0] < b < pts[-1]], dtype=float)
-        if breaks.size:
-            idx = np.searchsorted(pts, breaks)
-            pts = np.insert(pts, idx, breaks)
-            gv = np.insert(gv, idx, np.asarray(cache.tg.ghat(breaks), dtype=float))
-        dg = np.diff(gv)
-        # the increments of ghat along each tail chain, then over its sliver
-        ts, wu, wl = level["ts"], level["wu"], level["wl"]
-        mid_t = 0.5 * (ts[:-1] + ts[1:])
-        if rule == "trapezoid":
-            qv = np.asarray(Q.fn(pts), dtype=float)
-            total = float(np.dot(0.5 * (qv[:-1] + qv[1:]), dg))
-            quv = np.asarray(q_up(ts), dtype=float)
-            total += float(np.dot(0.5 * (quv[:-1] + quv[1:]), wu[:-1]))
-            qlv = np.asarray(q_lo(ts), dtype=float)
-            total += float(np.dot(0.5 * (qlv[:-1] + qlv[1:]), wl[:-1]))
-        else:
-            mids = 0.5 * (pts[:-1] + pts[1:])
-            total = float(np.dot(np.asarray(Q.fn(mids), dtype=float), dg))
-            total += float(np.dot(np.asarray(q_up(mid_t), dtype=float), wu[:-1]))
-            total += float(np.dot(np.asarray(q_lo(mid_t), dtype=float), wl[:-1]))
-        # slivers [1 - ts[-1], 1] and [0, ts[-1]]
-        total += float(np.asarray(q_up(0.5 * ts[-1]))) * wu[-1]
-        total += float(np.asarray(q_lo(0.5 * ts[-1]))) * wl[-1]
-        out.append(total)
+        t_lo, u, t_hi = level["nodes"]
+        q = np.concatenate([at(Q._lower(), t_lo), at(Q.fn, u), at(Q._upper(), t_hi)])
+        terms = q * np.diff(gv)
+        for c in np.unique(np.searchsorted(pts, breaks) - 1):
+            inner = breaks[(breaks > pts[c]) & (breaks <= pts[c + 1])]
+            xs = np.concatenate([[pts[c]], inner, [pts[c + 1]]])
+            gs = np.concatenate([[gv[c]], np.asarray(cache.tg.ghat(inner), dtype=float),
+                                 [gv[c + 1]]])
+            terms[c] = float(np.dot(at(Q.fn, 0.5 * (xs[:-1] + xs[1:])), np.diff(gs)))
+        out.append(float(np.sum(terms)))
     return out[0], out[1]
 
 

@@ -332,7 +332,7 @@ COLUMNS_CSV = 'date,"ret,USD",2024\nd1,1,-3\nd2,2,5\nd3,4,2\nd4,-1,0\n'
 @pytest.mark.parametrize("column, label, values", [
     ("2024", "2024", [-3.0, 5.0, 2.0, 0.0]),
     ("ret,USD", "ret,USD", [1.0, 2.0, 4.0, -1.0]),
-    ("1", "1", [1.0, 2.0, 4.0, -1.0]),
+    ("1", "ret,USD", [1.0, 2.0, 4.0, -1.0]),
 ])
 def test_column_by_header_name_then_index(tmp_path, capsys, column, label, values):
     path = tmp_path / "returns.csv"

@@ -36,6 +36,9 @@ def test_load_returns_csv(tmp_path):
     assert np.allclose(series.values, [1.0, 2.0, 3.0])
     by_index = I.load_returns_csv(path, 1)
     assert np.allclose(by_index.values, series.values)
+    # a series is labelled with its column's header cell, however selected
+    assert series.label == by_index.label == I.load_returns_csv(path, "1").label == "ret"
+    assert I.load_returns_csv(path, 1, label="mine").label == "mine"
 
 
 def test_missing_file_raises():

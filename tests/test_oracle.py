@@ -8,7 +8,7 @@ from riskbound import bounds as B
 from riskbound import distortion as D
 from riskbound import oracle as O
 from riskbound._num import integrate_segment
-from riskbound.errors import BoundViolated, DomainError, NonConvergent
+from riskbound.errors import BoundViolated, DomainError, NonConvergent, NonFiniteValue
 
 from conftest import SWEEP, reference_feasibility_stress, reference_stieltjes_sums
 
@@ -98,14 +98,6 @@ def test_grid_quantile_and_step_interpolation():
         O.QuantileFn.from_grid(us, qs[::-1], interp="linear")
     with pytest.raises(DomainError):
         O.QuantileFn.from_grid(us, qs, interp="cubic")
-
-
-def test_midpoint_and_trapezoid_agree_for_continuous_transform():
-    g = D.catalog_lookup("TCRE", {"p": 0.5})
-    res = B.worst_case_bound(g, moments=STD)
-    mid = O.riskmetric_of_quantile(g, None, None, res.quantile, rule="midpoint")
-    trap = O.riskmetric_of_quantile(g, None, None, res.quantile, rule="trapezoid")
-    assert mid == pytest.approx(trap, rel=1e-6)
 
 
 def test_nonconvergent_raised_for_unreachable_tolerance():
@@ -205,12 +197,11 @@ def test_batched_sums_match_the_reference():
         Qs = [B.worst_case_bound(g, moments=PARITY_MOMENTS, engine=engine).quantile] + shapes
         for cache in (O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45),
                       O._StieltjesCache(tg, n_base=2048, per_octave=12)):
-            for rule in ("midpoint", "trapezoid"):
-                s1, s2 = cache.values(Qs, rule)
-                for j, Q in enumerate(Qs):
-                    r1, r2 = reference_stieltjes_sums(cache, Q, rule)
-                    assert abs(s1[j] - r1) <= 1e-12 * max(1.0, abs(r1)), (family, rule, Q.name)
-                    assert abs(s2[j] - r2) <= 1e-12 * max(1.0, abs(r2)), (family, rule, Q.name)
+            s1, s2 = cache.values(Qs)
+            for j, Q in enumerate(Qs):
+                r1, r2 = reference_stieltjes_sums(cache, Q)
+                assert abs(s1[j] - r1) <= 1e-12 * max(1.0, abs(r1)), (family, Q.name)
+                assert abs(s2[j] - r2) <= 1e-12 * max(1.0, abs(r2)), (family, Q.name)
 
 
 @pytest.mark.parametrize("family", D.family_names())
@@ -327,19 +318,22 @@ def test_trial_arrays_match_the_per_trial_shapes(kind):
     def each(fn_of, x):
         return np.stack([np.asarray(fn_of(Q)(x), dtype=float) for Q in Qs])
 
-    # interior and tail nodes of both partitions of a transform with a kink
+    # the nodes of both partitions of a transform with a kink
     tg = O._as_transform(D.catalog_lookup("ES", {"p": 0.9}), None, None)
     for cache in (O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45),
                   O._StieltjesCache(tg, n_base=4096, per_octave=12)):
-        for rule in ("midpoint", "trapezoid"):
-            for inner, tail in cache.nodes(rule):
-                assert _same_bits(trials.inner(inner), each(lambda Q: Q.fn, inner))
-                assert _same_bits(trials.upper(tail), each(lambda Q: Q._upper(), tail))
-                assert _same_bits(trials.lower(tail), each(lambda Q: Q._lower(), tail))
-    # distances reaching far past the partition's handover
-    t = np.geomspace(0.5, 1e-30, 301)
-    assert _same_bits(trials.upper(t), each(lambda Q: Q._upper(), t))
-    assert _same_bits(trials.lower(t), each(lambda Q: Q._lower(), t))
+        for level in cache.levels:
+            t_lo, u, t_hi = level["nodes"]
+            assert _same_bits(trials.inner(u), each(lambda Q: Q.fn, u))
+            assert _same_bits(trials.cells(t_lo, u, t_hi),
+                              np.hstack([each(lambda Q: Q._lower(), t_lo),
+                                         each(lambda Q: Q.fn, u),
+                                         each(lambda Q: Q._upper(), t_hi)]))
+            assert _same_bits(trials.cells(t_lo, u, t_hi), O._Rows(Qs).cells(t_lo, u, t_hi))
+    # distances down past the point where 1 - t rounds to 1
+    t, none = np.geomspace(0.5, 1e-30, 301), np.empty(0)
+    assert _same_bits(trials.cells(none, none, t), each(lambda Q: Q._upper(), t))
+    assert _same_bits(trials.cells(t[::-1], none, none), each(lambda Q: Q._lower(), t[::-1]))
     # exactly at each trial's breakpoints and knots, and between them
     grid = np.linspace(0.0, 1.0, 257)
     for i, Q in enumerate(Qs):
@@ -355,34 +349,26 @@ def test_trial_arrays_match_the_per_trial_shapes(kind):
     assert _same_bits(trials.pairs(rows, u), ref)
 
 
-def test_tail_chains_are_shared_and_read_only():
-    tg = O._as_transform(D.catalog_lookup("CRE", {}), None, None)
-    tg2 = O._as_transform(D.catalog_lookup("CT", {"alpha": 2.0}), None, None)
-    a = O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45)
-    b = O._StieltjesCache(tg2, n_base=2048, per_octave=6, t_floor=1e-45)
-    for la, lb in zip(a.levels, b.levels):
-        assert la["ts"] is lb["ts"]
-        with pytest.raises(ValueError):
-            la["ts"][0] = 1.0
-    for rule in ("midpoint", "trapezoid"):
-        for (_, ta), (_, tb) in zip(a.nodes(rule), b.nodes(rule)):
-            assert ta is tb and not ta.flags.writeable
-            with pytest.raises(ValueError):
-                ta[-1] = 0.0
-    assert a.levels[0]["ts"][0] == O._U_EDGE
-
-
 @pytest.mark.parametrize("p", [1e-13, 0.3, 0.5, 1.0 - 1e-13])
-def test_partition_merge_matches_a_global_sort(p):
+def test_partition_edges_ascend_from_zero_to_one(p):
     for family, params in (("ES", {"p": p}), ("TCRE", {"p": p}), ("CRE", {})):
         tg = O._as_transform(D.catalog_lookup(family, params), None, None)
-        edges = [0.0] + sorted(k for k in tg.kinks if 0.0 < k < 1.0) + [1.0]
+        kinks = [k for k in tg.kinks if 0.0 < k < 1.0]
         cache = O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45)
-        for level, (nb, po) in zip(cache.levels, ((512, 6), (1024, 12))):
-            ref = np.unique(np.concatenate(
-                [O._panel_points(a, b, nb, po, a == 0.0, b == 1.0)
-                 for a, b in zip(edges[:-1], edges[1:])]))
-            assert _same_bits(level["pts"], ref), (family, params)
+        for level in cache.levels:
+            pts, gv = level["pts"], level["gv"]
+            t_lo, u, t_hi = level["nodes"]
+            assert pts[0] == 0.0 and pts[-1] == 1.0 and np.all(np.diff(pts) >= 0.0)
+            assert gv[0] == 0.0 and gv[-1] == tg.center
+            assert np.array_equal(level["dg"], np.diff(gv))
+            assert len(t_lo) + len(u) + len(t_hi) == len(pts) - 1
+            assert set(kinks) <= set(pts.tolist()), (family, params)
+            # both end chains reach the floor, and the u-read cells lie
+            # between the two end halves
+            assert t_lo[0] < 1e-45 and t_hi[-1] < 1e-45
+            assert np.all(np.diff(t_lo) > 0.0) and np.all(np.diff(t_hi) < 0.0)
+            if u.size:
+                assert t_lo[-1] <= u[0] and u[-1] <= 1.0 - t_hi[0]
 
 
 def test_moments_match_a_dense_reference_on_every_worst_case():
@@ -421,10 +407,11 @@ def test_moments_match_a_dense_reference_on_every_worst_case():
     assert checked == len(SWEEP)
 
 
-@pytest.mark.parametrize("family, alpha", [("FGRE", 9.0), ("FGE", 8.0)])
-def test_attainment_across_the_tail_handover(family, alpha):
-    # the worst case carries its mass near u = 1 - 1e-12 (FGRE) or 1e-12
-    # (FGE), where the u-space partition hands over to the tail chains
+@pytest.mark.parametrize("family", ["FGRE", "FGE"])
+@pytest.mark.parametrize("alpha", [9.0, 12.0, 16.0, 20.0, 30.0])
+def test_attainment_with_the_contact_point_near_an_end(family, alpha):
+    # the worst case carries its mass within e^-alpha of u = 1 (FGRE) or
+    # u = 0 (FGE), deep in the chain that the end half reads in distance
     g = D.catalog_lookup(family, {"alpha": alpha})
     res = B.worst_case_bound(g, moments=STD)
     attained = O.riskmetric_of_quantile(g, None, None, res.quantile)
@@ -432,15 +419,60 @@ def test_attainment_across_the_tail_handover(family, alpha):
     assert abs(attained - closed) <= 1e-8 * max(1.0, abs(closed))
 
 
-def test_handover_leaves_the_partition_points_alone():
-    # an identity ghat may hand back its input array; the handover values
-    # must not be written into the partition's points
+@pytest.mark.parametrize("left, right", [
+    (("FGRE", {"alpha": 3.0}), ("FGE", {"alpha": 3.0})),
+    (("FGRE", {"alpha": 16.0}), ("FGE", {"alpha": 16.0})),
+    (("CRT", {"alpha": 0.6}), ("CT", {"alpha": 0.6})),
+    (("DCRT", {"alpha": 3.0, "F_t": 0.3}), ("DCT", {"alpha": 3.0, "F_t": 0.7})),
+    (("TCRE", {"p": 0.4}), ("DCE", {"F_t": 0.6})),
+])
+def test_mirrored_families_attain_the_same_value(left, right):
+    # each pair's transforms mirror each other about u = 1/2, and so do the
+    # partitions: both ends are chains in distance from their own end
+    attained = []
+    for family, params in (left, right):
+        g = D.catalog_lookup(family, params)
+        res = B.worst_case_bound(g, moments=PARITY_MOMENTS)
+        attained.append(O.riskmetric_of_quantile(g, None, None, res.quantile))
+    assert abs(attained[0] - attained[1]) <= 1e-12 * max(1.0, abs(attained[0]))
+
+
+@pytest.mark.parametrize("p", [1e-13, 1.0 - 1e-13])
+def test_kinks_next_to_an_end(p):
+    # the kink's segment is narrower than any fixed tail cut-off.  The worst
+    # case is two-point with its jump at the kink, so its ES is its upper
+    # level exactly
+    g = D.catalog_lookup("ES", {"p": p})
+    (kink,) = O._as_transform(g, None, None).kinks
+    Q = B.worst_case_bound(g, moments=STD).quantile
+    attained = O.riskmetric_of_quantile(g, None, None, Q)
+    assert Q.breakpoints == (kink,)
+    assert attained == pytest.approx(float(Q.fn(0.5 * (1.0 + kink))), rel=1e-12)
+    uniform = O.riskmetric_of_quantile(g, None, None, O.QuantileFn.from_callable(lambda u: u))
+    assert uniform == pytest.approx(0.5 * (1.0 + p), abs=1e-12)
+
+
+def test_dce_attains_with_its_kink_next_to_zero():
+    g = D.catalog_lookup("DCE", {"F_t": 1e-13})
+    res = B.worst_case_bound(g, moments=STD)
+    attained = O.riskmetric_of_quantile(g, None, None, res.quantile)
+    assert abs(attained - res.sup_value) <= 1e-6 * max(1.0, abs(res.sup_value))
+
+
+def test_identity_transform_reads_ghat_at_every_edge():
+    # the identity's ghat, read in u or in distance from either end, is
+    # the edge itself, and its quantile's mean comes out exact
     tg = D.custom_transform(lambda u: u)
     cache = O._StieltjesCache(tg, n_base=64, per_octave=4)
     for level in cache.levels:
-        pts = level["pts"]
-        assert np.all(np.diff(pts) > 0.0)
-        assert pts[0] < O._U_EDGE and pts[-1] < 1.0 - O._U_EDGE / 2
-        assert level["gv"][0] == O._U_EDGE
+        assert np.array_equal(level["gv"], level["pts"])
     Q = O.QuantileFn.from_callable(lambda u: 0.2 + u)
     assert O.riskmetric_of_quantile(tg, None, None, Q) == pytest.approx(0.7, abs=1e-12)
+
+
+def test_a_non_finite_quantile_raises():
+    Q = O.QuantileFn.from_callable(lambda u: np.where(u > 0.7, np.nan, u))
+    with pytest.raises(NonFiniteValue):
+        O.riskmetric_of_quantile(D.catalog_lookup("Gini", {}), None, None, Q)
+    with pytest.raises(NonFiniteValue):
+        O.quantile_moments(Q)
