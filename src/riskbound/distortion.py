@@ -528,6 +528,14 @@ def _L_crtes(a: float, p: float, tau: float) -> float:
     return math.sqrt((k * p + tau * tau) / (k * (1.0 - p)))
 
 
+def _aliases(*names: tuple, row: tuple) -> tuple:
+    """One weighted catalog row under each (name, description) of ``names``:
+    the generalized and plain names of a weighted entropy share their
+    parameters, base shape, mode and closed-form ``L``."""
+    return tuple(FamilySpec(name, description, *row, weighted=True)
+                 for name, description in names)
+
+
 # -- the table ----------------------------------------------------------------
 # name, description, parameters, base shape, default mode, closed-form L,
 # then the weighted flag and the kernel scale where they differ from the default
@@ -588,22 +596,18 @@ _CATALOG: dict = {spec.name: spec for spec in (
                "CRT", "entropy", lambda P: _L_tsallis(P["alpha"]), weighted=True),
     FamilySpec("WGini", "weighted Gini functional", (),
                "GiniSemidiff", "entropy", lambda P: 1.0 / math.sqrt(3.0), weighted=True),
-    FamilySpec("WGCRE", "weighted generalized cumulative residual entropy", (),
-               "CRE", "entropy", lambda P: 1.0, weighted=True),
-    FamilySpec("WCRE", "weighted cumulative residual entropy", (),
-               "CRE", "entropy", lambda P: 1.0, weighted=True),
-    FamilySpec("WGCE", "weighted generalized cumulative entropy", (),
-               "CE", "entropy", lambda P: 1.0, weighted=True),
-    FamilySpec("WCE", "weighted cumulative entropy", (),
-               "CE", "entropy", lambda P: 1.0, weighted=True),
-    FamilySpec("DWGCRE", "dynamic weighted generalized cumulative residual entropy", ("F_t",),
-               "CRE", "residual", lambda P: _L_tcre(P["F_t"]), weighted=True),
-    FamilySpec("DWCRE", "dynamic weighted cumulative residual entropy", ("F_t",),
-               "CRE", "residual", lambda P: _L_tcre(P["F_t"]), weighted=True),
-    FamilySpec("DWGCE", "dynamic weighted generalized cumulative entropy", ("F_t",),
-               "CE", "past", lambda P: _L_dce(P["F_t"]), weighted=True),
-    FamilySpec("DWCE", "dynamic weighted cumulative entropy", ("F_t",),
-               "CE", "past", lambda P: _L_dce(P["F_t"]), weighted=True),
+    *_aliases(("WGCRE", "weighted generalized cumulative residual entropy"),
+              ("WCRE", "weighted cumulative residual entropy"),
+              row=((), "CRE", "entropy", lambda P: 1.0)),
+    *_aliases(("WGCE", "weighted generalized cumulative entropy"),
+              ("WCE", "weighted cumulative entropy"),
+              row=((), "CE", "entropy", lambda P: 1.0)),
+    *_aliases(("DWGCRE", "dynamic weighted generalized cumulative residual entropy"),
+              ("DWCRE", "dynamic weighted cumulative residual entropy"),
+              row=(("F_t",), "CRE", "residual", lambda P: _L_tcre(P["F_t"]))),
+    *_aliases(("DWGCE", "dynamic weighted generalized cumulative entropy"),
+              ("DWCE", "dynamic weighted cumulative entropy"),
+              row=(("F_t",), "CE", "past", lambda P: _L_dce(P["F_t"]))),
 
     # expected shortfall and entropy shortfalls
     FamilySpec("ES", "expected shortfall", ("p",),

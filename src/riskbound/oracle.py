@@ -17,17 +17,20 @@ stable tail evaluators of the transform and the quantile; the others are
 read in u.  One ascending array of cell edges in u carries the values of the
 transform, so its increments telescope with no handover between coordinates.
 
-The stress test evaluates the trials of each random shape together: their
-parameters come from each trial's own seeded stream, and one array call per
-node set gives every trial's values there, bit for bit those of the trial's
-own quantile function.  Quantile moments use Gauss panels at 1 and 2 per
-octave of distance from each end.
+The stress test evaluates the trials of each random shape together.  Their
+parameters come from each trial's own seeded stream, drawn once per (shape,
+seed, trial count) and kept for later calls.  Each trial is piecewise
+constant or linear in u, so its sum is taken piece by piece from two running
+sums per partition level, of dghat and of u * dghat, with the cells that
+hold a knot split as for any quantile.  Quantile moments use Gauss panels
+at 1 and 2 per octave of distance from each end.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional
@@ -183,59 +186,86 @@ class _StieltjesCache:
             self.levels.append({"pts": pts, "gv": gv, "dg": np.diff(gv),
                                 "nodes": (t_lo, 0.5 * (u[:-1] + u[1:]), t_hi)})
 
-    def _split_terms(self, batch, cells) -> np.ndarray:
+    def _running_sums(self, level) -> tuple:
+        """The level's nodes in u, as ``_Trials`` reads them, and the
+        running sums of dghat and of u * dghat over its cells, 0 first.
+        The increments of ghat telescope, so their running sum is ``gv``.
+        The other is a pair: the running sum, and the running sum of the
+        rounding error of each of its steps (recovered exactly by TwoSum),
+        so that the difference of two entries keeps the accuracy of the
+        terms between them however large the sum before them.  Built once
+        per level and shared by every batch of trials."""
+        if "running" not in level:
+            t_lo, u, t_hi = level["nodes"]
+            x = np.concatenate([t_lo, u, 1.0 - np.maximum(t_hi, _T_MIN)])
+            xdg = x * level["dg"]
+            s1, err = np.zeros(len(x) + 1), np.zeros(len(x) + 1)
+            np.cumsum(xdg, out=s1[1:])
+            before, after = s1[:-1], s1[1:]
+            part = after - before
+            np.cumsum((before - (after - part)) + (xdg - part), out=err[1:])
+            level["running"] = x, level["gv"], (s1, err)
+        return level["running"]
+
+    def _split_terms(self, batch, cells=None) -> np.ndarray:
         """What inserting each quantile's breakpoints into each level's
         partition adds to its sum, shape (levels, quantiles).
 
         A cell [p_c, p_c+1] holding breakpoints b_1 < ... < b_m is replaced
         by its sub-cells [p_c, b_1], ..., [b_m, p_c+1], each valued in u at
         its midpoint.  ghat is evaluated once on the breakpoints of all
-        quantiles, and the batch once on the sub-cells of all levels.
+        quantiles.  The value the level's sum took on the cell is taken from
+        ``cells``, each level's matrix of values, when given; otherwise the
+        batch is read at the cell's node in u (``_running_sums``) together
+        with the sub-cells, in one call for all levels.
         """
         n, n_lv = batch.size, len(self.levels)
-        brk = batch.breakpoints
-        tr = np.repeat(np.arange(n), [len(b) for b in brk])
-        b = np.concatenate(brk)
-        inside = (b > 0.0) & (b < 1.0)
-        tr, b = tr[inside], b[inside]
+        tr, b = batch.breaks
         if not b.size:
             return np.zeros((n_lv, n))
-        gb = np.asarray(self.tg.ghat(b), dtype=float)
-        key, lo, hi, dg = [], [], [], []
+        gb = _at(self.tg.ghat, b)
+        key, at, dg = [], [], []
         split = np.zeros(n_lv * n)
-        for li, (level, lv_cells) in enumerate(zip(self.levels, cells)):
+        for li, level in enumerate(self.levels):
             pts, gv = level["pts"], level["gv"]
             c = np.searchsorted(pts, b) - 1
             first = np.ones(len(b), dtype=bool)
             first[1:] = (tr[1:] != tr[:-1]) | (c[1:] != c[:-1])
             last = np.append(first[1:], True)
+            cf, cl = c[first], c[last] + 1
             # the sub-cell ending at each breakpoint, then the one closing each cell
             x_lo, g_lo = np.empty_like(b), np.empty_like(gb)
             x_lo[1:], g_lo[1:] = b[:-1], gb[:-1]
-            x_lo[first], g_lo[first] = pts[c[first]], gv[c[first]]
+            x_lo[first], g_lo[first] = pts[cf], gv[cf]
             key += [li * n + tr, li * n + tr[last]]
-            lo += [x_lo, b[last]]
-            hi += [b, pts[c[last] + 1]]
-            dg += [gb - g_lo, gv[c[last] + 1] - gb[last]]
-            cf = c[first]
-            split += np.bincount(li * n + tr[first], minlength=n_lv * n,
-                                 weights=lv_cells[tr[first], cf] * level["dg"][cf])
-        key, lo, hi, dg = (np.concatenate(a) for a in (key, lo, hi, dg))
-        order = np.argsort(key % n, kind="stable")
-        key, lo, hi, dg = key[order], lo[order], hi[order], dg[order]
-        vals = batch.pairs(key % n, 0.5 * (lo + hi))
-        added = np.bincount(key, weights=vals * dg, minlength=n_lv * n)
+            at += [0.5 * (x_lo + b), 0.5 * (b[last] + pts[cl])]
+            dg += [gb - g_lo, gv[cl] - gb[last]]
+            if cells is None:
+                key.append(li * n + tr[first])
+                at.append(self._running_sums(level)[0][cf])
+                dg.append(-level["dg"][cf])
+            else:
+                split += np.bincount(li * n + tr[first], minlength=n_lv * n,
+                                     weights=cells[li][tr[first], cf] * level["dg"][cf])
+        key, at, dg = (np.concatenate(a) for a in (key, at, dg))
+        added = np.bincount(key, weights=batch.pairs(key % n, at) * dg, minlength=n_lv * n)
         return (added - split).reshape(n_lv, n)
 
     def values(self, Qs):
         """(coarse, fine) Stieltjes sums of the integral of each quantile
         against dghat, as two arrays.  ``Qs`` is a list of ``QuantileFn`` or
-        the ``_Trials`` of one random shape.  The cells of all quantiles
-        form one matrix per level, multiplied by that level's fixed
-        increments of ghat."""
-        batch = _Rows(Qs) if isinstance(Qs, (list, tuple)) else Qs
-        cells = [batch.cells(*level["nodes"]) for level in self.levels]
-        sums = np.stack([c @ level["dg"] for c, level in zip(cells, self.levels)])
+        the ``_Trials`` of one random shape.  The cells of a list form one
+        matrix per level, multiplied by that level's fixed increments of
+        ghat.  Trials are piecewise in u, so each sums its pieces from the
+        level's running sums (``_running_sums``), at a cost set by its
+        pieces, not by the level's cells."""
+        if isinstance(Qs, (list, tuple)):
+            batch = _Rows(Qs)
+            cells = [batch.cells(*level["nodes"]) for level in self.levels]
+            sums = np.stack([c @ level["dg"] for c, level in zip(cells, self.levels)])
+        else:
+            batch, cells = Qs, None
+            sums = np.stack([batch.sums(*self._running_sums(level)) for level in self.levels])
         coarse, fine = sums + self._split_terms(batch, cells)
         return coarse, fine
 
@@ -246,8 +276,12 @@ class _Rows:
     def __init__(self, Qs):
         self.Qs = list(Qs)
         self.size = len(self.Qs)
-        self.breakpoints = [np.sort(np.asarray(Q.breakpoints, dtype=float))
-                            for Q in self.Qs]
+        brk = [np.sort(np.asarray(Q.breakpoints, dtype=float)) for Q in self.Qs]
+        tr = np.repeat(np.arange(self.size), [len(b) for b in brk])
+        b = np.concatenate(brk)
+        inside = (b > 0.0) & (b < 1.0)
+        #: each breakpoint inside (0, 1) and its quantile, grouped by quantile
+        self.breaks = tr[inside], b[inside]
 
     def cells(self, t_lo, u, t_hi):
         """Each quantile at the distances ``t_lo`` from u = 0, the points
@@ -259,9 +293,12 @@ class _Rows:
         return out
 
     def pairs(self, rows, u):
-        """The value of quantile ``rows[i]`` at ``u[i]``; ``rows`` is sorted."""
-        parts = np.split(u, np.searchsorted(rows, np.arange(1, self.size)))
-        return np.concatenate([_at(Q.fn, x) for Q, x in zip(self.Qs, parts)])
+        """The value of quantile ``rows[i]`` at ``u[i]``."""
+        order = np.argsort(rows, kind="stable")
+        parts = np.split(u[order], np.searchsorted(rows[order], np.arange(1, self.size)))
+        out = np.empty_like(u)
+        out[order] = np.concatenate([_at(Q.fn, x) for Q, x in zip(self.Qs, parts)])
+        return out
 
 
 def _tolerance(Q: QuantileFn, rel_tol: Optional[float]) -> float:
@@ -433,7 +470,11 @@ def _standard_shape(kind: str, rng: np.random.Generator) -> QuantileFn:
                           upper_tail=lambda t: -np.log(np.asarray(t, dtype=float)) - 1.0,
                           lower_tail=lambda t: -np.log1p(-np.asarray(t, dtype=float)) - 1.0,
                           name="exponential")
-    knots, levels = _draw(kind, rng)
+    return _drawn_shape(kind, *_draw(kind, rng))
+
+
+def _drawn_shape(kind: str, knots: np.ndarray, levels: np.ndarray) -> QuantileFn:
+    """The quantile function of a random shape with the draw ``_draw`` gave."""
     if kind == "two-point":
         (q,), (a, b) = knots.tolist(), levels.tolist()
         return QuantileFn(fn=lambda u: np.where(np.asarray(u, dtype=float) < q, a, b),
@@ -450,32 +491,51 @@ def _standard_shape(kind: str, rng: np.random.Generator) -> QuantileFn:
                       breakpoints=tuple(knots[1:-1]), name="spline")
 
 
+@lru_cache(maxsize=8)
+def _seeded_draws(kind: str, seed: int, trials: int) -> tuple:
+    """(knots, levels) of the random-shape trials of a stress call, one row
+    per trial k < ``trials`` of shape ``kind``, each drawn by ``_draw`` from
+    its stream ``default_rng([seed, k])``.  The draws depend on neither the
+    transform nor the moments, so repeated calls share them; the arrays are
+    read-only."""
+    ks = range(_SHAPES.index(kind), trials, len(_SHAPES))
+    draws = [_draw(kind, np.random.default_rng([seed, k])) for k in ks]
+    knots, levels = (np.array(a) for a in zip(*draws))
+    knots.flags.writeable = levels.flags.writeable = False
+    return knots, levels
+
+
 class _Trials:
-    """The trials of one random shape, drawn from their streams and
-    standardized to (mu, sigma), evaluated as arrays.
+    """The trials of one random shape, their draws standardized to
+    (mu, sigma), evaluated as arrays.
 
     Each trial is piecewise in u: piece c holds the u with c knots at or
     left of them.  A step shape takes its level there; the spline takes its
     linear piece, flat left of the first node and from the last, which is
-    ``np.interp``'s arithmetic.  The affine map comes last, so row i matches
-    ``_affine(_standard_shape(kind, rngs[i]), mu, sigma)`` bit for bit.
+    ``np.interp``'s arithmetic.  The affine map comes last, so row i of
+    ``inner`` matches ``_affine(_standard_shape(kind, rng), mu, sigma)`` bit
+    for bit, for the stream ``rng`` that drew row i.  ``sums`` integrates
+    each piece from running sums, with no value at any node.  ``draws`` is
+    (knots, levels), one row per trial, as ``_draw`` gives them.
     """
 
-    def __init__(self, kind: str, rngs, mu: float, sigma: float):
-        knots, levels = (np.array(a) for a in zip(*(_draw(kind, rng) for rng in rngs)))
+    def __init__(self, kind: str, draws: tuple, mu: float, sigma: float):
+        knots, levels = draws
         self.knots, self.mu, self.sigma = knots, mu, sigma
         self.size = len(knots)
         inf = np.full((self.size, 1), np.inf)
         self._bounds = np.hstack([-inf, knots, inf])
         if kind == "spline":
             flat = np.zeros((self.size, 1))
-            self.breakpoints = knots[:, 1:-1]
+            brk = knots[:, 1:-1]
             # (slope, left node, value there) of each piece
             self.pieces = (np.hstack([flat, np.diff(levels, axis=1) / np.diff(knots, axis=1), flat]),
                            np.hstack([knots[:, :1], knots]), np.hstack([levels[:, :1], levels]))
         else:
-            self.breakpoints = knots
+            brk = knots
             self.pieces = (levels,)
+        #: each breakpoint and its trial, grouped by trial
+        self.breaks = np.repeat(np.arange(self.size), brk.shape[1]), brk.ravel()
 
     def _on_pieces(self, take, u):
         """The values at ``u``, given ``take(a)``: each point's entry of a
@@ -495,11 +555,21 @@ class _Trials:
         return self._on_pieces(
             lambda a: np.repeat(a.ravel(), runs).reshape(self.size, len(u)), u)
 
-    def cells(self, t_lo, u, t_hi):
-        """Every trial at the nodes of one partition level, as ``_Rows.cells``:
-        the distances from u = 0 are points in u, and the distances from
-        u = 1 are read at 1 - t, t clamped as in ``QuantileFn._upper``."""
-        return self.inner(np.concatenate([t_lo, u, 1.0 - np.maximum(t_hi, _T_MIN)]))
+    def sums(self, x, s0, s1):
+        """Every trial's sum of its values at the nondecreasing nodes ``x``
+        times weights w, given the running sums ``s0`` of w and ``s1`` of
+        x * w (0 first), the latter as a pair (sum, error sum).  Piece c
+        spans the nodes from ``at[c]`` on, so its weight and first moment
+        are differences of the running sums, and its sum is linear in them."""
+        at = np.searchsorted(x, self._bounds)
+        lo, hi = at[:, :-1], at[:, 1:]
+        w0 = s0[hi] - s0[lo]
+        if len(self.pieces) == 1:
+            return np.sum((self.mu + self.sigma * self.pieces[0]) * w0, axis=1)
+        slope, x0, y0 = self.pieces
+        w1 = (s1[0][hi] - s1[0][lo]) + (s1[1][hi] - s1[1][lo])
+        return np.sum((self.mu + self.sigma * y0) * w0
+                      + self.sigma * slope * (w1 - x0 * w0), axis=1)
 
     def pairs(self, rows, u):
         """The value of trial ``rows[i]`` at ``u[i]``."""
@@ -545,17 +615,26 @@ def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
     and uses the counter-based stream seeded with (seed, k).
 
     The uniform, Gaussian and exponential shapes draw nothing, so each is
-    evaluated once and its value stands for every repeat.  The trials of each
-    random shape are evaluated together as arrays (``_Trials``), one matrix
-    per partition level; a trial's own quantile function is built only when
-    it is refined or reported.  The full-precision partitions (one per tail
+    evaluated once and its value stands for every repeat.  The draws of the
+    other shapes depend only on (shape, seed, trials) and are made once for
+    all calls (``_seeded_draws``).  The trials of each random shape are
+    summed together (``_Trials``) from running sums that the cheap
+    partition builds once per level and call, at a cost per trial set by
+    its pieces; a trial's own quantile function is built only when it is
+    refined or reported.  The full-precision partitions (one per tail
     class) are built at most once per call and shared by all refinements.
-    ``result`` is the
-    ``BoundResult`` of ``worst_case_bound`` for these inputs when the caller
-    already has it; otherwise it is computed here.
+    ``result`` is the ``BoundResult`` of ``worst_case_bound`` for these
+    inputs when the caller already has it; otherwise it is computed here.
+    ``moments`` is required, and ``trials`` must be an integer.
     """
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise DomainError(f"trials must be an integer, not {trials!r}") from None
     if trials < 0:
         raise DomainError("trials must be >= 0")
+    if moments is None:
+        raise DomainError("feasibility_stress requires moments")
     if result is None:
         from .bounds import worst_case_bound
 
@@ -572,18 +651,19 @@ def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
     mu, sigma = moments.mu, moments.sigma
 
     def trial(k):
-        """Trial k's quantile function, drawn again from its stream."""
+        """Trial k's quantile function, from its draw."""
         kind = _SHAPES[k % len(_SHAPES)]
-        rng = None if kind in _FIXED else np.random.default_rng([seed, k])
-        return _affine(_standard_shape(kind, rng), mu, sigma)
+        if kind in _FIXED:
+            return _affine(_standard_shape(kind, None), mu, sigma)
+        draws = _seeded_draws(kind, seed, trials)
+        return _affine(_drawn_shape(kind, *(a[k // len(_SHAPES)] for a in draws)), mu, sigma)
 
     vals = np.empty(trials)
     for j, kind in enumerate(_SHAPES[:trials]):
         if kind in _FIXED:
             batch = [trial(j)]
         else:
-            batch = _Trials(kind, [np.random.default_rng([seed, k])
-                                   for k in range(j, trials, len(_SHAPES))], mu, sigma)
+            batch = _Trials(kind, _seeded_draws(kind, seed, trials), mu, sigma)
         s1, s2 = cheap.values(batch)
         v = s2 + (s2 - s1) / 3.0
         for i in np.flatnonzero(v > bound - near):

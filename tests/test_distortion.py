@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,14 @@ from riskbound.errors import (
 )
 
 from conftest import SWEEP
+
+
+@pytest.mark.parametrize("generalized, plain", [("WGCRE", "WCRE"), ("WGCE", "WCE"),
+                                                 ("DWGCRE", "DWCRE"), ("DWGCE", "DWCE")])
+def test_weighted_aliases_share_one_row(generalized, plain):
+    a, b = D.family_spec(generalized), D.family_spec(plain)
+    assert a.name != b.name and a.description != b.description
+    assert dataclasses.replace(a, name=b.name, description=b.description) == b
 
 
 def test_family_names_alphabetical():

@@ -312,7 +312,8 @@ def test_trial_arrays_match_the_per_trial_shapes(kind):
     def streams():
         return [np.random.default_rng([11, k]) for k in range(40)]
 
-    trials = O._Trials(kind, streams(), 0.3, 1.7)
+    draws = tuple(np.array(a) for a in zip(*(O._draw(kind, rng) for rng in streams())))
+    trials = O._Trials(kind, draws, 0.3, 1.7)
     Qs = [O._affine(O._standard_shape(kind, rng), 0.3, 1.7) for rng in streams()]
 
     def each(fn_of, x):
@@ -324,16 +325,18 @@ def test_trial_arrays_match_the_per_trial_shapes(kind):
                   O._StieltjesCache(tg, n_base=4096, per_octave=12)):
         for level in cache.levels:
             t_lo, u, t_hi = level["nodes"]
+            # the nodes in u that the running sums place the trials' pieces by
+            x = cache._running_sums(level)[0]
             assert _same_bits(trials.inner(u), each(lambda Q: Q.fn, u))
-            assert _same_bits(trials.cells(t_lo, u, t_hi),
+            assert _same_bits(trials.inner(x),
                               np.hstack([each(lambda Q: Q._lower(), t_lo),
                                          each(lambda Q: Q.fn, u),
                                          each(lambda Q: Q._upper(), t_hi)]))
-            assert _same_bits(trials.cells(t_lo, u, t_hi), O._Rows(Qs).cells(t_lo, u, t_hi))
+            assert _same_bits(trials.inner(x), O._Rows(Qs).cells(t_lo, u, t_hi))
     # distances down past the point where 1 - t rounds to 1
-    t, none = np.geomspace(0.5, 1e-30, 301), np.empty(0)
-    assert _same_bits(trials.cells(none, none, t), each(lambda Q: Q._upper(), t))
-    assert _same_bits(trials.cells(t[::-1], none, none), each(lambda Q: Q._lower(), t[::-1]))
+    t = np.geomspace(0.5, 1e-30, 301)
+    assert _same_bits(trials.inner(1.0 - np.maximum(t, O._T_MIN)), each(lambda Q: Q._upper(), t))
+    assert _same_bits(trials.inner(t[::-1]), each(lambda Q: Q._lower(), t[::-1]))
     # exactly at each trial's breakpoints and knots, and between them
     grid = np.linspace(0.0, 1.0, 257)
     for i, Q in enumerate(Qs):
@@ -476,3 +479,107 @@ def test_a_non_finite_quantile_raises():
         O.riskmetric_of_quantile(D.catalog_lookup("Gini", {}), None, None, Q)
     with pytest.raises(NonFiniteValue):
         O.quantile_moments(Q)
+
+
+def test_stress_rejects_missing_moments_and_fractional_trials():
+    g = D.catalog_lookup("GiniSemidiff", {})
+    res = B.worst_case_bound(g, moments=STD)
+    for result in (res, None):
+        with pytest.raises(DomainError):
+            O.feasibility_stress(g, None, None, None, trials=12, seed=1, result=result)
+    for trials in (2.5, 12.0, "12"):
+        with pytest.raises(DomainError):
+            O.feasibility_stress(g, None, None, STD, trials=trials, seed=1, result=res)
+    # a numpy integer is an integer
+    assert (O.feasibility_stress(g, None, None, STD, trials=np.int64(12), seed=1).to_json()
+            == O.feasibility_stress(g, None, None, STD, trials=12, seed=1).to_json())
+
+
+def _crafted_draws(kind, cache):
+    """(knots, levels) of trials whose knots sit exactly on edges of both
+    levels (in each end half and in between), on the kinks, on an edge of
+    the fine level only, and two inside one cell of the coarse level."""
+    coarse, fine = (level["pts"] for level in cache.levels)
+    t_lo, u, t_hi = cache.levels[0]["nodes"]
+    c = len(t_lo) + len(u) // 2
+    two = [coarse[c] + 0.3 * (coarse[c + 1] - coarse[c]),
+           coarse[c] + 0.7 * (coarse[c + 1] - coarse[c])]
+    only_fine = np.setdiff1d(fine[(fine > 0.05) & (fine < 0.95)], coarse)[7]
+    edges = [coarse[np.searchsorted(coarse, 0.01)], coarse[len(t_lo) + len(u) // 3],
+             coarse[np.searchsorted(coarse, 0.99)], only_fine]
+    kinks = [k for k in cache.tg.kinks if 0.0 < k < 1.0] or [0.5]
+    if kind == "two-point":
+        knots = np.array([[q] for q in edges + kinks + two])
+        levels = np.array([[-math.sqrt((1.0 - q) / q), math.sqrt(q / (1.0 - q))]
+                           for (q,) in knots])
+    elif kind == "three-point":
+        knots = np.sort([two, [edges[0], kinks[0]], [kinks[0], edges[2]],
+                         [edges[1], edges[3]]], axis=1)
+        levels = np.tile([-1.2, 0.1, 0.9], (len(knots), 1))
+    else:
+        inside = np.sort([two + edges[:3] + kinks[:1], edges + two])
+        knots = np.hstack([np.zeros((2, 1)), inside, np.ones((2, 1))])
+        levels = np.cumsum(np.linspace(0.1, 0.9, 8 * len(knots)).reshape(len(knots), 8),
+                           axis=1) - 2.0
+    return knots, levels
+
+
+@pytest.mark.parametrize("kind", [k for k in O._SHAPES if k not in O._FIXED])
+def test_trial_sums_match_the_reference(kind):
+    mu, sigma = PARITY_MOMENTS.mu, PARITY_MOMENTS.sigma
+    for family, params in (("ES", {"p": 0.9}), ("TCRE", {"p": 0.5}),
+                           ("DCT", {"alpha": 3.0, "F_t": 0.5})):
+        tg = O._as_transform(D.catalog_lookup(family, params), None, None)
+        for cache in (O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45),
+                      O._StieltjesCache(tg, n_base=4096, per_octave=12)):
+            crafted = _crafted_draws(kind, cache)
+            knots, levels = (np.vstack(a) for a in zip(crafted, O._seeded_draws(kind, 3, 60)))
+            s1, s2 = cache.values(O._Trials(kind, (knots, levels), mu, sigma))
+            for i in range(len(knots)):
+                Q = O._affine(O._drawn_shape(kind, knots[i], levels[i]), mu, sigma)
+                r1, r2 = reference_stieltjes_sums(cache, Q)
+                assert abs(s1[i] - r1) <= 1e-13 * max(1.0, abs(r1)), (family, i)
+                assert abs(s2[i] - r2) <= 1e-13 * max(1.0, abs(r2)), (family, i)
+
+
+@pytest.mark.parametrize("family, params", SWEEP)
+def test_each_level_reads_ghat_on_its_own_edges(family, params):
+    tg = O._as_transform(D.catalog_lookup(family, params), None, None)
+    edges = [0.0] + sorted(k for k in tg.kinks if 0.0 < k < 1.0) + [1.0]
+    for n_base, po, t_floor in ((512, 6, 1e-45), (2048, 12, 1e-60), (2048, 64, 1e-60),
+                                (2048, 96, 1e-60)):
+        cache = O._StieltjesCache(tg, n_base, po, t_floor)
+        for (nb, p), level in zip(((n_base, po), (2 * n_base, 2 * po)), cache.levels):
+            d_lo = O._half_chain(edges[1], nb, p, t_floor)[0]
+            d_hi = O._half_chain(1.0 - edges[-2], nb, p, t_floor)[0]
+            pts = level["pts"]
+            a, b = len(d_lo), len(pts) - len(d_hi) + 1
+            assert _same_bits(pts[:a], d_lo) and _same_bits(pts[b:], 1.0 - d_hi[-2::-1])
+            # ghat at the level's own edges, each in the coordinate it is
+            # read in; the upper end half's midpoint is an edge read in u
+            direct = np.concatenate([[0.0], O._at(tg.ghat_lower, d_lo[1:]),
+                                     O._at(tg.ghat, pts[a:b]),
+                                     O._at(tg.ghat_upper, d_hi[-2:0:-1]), [tg.center]])
+            assert _same_bits(level["gv"], direct), (n_base, po, nb)
+
+
+def test_seeded_draws_are_made_once_and_read_only():
+    O._seeded_draws.cache_clear()
+    for kind in [k for k in O._SHAPES if k not in O._FIXED]:
+        knots, levels = O._seeded_draws(kind, 7, 48)
+        assert not knots.flags.writeable and not levels.flags.writeable
+        ks = range(O._SHAPES.index(kind), 48, len(O._SHAPES))
+        assert len(knots) == len(levels) == len(ks)
+        for i, k in enumerate(ks):
+            ref_knots, ref_levels = O._draw(kind, np.random.default_rng([7, k]))
+            assert _same_bits(knots[i], ref_knots) and _same_bits(levels[i], ref_levels)
+        assert O._seeded_draws(kind, 7, 48)[0] is knots
+    # a call after calls with other moments and trial counts, and one with
+    # the draws made afresh, give the same report
+    g = D.catalog_lookup("TCRE", {"p": 0.5})
+    for moments, trials in ((STD, 12), (STD, 48), (PARITY_MOMENTS, 100)):
+        O.feasibility_stress(g, None, None, moments, trials=trials, seed=7)
+    warm = O.feasibility_stress(g, None, None, PARITY_MOMENTS, trials=48, seed=7)
+    O._seeded_draws.cache_clear()
+    cold = O.feasibility_stress(g, None, None, PARITY_MOMENTS, trials=48, seed=7)
+    assert warm.to_json() == cold.to_json()
