@@ -274,7 +274,10 @@ def _refine(ghat, us, ys, idx, centers, n_grid: int):
     # local chord geometry resolvable in double precision
     offs = log_chain(2.0 / n_grid, 1e-7, 16)
     extra = (centers[:, None] + np.concatenate([-offs, offs])).ravel()
-    extra = np.unique(extra[(extra > 0.0) & (extra < 1.0)])
+    # offsets within 8 grid floors of an end would split the end cascade's
+    # first piece, from which ``slope_l2_norm`` starts its end chain
+    edge = 8.0 * GRID_FLOOR
+    extra = np.unique(extra[(extra >= edge) & (extra <= 1.0 - edge)])
     at = np.searchsorted(us, extra)
     fresh = us[np.minimum(at, len(us) - 1)] != extra
     extra, at = extra[fresh], at[fresh]
@@ -649,7 +652,7 @@ def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
             def f_hi(t, _s=seg):
                 return (np.asarray(_s.slope_hi(t), dtype=float) - center) ** 2
         total += integrate_segment(f, seg.lo, seg.hi, fn_lo=f_lo, fn_hi=f_hi,
-                                   t_floor=CHAIN_FLOOR, per_octave=1)
+                                   t_floor=CHAIN_FLOOR, per_octave=0.5)
         floor_mass += sum(float(fn(CHAIN_FLOOR)) * CHAIN_FLOOR
                           for fn in (f_lo, f_hi) if fn is not None)
     if floor_mass > FLOOR_MASS_TOL * total:

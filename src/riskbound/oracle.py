@@ -23,7 +23,8 @@ seed, trial count) and kept for later calls.  Each trial is piecewise
 constant or linear in u, so its sum is taken piece by piece from two running
 sums per partition level, of dghat and of u * dghat, with the cells that
 hold a knot split as for any quantile.  Quantile moments use Gauss panels
-at 1 and 2 per octave of distance from each end.
+at 1/2 and 1 per octave of distance from each end, two densities a factor
+2 apart.
 """
 
 from __future__ import annotations
@@ -373,8 +374,9 @@ def quantile_moments(Q: QuantileFn, rel_tol: Optional[float] = None,
 
     Plain integrals of Q and Q^2 on breakpoint-split panels with geometric
     endpoint refinement, both powers from one evaluation of Q per node set;
-    two refinement depths are compared and NonConvergent is raised if they
-    disagree beyond 10x tolerance, NonFiniteValue if a moment is not finite.
+    two panel densities, 1/2 and 1 per octave, are compared and
+    NonConvergent is raised if they disagree beyond 10x tolerance,
+    NonFiniteValue if a moment is not finite.
     """
     def powers(fn):
         def f(u):
@@ -385,7 +387,7 @@ def quantile_moments(Q: QuantileFn, rel_tol: Optional[float] = None,
     f, f_lo, f_hi = powers(Q.fn), powers(Q._lower()), powers(Q._upper())
     edges = [0.0] + sorted(b for b in Q.breakpoints if 0.0 < b < 1.0) + [1.0]
     results = []
-    for po in (1, 2):
+    for po in (0.5, 1):
         m = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             m = m + integrate_segment(f, a, b, fn_lo=f_lo if a == 0.0 else None,

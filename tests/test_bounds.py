@@ -335,6 +335,21 @@ def test_fgre_and_fge_closed_forms_agree(alpha):
     assert abs(fgre - fge) <= 1e-13 * fge
 
 
+@pytest.mark.parametrize("n_grid", [4097, 8193, 16385])
+@pytest.mark.parametrize("alpha", [8.0, 12.0])
+@pytest.mark.parametrize("family", ["FGRE", "FGE"])
+def test_fractional_entropies_numeric_on_larger_grids(family, alpha, n_grid):
+    # at alpha = 12 the contact point lies within 1e-5 of an end, and the
+    # refinement around it must not break the end cascade that the squared-
+    # slope integral continues from; a larger grid may not come out lower
+    params = {"alpha": alpha}
+    closed = B.closed_form_sup(family, params, STD)
+    res = B.worst_case_bound(D.catalog_lookup(family, params), moments=STD,
+                             engine="numeric", n_grid=n_grid)
+    assert res.engine == "numeric"
+    assert abs(res.sup_value - closed) <= 1e-6 * closed
+
+
 def _value_or_error(fn):
     try:
         value = fn()

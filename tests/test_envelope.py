@@ -589,13 +589,21 @@ def test_envelope_table_columns():
     assert np.all(np.diff(sl) >= -1e-9)
 
 
-def test_integrate_segment_log_singularity():
+@pytest.mark.parametrize("per_octave", [0.5, 1, 4])
+def test_integrate_segment_log_singularity(per_octave):
     # integral of (log(1-u) + 1)^2 over [0, 1] equals 1
     val = integrate_segment(
         lambda u: (np.log1p(-np.asarray(u)) + 1.0) ** 2, 0.0, 1.0,
         fn_lo=lambda t: (np.log1p(-np.asarray(t)) + 1.0) ** 2,
-        fn_hi=lambda t: (np.log(np.asarray(t)) + 1.0) ** 2)
-    assert val == pytest.approx(1.0, rel=1e-12)
+        fn_hi=lambda t: (np.log(np.asarray(t)) + 1.0) ** 2, per_octave=per_octave)
+    assert val == pytest.approx(1.0, rel=1e-13)
+    # integral of t^-0.8 over [0, 1] equals 5.  The sliver below a 1e-60
+    # floor holds 5e-12 of it, so the chain runs to 1e-100, past the 200
+    # octaves of the cached template
+    val = integrate_segment(
+        lambda u: np.asarray(u) ** -0.8, 0.0, 1.0,
+        fn_lo=lambda t: np.asarray(t) ** -0.8, t_floor=1e-100, per_octave=per_octave)
+    assert val == pytest.approx(5.0, rel=1e-13)
 
 
 def test_slope_quadrature_matches_the_reference():
@@ -632,17 +640,21 @@ def test_each_chain_side_evaluates_once():
     # CRE's branch spans [0, 1] with a stable form at each end; TCRE's runs
     # from an interior contact point to 1.  Each chain side makes one array
     # call, and an end side adds the scalar floor-mass point: the calls are
-    # listed by the ndim of their argument
+    # listed by the ndim and size of their argument.  A chain has one
+    # 20-point panel per two octaves plus the sliver midpoint: 100 panels
+    # from 1/2 to the 1e-60 floor, 24 across the interior side's 1e-14
     for family, params, expected in (
-            ("CRE", {}, {"slope_fn": [], "slope_lo": [0, 1], "slope_hi": [0, 1]}),
-            ("TCRE", {"p": 0.9}, {"slope_fn": [1], "slope_lo": [], "slope_hi": [0, 1]})):
+            ("CRE", {}, {"slope_fn": [], "slope_lo": [(0, 1), (1, 2001)],
+                         "slope_hi": [(0, 1), (1, 2001)]}),
+            ("TCRE", {"p": 0.9}, {"slope_fn": [(1, 481)], "slope_lo": [],
+                                  "slope_hi": [(0, 1), (1, 1941)]})):
         tg = _transform(family, params)
         env = E.convex_envelope_analytic(tg)
         calls = {name: [] for name in expected}
 
         def counted(name, inner):
             def f(x):
-                calls[name].append(np.ndim(x))
+                calls[name].append((np.ndim(x), np.size(x)))
                 return inner(x)
             return f
 
