@@ -85,14 +85,14 @@ def solve_breakpoint(equation: str, params: dict) -> float:
     FGE:      alpha*(1 - u) + log(u) = 0                   on (0, e^(1-alpha)]
     TCRE:     u + log((1 - u)/(1 - F_t)) = 0               on [F_t, 1]
     TCRTE:    (1-F_t)^(a-1) - (1-u)^(a-1)*(1+(a-1)u) = 0   on [F_t, 1]
-    TNEGini:  (1-u)^r + r*u*(1-u)^(r-1) - (1-p)^(r-1) = 0  on [p, 1]
     DCT:      F_t^(a-1) - u^(a-1)*(u + a*(1-u)) = 0        on [0, F_t]
     DCE:      u - 1 - log(u/F_t) = 0                       on (0, F_t]
 
     The FGRE root is 1 - t for the FGE root t, which is solved as
     x = t * e^alpha in [1/2, e] so that it keeps full relative precision
-    however small t is.  At a = 2 / r = 2 the TCRTE, TNEGini and DCT
-    equations are quadratic and their roots are returned exactly.
+    however small t is.  At a = 2 the TCRTE and DCT equations are quadratic
+    and their roots are returned exactly.  The extended-Gini tail forms
+    solve TCRTE at a = r.
     """
     if equation in ("FGRE", "FGE"):
         a = float(params["alpha"])
@@ -127,19 +127,6 @@ def solve_breakpoint(equation: str, params: dict) -> float:
 
         def f(u):
             return c - (1.0 - u) ** (a - 1.0) * (1.0 + (a - 1.0) * u)
-
-        return bisect_root(f, F, 1.0 - 1e-13)
-
-    if equation == "TNEGini":
-        r = float(params["r"])
-        if not (0.0 < F < 1.0) or r <= 1.0:
-            raise ParamOutOfDomain("TNEGini breakpoint requires r > 1 and p in (0, 1)")
-        if r == 2.0:
-            return math.sqrt(F)
-        c = (1.0 - F) ** (r - 1.0)
-
-        def f(u):
-            return (1.0 - u) ** r + r * u * (1.0 - u) ** (r - 1.0) - c
 
         return bisect_root(f, F, 1.0 - 1e-13)
 

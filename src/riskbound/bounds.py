@@ -26,6 +26,8 @@ from .distortion import (
     TransformedGHat,
     WeightSpec,
     catalog_lookup,
+    closed_form_L,
+    family_names,
     family_spec,
     make_ghat,
     sup_admissible,
@@ -49,6 +51,11 @@ from .errors import (
 from .oracle import QuantileFn
 
 DEGENERATE_EPS = 1e-12
+
+# the catalog's shortfall rows, ES (their tau = 0 member) included, and
+# each row's parameter names
+_SHORTFALL_PARAMS = {spec.name: spec.param_names for spec in map(family_spec, family_names())
+                     if spec.mode == "shortfall" or spec.base == "ES"}
 
 
 @dataclass(frozen=True)
@@ -87,25 +94,21 @@ class ShortfallSpec:
     custom_g: Optional[DistortionFn] = None
 
     def catalog_params(self) -> dict:
-        if self.family == "GS":
-            return {"p": self.p, "tau": self.tau}
-        if self.family == "EGS":
-            if self.r is None:
-                raise ParamOutOfDomain("EGS shortfall requires r")
-            return {"r": self.r, "p": self.p, "tau": self.tau}
-        if self.family == "CRES":
-            return {"p": self.p, "tau": self.tau}
-        if self.family == "CRTES":
-            if self.alpha is None:
-                raise ParamOutOfDomain("CRTES shortfall requires alpha")
-            return {"alpha": self.alpha, "p": self.p, "tau": self.tau}
-        if self.family == "ES":
-            return {"p": self.p}
+        """The parameters of the named shortfall's catalog row, read off the
+        spec's fields of the same names."""
         if self.family == "custom":
             if self.custom_g is None:
                 raise ParamOutOfDomain("custom shortfall requires custom_g")
             return {}
-        raise UnknownFamily(f"unknown shortfall family {self.family!r}")
+        names = _SHORTFALL_PARAMS.get(self.family)
+        if names is None:
+            raise UnknownFamily(f"unknown shortfall family {self.family!r}")
+        params = {}
+        for name in names:
+            if getattr(self, name) is None:
+                raise ParamOutOfDomain(f"{self.family} shortfall requires {name}")
+            params[name] = getattr(self, name)
+        return params
 
 
 @dataclass(frozen=True)
@@ -313,7 +316,7 @@ def closed_form_factor(family: str, params: Optional[dict]) -> tuple:
     computes it once.
     """
     spec = family_spec(family)
-    L = spec.sup_factor(sup_admissible(family, params))
+    L = closed_form_L(spec, sup_admissible(family, params))
     center = 1.0 if spec.mode in ("riskmetric", "shortfall") else 0.0
     return center, L
 

@@ -8,7 +8,11 @@ u = 1, so that downstream quadrature can work at distances from either
 endpoint far below 1 ulp of 1.0.
 
 The catalog is one table with a row per family: its base shape, default
-mode, scale and closed-form sup factor.  The parameter checks, transform
+mode and scale.  Four base shapes cover every row (Tsallis, fractional and
+log entropies, ES) with the past-side mirrors of the first three; the Gini
+rows are scaled Tsallis rows.  A second table, keyed by (mode, shape),
+holds each closed-form sup factor at unit scale and, where the envelope has
+a contact point, its tangency equation.  The parameter checks, transform
 extras and tail class are worked out from the row.
 
 ``make_ghat`` turns a distortion into the integrand of its quantile
@@ -197,8 +201,8 @@ class TransformedGHat:
     ``ghat`` is the map on [0, 1] whose Stieltjes measure integrates the
     quantile function; ``center`` is the constant subtracted from envelope
     slopes in the sharp bound, and always equals ``ghat(1)``.
-    ``ghat_upper(t) = ghat(1 - t)`` and ``ghat_lower(t) = ghat(t)`` are stable
-    for tiny t.
+    ``ghat_upper(t) = ghat(1 - t)`` is stable for tiny t; near u = 0,
+    ``ghat`` itself is.
     """
 
     mode: str
@@ -209,7 +213,6 @@ class TransformedGHat:
     p: Optional[float] = None
     tau: Optional[float] = None
     ghat_upper: Optional[Evaluable] = None
-    ghat_lower: Optional[Evaluable] = None
     ghat_upper_rel: Optional[Evaluable] = None  # ghat(1-t) - ghat(1), offset-free
     tails_exact: bool = True
     kinks: tuple = ()
@@ -263,14 +266,14 @@ def eval_weight(w: WeightSpec, x: float):
 # ---------------------------------------------------------------------------
 
 def _phi_kernel(a: float, c: float):
-    """c * phi(., a): the Tsallis shape at c = 1, extended Gini at c = 2(r - 1)."""
+    """c * phi(., a), the Tsallis shape under a scale.  At order 2 the kernel
+    is the polynomial c * u * (1 - u), symmetric about 1/2, with exact
+    derivatives."""
+    if a == 2.0:
+        g = lambda u: c * u * (1.0 - u)
+        return g, lambda u: c * (1.0 - 2.0 * u), g, lambda t: c * (2.0 * t - 1.0)
     return (lambda u: c * _phi(u, a), lambda u: c * _phi_prime(u, a),
             lambda t: c * _phi_one_minus(t, a), lambda t: c * _phi_prime_one_minus(t, a))
-
-
-def _gini_kernel(c: float):
-    g = lambda u: c * u * (1.0 - u)
-    return g, lambda u: c * (1.0 - 2.0 * u), g, lambda t: c * (2.0 * t - 1.0)
 
 
 def _log_kernel():
@@ -309,19 +312,14 @@ _MIRRORS = {"CT": "CRT", "CE": "CRE", "FGE": "FGRE"}
 
 def _order(P: dict) -> float:
     """The shape's order: alpha, the integer order n, or r; 2 for the Gini
-    shapes, which are the order-2 Tsallis and extended-Gini members."""
+    rows, which are order-2 Tsallis rows."""
     return P.get("alpha", P.get("n", P.get("r", 2.0)))
 
 
 def _kernels(base: str, P: dict, scale: float, family: str):
     shape = _MIRRORS.get(base, base)
     if shape == "CRT":
-        k = _phi_kernel(P["alpha"], scale)
-    elif shape == "EGini":
-        r = _order(P)
-        k = _phi_kernel(r, 2.0 * scale * (r - 1.0))
-    elif shape == "GiniSemidiff":
-        k = _gini_kernel(scale)
+        k = _phi_kernel(_order(P), scale)
     elif shape == "FGRE":
         k = _fractional_kernel(_order(P), family)
     elif shape == "CRE":
@@ -340,8 +338,8 @@ def _tail_class(base: str, P: dict) -> str:
         return "log-divergent"
     if base in ("FGRE", "FGE"):
         return "log-divergent" if _order(P) >= 1.0 else "power-divergent"
-    # below order 2 the Tsallis and extended-Gini tails (or their
-    # derivatives) carry a fractional power singularity
+    # below order 2 the Tsallis tails (or their derivatives) carry a
+    # fractional power singularity
     return "power-divergent" if _order(P) < 2.0 else "bounded"
 
 
@@ -349,30 +347,29 @@ def _tail_class(base: str, P: dict) -> str:
 # family catalog
 # ---------------------------------------------------------------------------
 
+def _egini_scale(P: dict) -> float:
+    """2(r - 1), the extended-Gini factor on the order-r Tsallis kernel."""
+    return 2.0 * (P["r"] - 1.0)
+
+
 def _tail_scale(P: dict) -> float:
-    """(1 - p)^(r - 2), the extended-Gini factor of the tail and shortfall forms."""
-    return (1.0 - P["p"]) ** (P["r"] - 2.0)
+    """2(r - 1)(1 - p)^(r - 2), the extended-Gini factor of the tail and
+    shortfall forms."""
+    return 2.0 * (P["r"] - 1.0) * (1.0 - P["p"]) ** (P["r"] - 2.0)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One catalog row: ``scale(params)`` multiplies the base shape, and
-    ``sup_factor(params)`` is the closed-form ``L`` of the sharp bound
-    ``mu * center + sigma * L``."""
+    """One catalog row: ``scale(params)`` multiplies the base shape, whose
+    (mode, shape) entry holds the closed-form ``L`` at unit scale."""
 
     name: str
     description: str
     param_names: tuple
     base: str
     mode: str
-    sup_factor: Callable[[dict], float]
     weighted: bool = False
     scale: Callable[[dict], float] = lambda P: 1.0
-
-
-def egs_tau_max(r: float, p: float) -> float:
-    """Largest loading keeping the extended-Gini shortfall integrand convex."""
-    return 1.0 / (2.0 * (r - 1.0) * (1.0 - p) ** (r - 2.0))
 
 
 def _validated(spec: FamilySpec, params: Optional[dict]) -> dict:
@@ -409,32 +406,33 @@ def _validated(spec: FamilySpec, params: Optional[dict]) -> dict:
             if not ((0.0 <= v < 1.0) if spec.mode == "residual" else (0.0 < v <= 1.0)):
                 raise ParamOutOfDomain(f"{family}: F_t={v} outside admissible range")
         else:  # tau: tau times the base's slope at 1 keeps the kink slope >= 0
-            tau_max = (egs_tau_max(P["r"], P["p"]) if spec.base == "EGini"
-                       else 1.0 / spec.scale(P))
+            scale = spec.scale(P)
+            if not scale > 0.0:
+                raise ParamOutOfDomain(
+                    f"{family}: the kernel scale underflows double precision at {P}")
+            tau_max = 1.0 / scale
             if not (0.0 <= v <= tau_max + 1e-12):
                 raise ParamOutOfDomain(
                     f"{family}: tau={v} outside the convexity range [0, {tau_max:.6g}]")
     return P
 
 
-# -- closed-form sup factors (multiply sigma; the mu coefficient is the center)
+# -- closed-form sup factors at unit scale (multiply sigma; the mu
+# coefficient is the center).  A contact point u comes in already solved.
 
 def _L_tsallis(a: float) -> float:
     return 1.0 / math.sqrt(2.0 * a - 1.0)
 
 
-def _L_egini(r: float) -> float:
-    return 2.0 * (r - 1.0) / math.sqrt(2.0 * r - 1.0)
-
-
-def _L_fgre(a: float) -> float:
+def _L_fgre(a: float, contact: Callable[[], float]) -> float:
     """L of FGRE and of FGE alike: their contact points mirror each other
-    (u_FGRE = 1 - u_FGE), so both read the small FGE root t."""
+    (u_FGRE = 1 - u_FGE), so both read the small FGE root t = ``contact()``,
+    which exists above order 1 only."""
     if a <= 1.0:
         return math.sqrt(math.gamma(2.0 * a - 1.0)) / math.gamma(a)
     from scipy.special import gammaincc
 
-    t = solve_breakpoint("FGE", {"alpha": a})
+    t = contact()
     w = a * (1.0 - t)  # contact identity: -log(t) = alpha * (1 - t)
     s = 2.0 * a - 1.0
     try:
@@ -448,15 +446,13 @@ def _L_fgre(a: float) -> float:
     return L
 
 
-def _L_tcre(F: float) -> float:
-    u0 = solve_breakpoint("TCRE", {"F_t": F})
+def _L_tcre(F: float, u0: float) -> float:
     w = math.log((1.0 - u0) / (1.0 - F))
     d = (1.0 - u0) / u0 * w * w + (1.0 - u0)
     return math.sqrt(d) / (1.0 - F)
 
 
-def _L_tcrt(a: float, F: float) -> float:
-    u0 = solve_breakpoint("TCRTE", {"alpha": a, "F_t": F})
+def _L_tcrt(a: float, F: float, u0: float) -> float:
     q = 1.0 - F
     t = 1.0 - u0
     # powers of t/q: t**(2a-1) and q**(2a-2) apart underflow at large alpha
@@ -467,26 +463,7 @@ def _L_tcrt(a: float, F: float) -> float:
     return math.sqrt(d) / (abs(a - 1.0) * q)
 
 
-def _d_tnegini(r: float, p: float) -> float:
-    u0 = solve_breakpoint("TNEGini", {"r": r, "p": p})
-    q = 1.0 - p
-    t = 1.0 - u0
-    return (t / u0
-            + t * (t / q) ** (2.0 * r - 2.0)
-            * (1.0 / u0 + (r - 1.0) ** 2 / (2.0 * r - 1.0))
-            - 2.0 * t * (t / q) ** (r - 1.0) / u0)
-
-
-def _L_tnegini(r: float, p: float) -> float:
-    return 2.0 * math.sqrt(_d_tnegini(r, p)) / (1.0 - p)
-
-
-def _L_tegini(r: float, p: float) -> float:
-    return 2.0 * (1.0 - p) ** (r - 3.0) * math.sqrt(_d_tnegini(r, p))
-
-
-def _L_dct(a: float, F: float) -> float:
-    u1 = solve_breakpoint("DCT", {"alpha": a, "F_t": F})
+def _L_dct(a: float, F: float, u1: float) -> float:
     if u1 == 1.0:  # F_t = 1 truncates nothing: the base family's L
         return _L_tsallis(a)
     d1 = (u1 / (1.0 - u1)
@@ -496,8 +473,7 @@ def _L_dct(a: float, F: float) -> float:
     return math.sqrt(d1) / (abs(a - 1.0) * F)
 
 
-def _L_dce(F: float) -> float:
-    u1 = solve_breakpoint("DCE", {"F_t": F})
+def _L_dce(F: float, u1: float) -> float:
     if u1 == 1.0:  # F_t = 1 truncates nothing: CE's L
         return 1.0
     w = math.log(u1 / F)
@@ -509,16 +485,6 @@ def _L_es(p: float) -> float:
     return math.sqrt(p / (1.0 - p))
 
 
-def _L_gs(p: float, tau: float) -> float:
-    return math.sqrt((3.0 * p + 4.0 * tau * tau) / (3.0 * (1.0 - p)))
-
-
-def _L_egs(r: float, p: float, tau: float) -> float:
-    q = 1.0 - p
-    return math.sqrt(p / q + 4.0 * tau * tau * q ** (2.0 * r - 5.0) * (r - 1.0) ** 2
-                     / (2.0 * r - 1.0))
-
-
 def _L_cres(p: float, tau: float) -> float:
     return math.sqrt((p + tau * tau) / (1.0 - p))
 
@@ -528,98 +494,141 @@ def _L_crtes(a: float, p: float, tau: float) -> float:
     return math.sqrt((k * p + tau * tau) / (k * (1.0 - p)))
 
 
+@dataclass(frozen=True)
+class _Shape:
+    """One (mode, shape) entry.  ``L(order, level, tau, u)`` is the
+    closed-form ``L`` at unit scale, where ``level`` is F_t or p and ``u()``
+    solves ``equation`` for the contact point of the envelope.  An entry
+    with an equation also names the ``side`` of the envelope's chord:
+    "left" on [0, u], "right" on [u, 1]."""
+
+    L: Callable[..., float]
+    equation: Optional[str] = None
+    side: Optional[str] = None
+
+    def contact(self, a: float, F: Optional[float]) -> float:
+        return solve_breakpoint(self.equation, {"alpha": a, "F_t": F})
+
+
+_TSALLIS = _Shape(lambda a, F, tau, u: _L_tsallis(a))
+_LOG = _Shape(lambda a, F, tau, u: 1.0)
+_FGE = _Shape(lambda a, F, tau, u: _L_fgre(a, u), "FGE", "right")
+
+# the only map from a (mode, shape) to a closed form and a contact equation
+_SHAPES: dict = {
+    ("entropy", "CRT"): _TSALLIS,
+    ("entropy", "CT"): _TSALLIS,
+    ("entropy", "CRE"): _LOG,
+    ("entropy", "CE"): _LOG,
+    # FGRE's L reads its mirror's root t, which keeps the relative
+    # precision that 1 - u would lose
+    ("entropy", "FGRE"): _Shape(lambda a, F, tau, u: _L_fgre(a, lambda: _FGE.contact(a, F)),
+                                "FGRE", "left"),
+    ("entropy", "FGE"): _FGE,
+    ("residual", "CRT"): _Shape(lambda a, F, tau, u: _L_tcrt(a, F, u()), "TCRTE", "left"),
+    ("residual", "CRE"): _Shape(lambda a, F, tau, u: _L_tcre(F, u()), "TCRE", "left"),
+    ("past", "CT"): _Shape(lambda a, F, tau, u: _L_dct(a, F, u()), "DCT", "right"),
+    ("past", "CE"): _Shape(lambda a, F, tau, u: _L_dce(F, u()), "DCE", "right"),
+    ("riskmetric", "ES"): _Shape(lambda a, F, tau, u: _L_es(F)),
+    ("shortfall", "CRT"): _Shape(lambda a, F, tau, u: _L_crtes(a, F, tau)),
+    ("shortfall", "CRE"): _Shape(lambda a, F, tau, u: _L_cres(F, tau)),
+}
+
+
+def closed_form_L(spec: FamilySpec, P: dict) -> float:
+    """The closed-form ``L`` of the sharp bound ``mu * center + sigma * L``
+    for a row and its checked parameters: the row's scale times its (mode,
+    shape) entry's unit-scale ``L``.  A shortfall's scale loads its entropy
+    term alone, so there it multiplies tau instead."""
+    shape = _SHAPES[spec.mode, spec.base]
+    a, F, scale = _order(P), P.get("F_t", P.get("p")), spec.scale(P)
+    contact = lambda: shape.contact(a, F)
+    if spec.mode == "shortfall":
+        return shape.L(a, F, P["tau"] * scale, contact)
+    return scale * shape.L(a, F, None, contact)
+
+
 def _aliases(*names: tuple, row: tuple) -> tuple:
     """One weighted catalog row under each (name, description) of ``names``:
     the generalized and plain names of a weighted entropy share their
-    parameters, base shape, mode and closed-form ``L``."""
+    parameters, base shape and mode."""
     return tuple(FamilySpec(name, description, *row, weighted=True)
                  for name, description in names)
 
 
 # -- the table ----------------------------------------------------------------
-# name, description, parameters, base shape, default mode, closed-form L,
-# then the weighted flag and the kernel scale where they differ from the default
+# name, description, parameters, base shape, default mode, then the weighted
+# flag and the kernel scale where they differ from the default.  The Gini
+# rows are Tsallis rows of order 2, or of order r under an extended-Gini scale
 
 _CATALOG: dict = {spec.name: spec for spec in (
     # plain entropies
-    FamilySpec("CT", "cumulative Tsallis past entropy", ("alpha",),
-               "CT", "entropy", lambda P: _L_tsallis(P["alpha"])),
-    FamilySpec("CRT", "cumulative residual Tsallis entropy", ("alpha",),
-               "CRT", "entropy", lambda P: _L_tsallis(P["alpha"])),
-    FamilySpec("GiniSemidiff", "Gini mean semi-difference", (),
-               "GiniSemidiff", "entropy", lambda P: 1.0 / math.sqrt(3.0)),
+    FamilySpec("CT", "cumulative Tsallis past entropy", ("alpha",), "CT", "entropy"),
+    FamilySpec("CRT", "cumulative residual Tsallis entropy", ("alpha",), "CRT", "entropy"),
+    FamilySpec("GiniSemidiff", "Gini mean semi-difference", (), "CRT", "entropy"),
     FamilySpec("Gini", "Gini coefficient (twice the mean semi-difference)", (),
-               "GiniSemidiff", "entropy", lambda P: 2.0 / math.sqrt(3.0), scale=lambda P: 2.0),
+               "CRT", "entropy", scale=lambda P: 2.0),
     FamilySpec("EGini", "extended Gini coefficient", ("r",),
-               "EGini", "entropy", lambda P: _L_egini(P["r"])),
+               "CRT", "entropy", scale=_egini_scale),
     FamilySpec("FGRE", "fractional generalized cumulative residual entropy", ("alpha",),
-               "FGRE", "entropy", lambda P: _L_fgre(_order(P))),
+               "FGRE", "entropy"),
     FamilySpec("GCRE", "generalized cumulative residual entropy (integer order)", ("n",),
-               "FGRE", "entropy", lambda P: _L_fgre(_order(P))),
-    FamilySpec("CRE", "cumulative residual entropy", (),
-               "CRE", "entropy", lambda P: 1.0),
+               "FGRE", "entropy"),
+    FamilySpec("CRE", "cumulative residual entropy", (), "CRE", "entropy"),
     FamilySpec("FGE", "fractional generalized cumulative entropy", ("alpha",),
-               "FGE", "entropy", lambda P: _L_fgre(_order(P))),
+               "FGE", "entropy"),
     FamilySpec("GCE", "generalized cumulative entropy (integer order)", ("n",),
-               "FGE", "entropy", lambda P: _L_fgre(_order(P))),
-    FamilySpec("CE", "cumulative entropy", (),
-               "CE", "entropy", lambda P: 1.0),
+               "FGE", "entropy"),
+    FamilySpec("CE", "cumulative entropy", (), "CE", "entropy"),
 
     # residual (tail) entropies
     FamilySpec("DCRT", "dynamic cumulative residual Tsallis entropy", ("alpha", "F_t"),
-               "CRT", "residual", lambda P: _L_tcrt(P["alpha"], P["F_t"])),
+               "CRT", "residual"),
     FamilySpec("TCRTE", "tail cumulative residual Tsallis entropy", ("alpha", "p"),
-               "CRT", "residual", lambda P: _L_tcrt(P["alpha"], P["p"])),
-    FamilySpec("TNGini", "new-type tail Gini functional", ("p",),
-               "GiniSemidiff", "residual", lambda P: _L_tcrt(2.0, P["p"])),
-    FamilySpec("TCRE", "tail cumulative residual entropy", ("p",),
-               "CRE", "residual", lambda P: _L_tcre(P["p"])),
+               "CRT", "residual"),
+    FamilySpec("TNGini", "new-type tail Gini functional", ("p",), "CRT", "residual"),
+    FamilySpec("TCRE", "tail cumulative residual entropy", ("p",), "CRE", "residual"),
     FamilySpec("TNEGini", "new-type tail extended Gini coefficient", ("r", "p"),
-               "EGini", "residual", lambda P: _L_tnegini(P["r"], P["p"])),
+               "CRT", "residual", scale=_egini_scale),
     FamilySpec("TEGini", "tail extended Gini coefficient", ("r", "p"),
-               "EGini", "residual", lambda P: _L_tegini(P["r"], P["p"]), scale=_tail_scale),
+               "CRT", "residual", scale=_tail_scale),
     FamilySpec("TGini", "tail Gini functional", ("p",),
-               "EGini", "residual", lambda P: _L_tnegini(2.0, P["p"])),
+               "CRT", "residual", scale=lambda P: 2.0),
 
     # past (dynamic) entropies
-    FamilySpec("DCT", "dynamic cumulative Tsallis entropy", ("alpha", "F_t"),
-               "CT", "past", lambda P: _L_dct(P["alpha"], P["F_t"])),
-    FamilySpec("DGini", "dynamic Gini functional", ("F_t",),
-               "GiniSemidiff", "past", lambda P: _L_dct(2.0, P["F_t"])),
-    FamilySpec("DCE", "dynamic cumulative past entropy", ("F_t",),
-               "CE", "past", lambda P: _L_dce(P["F_t"])),
+    FamilySpec("DCT", "dynamic cumulative Tsallis entropy", ("alpha", "F_t"), "CT", "past"),
+    FamilySpec("DGini", "dynamic Gini functional", ("F_t",), "CT", "past"),
+    FamilySpec("DCE", "dynamic cumulative past entropy", ("F_t",), "CE", "past"),
 
     # weighted entropies (moments refer to Psi(X))
     FamilySpec("WCT", "weighted cumulative Tsallis entropy", ("alpha",),
-               "CT", "entropy", lambda P: _L_tsallis(P["alpha"]), weighted=True),
+               "CT", "entropy", weighted=True),
     FamilySpec("WCRT", "weighted cumulative residual Tsallis entropy", ("alpha",),
-               "CRT", "entropy", lambda P: _L_tsallis(P["alpha"]), weighted=True),
-    FamilySpec("WGini", "weighted Gini functional", (),
-               "GiniSemidiff", "entropy", lambda P: 1.0 / math.sqrt(3.0), weighted=True),
+               "CRT", "entropy", weighted=True),
+    FamilySpec("WGini", "weighted Gini functional", (), "CRT", "entropy", weighted=True),
     *_aliases(("WGCRE", "weighted generalized cumulative residual entropy"),
               ("WCRE", "weighted cumulative residual entropy"),
-              row=((), "CRE", "entropy", lambda P: 1.0)),
+              row=((), "CRE", "entropy")),
     *_aliases(("WGCE", "weighted generalized cumulative entropy"),
               ("WCE", "weighted cumulative entropy"),
-              row=((), "CE", "entropy", lambda P: 1.0)),
+              row=((), "CE", "entropy")),
     *_aliases(("DWGCRE", "dynamic weighted generalized cumulative residual entropy"),
               ("DWCRE", "dynamic weighted cumulative residual entropy"),
-              row=(("F_t",), "CRE", "residual", lambda P: _L_tcre(P["F_t"]))),
+              row=(("F_t",), "CRE", "residual")),
     *_aliases(("DWGCE", "dynamic weighted generalized cumulative entropy"),
               ("DWCE", "dynamic weighted cumulative entropy"),
-              row=(("F_t",), "CE", "past", lambda P: _L_dce(P["F_t"]))),
+              row=(("F_t",), "CE", "past")),
 
     # expected shortfall and entropy shortfalls
-    FamilySpec("ES", "expected shortfall", ("p",),
-               "ES", "riskmetric", lambda P: _L_es(P["p"])),
+    FamilySpec("ES", "expected shortfall", ("p",), "ES", "riskmetric"),
     FamilySpec("GS", "Gini shortfall", ("p", "tau"),
-               "GiniSemidiff", "shortfall", lambda P: _L_gs(P["p"], P["tau"]), scale=lambda P: 2.0),
+               "CRT", "shortfall", scale=lambda P: 2.0),
     FamilySpec("EGS", "extended Gini shortfall", ("r", "p", "tau"),
-               "EGini", "shortfall", lambda P: _L_egs(P["r"], P["p"], P["tau"]), scale=_tail_scale),
+               "CRT", "shortfall", scale=_tail_scale),
     FamilySpec("CRES", "cumulative residual entropy shortfall", ("p", "tau"),
-               "CRE", "shortfall", lambda P: _L_cres(P["p"], P["tau"])),
+               "CRE", "shortfall"),
     FamilySpec("CRTES", "cumulative residual Tsallis entropy shortfall", ("alpha", "p", "tau"),
-               "CRT", "shortfall", lambda P: _L_crtes(P["alpha"], P["p"], P["tau"])),
+               "CRT", "shortfall"),
 )}
 
 
@@ -703,12 +712,11 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
         g1 = g.g1
         ghat = _ev(lambda u: g1 - np.asarray(g_hi(np.asarray(u, dtype=float))))
         upper = _ev(lambda t: g1 - np.asarray(g.g(t)))
-        lower = _ev(lambda t: g1 - np.asarray(g_hi(t)))
         rel = _ev(lambda t: -np.asarray(g.g(t)))
         kinks = tuple(sorted(1.0 - k for k in g.kinks))
         return TransformedGHat(mode=mode, source=g, ghat=ghat, center=g1,
-                               ghat_upper=upper, ghat_lower=lower,
-                               ghat_upper_rel=rel, tails_exact=exact, kinks=kinks)
+                               ghat_upper=upper, ghat_upper_rel=rel,
+                               tails_exact=exact, kinks=kinks)
 
     if mode == "entropy":
         if abs(g.g1) > 1e-12:
@@ -716,11 +724,10 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
                 f"entropy mode requires g(1) = 0, got g(1) = {g.g1}")
         ghat = _ev(lambda u: -np.asarray(g_hi(np.asarray(u, dtype=float))))
         upper = _ev(lambda t: -np.asarray(g.g(t)))
-        lower = _ev(lambda t: -np.asarray(g_hi(t)))
         kinks = tuple(sorted(1.0 - k for k in g.kinks))
         return TransformedGHat(mode=mode, source=g, ghat=ghat, center=0.0,
-                               ghat_upper=upper, ghat_lower=lower,
-                               ghat_upper_rel=upper, tails_exact=exact, kinks=kinks)
+                               ghat_upper=upper, ghat_upper_rel=upper,
+                               tails_exact=exact, kinks=kinks)
 
     if mode == "residual":
         if "F_t" not in extras:
@@ -737,11 +744,10 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
 
         ghat = _ev(ghat_arr)
         upper = _ev(lambda t: -np.asarray(g.g(np.asarray(t, dtype=float) / q)))
-        lower = _ev(ghat_arr)
         kinks = (F,) if F > 0.0 else ()
         return TransformedGHat(mode=mode, source=g, ghat=ghat, center=0.0,
-                               F_t=F, ghat_upper=upper, ghat_lower=lower,
-                               ghat_upper_rel=upper, tails_exact=exact, kinks=kinks)
+                               F_t=F, ghat_upper=upper, ghat_upper_rel=upper,
+                               tails_exact=exact, kinks=kinks)
 
     if mode == "past":
         if "F_t" not in extras:
@@ -756,12 +762,11 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
             return np.where(u <= F, -np.asarray(g_hi(w)), 0.0)
 
         ghat = _ev(ghat_arr)
-        lower = _ev(lambda t: -np.asarray(g_hi(np.asarray(t, dtype=float) / F)))
         upper = _ev(lambda t: np.asarray(ghat_arr(1.0 - np.asarray(t, dtype=float))))
         kinks = (F,) if F < 1.0 else ()
         return TransformedGHat(mode=mode, source=g, ghat=ghat, center=0.0,
-                               F_t=F, ghat_upper=upper, ghat_lower=lower,
-                               ghat_upper_rel=upper, tails_exact=exact, kinks=kinks)
+                               F_t=F, ghat_upper=upper, ghat_upper_rel=upper,
+                               tails_exact=exact, kinks=kinks)
 
     # shortfall
     if "p" not in extras or "tau" not in extras:
@@ -789,8 +794,8 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
     rel = _ev(lambda t: -np.asarray(t, dtype=float) / q
               - tau * np.asarray(g.g(np.asarray(t, dtype=float) / q)))
     return TransformedGHat(mode="shortfall", source=g, ghat=_ev(ghat_arr), center=1.0,
-                           p=p, tau=tau, ghat_upper=upper, ghat_lower=_ev(ghat_arr),
-                           ghat_upper_rel=rel, tails_exact=exact, kinks=(p,))
+                           p=p, tau=tau, ghat_upper=upper, ghat_upper_rel=rel,
+                           tails_exact=exact, kinks=(p,))
 
 
 def custom_distortion(g: Callable, g_prime: Optional[Callable] = None,
@@ -825,6 +830,5 @@ def custom_transform(raw: Callable, kinks: tuple = (), name: str = "custom") -> 
                             name=name, kinks=tuple(1.0 - k for k in kinks))
     return TransformedGHat(mode="riskmetric", source=src, ghat=rawv, center=center,
                            ghat_upper=_ev(lambda t: rawv(1.0 - np.asarray(t, dtype=float))),
-                           ghat_lower=rawv,
                            ghat_upper_rel=_ev(lambda t: rawv(1.0 - np.asarray(t, dtype=float)) - center),
                            tails_exact=False, kinks=tuple(kinks))

@@ -22,9 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._num import integrate_segment, log_chain, solve_breakpoint
+from ._num import integrate_segment, log_chain, solve_breakpoint  # noqa: F401 (re-exported)
 from .errors import NoAnalyticForm, NonConvergent, NonFiniteValue, ParamOutOfDomain
-from .distortion import TransformedGHat
+from .distortion import _SHAPES, TransformedGHat, _order
 
 DEFAULT_GRID = 4097
 GRID_FLOOR = 1e-9     # deepest cascade offset represented in u coordinates
@@ -34,16 +34,26 @@ FLOOR_MASS_TOL = 1e-7  # largest share of the squared-slope mass left at that fl
 
 @dataclass(frozen=True)
 class Segment:
-    """One envelope piece: a straight chord or an analytic branch."""
+    """One envelope piece: a straight chord or an analytic branch.
+
+    An analytic branch reaches u = 0 or u = 1 and carries its slope there
+    in distance form; ``slope_at`` reads the branch's points through the
+    form of the end it reaches."""
 
     lo: float
     hi: float
     kind: str                       # "chord" | "analytic"
     slope: Optional[float] = None   # chords
-    slope_fn: Optional[Callable] = None
     slope_lo: Optional[Callable] = None  # slope at u = t      (stable, lo == 0)
     slope_hi: Optional[Callable] = None  # slope at u = 1 - t  (stable, hi == 1)
     contact_run: bool = False       # envelope coincides with the source here
+
+    def slope_at(self, u):
+        """The branch's slope at points ``u`` inside it: ``slope_hi(1 - u)``
+        on a branch that ends at 1, otherwise ``slope_lo(u)``."""
+        if self.hi == 1.0:
+            return self.slope_hi(1.0 - np.asarray(u, dtype=float))
+        return self.slope_lo(u)
 
 
 @dataclass(frozen=True)
@@ -97,14 +107,14 @@ class PiecewiseEnvelope:
 
     def slope(self, u):
         u_arr, idx = self._locate(u)
-        out = self.slopes[idx]
+        out = np.array(self.slopes[idx], dtype=float)
+        # each analytic branch is evaluated on its own points only
         for k, seg in enumerate(self.pieces):
             if seg.kind != "analytic":
                 continue
             m = idx == k
             if np.any(m):
-                out = np.where(m, np.asarray(seg.slope_fn(np.where(m, u_arr, seg.lo)),
-                                             dtype=float), out)
+                out[m] = seg.slope_at(u_arr[m])
         if np.ndim(u) == 0:
             return float(out.reshape(-1)[0])
         return out
@@ -362,14 +372,6 @@ def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
         bad = us[~np.isfinite(ys)][:3]
         raise NonFiniteValue(f"ghat evaluates non-finite near u={bad}")
 
-    jump = False
-    for k in ghat.kinks:
-        if 0.0 < k < 1.0:
-            lo_v = float(ghat.ghat(k - 1e-12))
-            hi_v = float(ghat.ghat(k + 1e-12))
-            if abs(hi_v - lo_v) > 1e-9 * (1.0 + abs(hi_v) + abs(lo_v)):
-                jump = True
-
     idx = _lower_hull_indices(us, ys)
     centers = _unresolved_ends(us, ys, idx)
     if centers.size:
@@ -377,8 +379,7 @@ def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
         idx = sub[_pinned_hull(us[sub], ys[sub], pinned)]
     knots = us[idx]
     values = ys[idx]
-    meta = {"kind": "numeric", "n_grid": n_grid, "grid_floor": GRID_FLOOR,
-            "jump_chord": jump}
+    meta = {"kind": "numeric", "n_grid": n_grid}
     return PiecewiseEnvelope(knots=knots, values=values,
                              slopes=np.diff(values) / np.diff(knots),
                              contact=np.diff(idx) == 1, source=ghat, meta=meta)
@@ -397,28 +398,6 @@ def _env_from_segments(tg, segs, knots, meta=None):
                              contact=contact, source=tg,
                              meta=dict(meta or {"kind": "analytic"}),
                              pieces=tuple(segs))
-
-
-# (mode, base) -> (tangency equation of the contact point, side of the chord)
-_TANGENCY = {
-    ("entropy", "FGRE"): ("FGRE", "left"),
-    ("entropy", "FGE"): ("FGE", "right"),
-    ("residual", "GiniSemidiff"): ("TCRTE", "left"),
-    ("residual", "CRT"): ("TCRTE", "left"),
-    ("residual", "CRE"): ("TCRE", "left"),
-    ("residual", "EGini"): ("TNEGini", "left"),
-    ("past", "GiniSemidiff"): ("DCT", "right"),
-    ("past", "CT"): ("DCT", "right"),
-    ("past", "CE"): ("DCE", "right"),
-}
-
-
-def _contact_point(tg: TransformedGHat, equation: str) -> float:
-    p = tg.source.params
-    # the Gini bases are the order-2 Tsallis / extended-Gini members, and
-    # GCRE / GCE are FGRE / FGE at integer order n
-    return solve_breakpoint(equation, {"alpha": p.get("alpha", p.get("n", 2.0)),
-                                       "r": p.get("r", 2.0), "F_t": tg.F_t})
 
 
 def _tangent_env(tg: TransformedGHat, u: float, side: str,
@@ -451,14 +430,12 @@ def _tangent_env(tg: TransformedGHat, u: float, side: str,
             return np.asarray(src.gp_hi(np.asarray(t, dtype=float) / scale)) / scale
 
     if side == "left":
-        branch = Segment(u, 1.0, "analytic", slope_lo=slope_lo, slope_hi=slope_hi,
-                         slope_fn=lambda v: slope_hi(1.0 - np.asarray(v, dtype=float)))
+        branch = Segment(u, 1.0, "analytic", slope_lo=slope_lo, slope_hi=slope_hi)
         if u == 0.0:
             return _env_from_segments(tg, [branch], [0.0, 1.0])
         segs = [Segment(0.0, u, "chord", slope=float(tg.ghat(u)) / u), branch]
     else:
-        branch = Segment(0.0, u, "analytic", slope_fn=slope_lo,
-                         slope_lo=slope_lo, slope_hi=slope_hi)
+        branch = Segment(0.0, u, "analytic", slope_lo=slope_lo, slope_hi=slope_hi)
         segs = [branch, Segment(u, 1.0, "chord", slope=-float(tg.ghat(u)) / (1.0 - u))]
     return _env_from_segments(tg, segs, [0.0, u, 1.0],
                               meta={"kind": "analytic", "breakpoint": u})
@@ -484,20 +461,13 @@ def _shortfall_env(tg: TransformedGHat) -> PiecewiseEnvelope:
         raise NoAnalyticForm("loading tau outside the convexity range of the shortfall")
 
     if tau == 0.0:
-        def slope_fn(u):
-            return np.full_like(np.asarray(u, dtype=float), 1.0 / q)
-
         slope_hi = lambda t: np.full_like(np.asarray(t, dtype=float), 1.0 / q)
     else:
-        def slope_fn(u):
-            v = (1.0 - np.asarray(u, dtype=float)) / q
-            return (1.0 + tau * np.asarray(src.g_prime(v))) / q
-
         slope_hi = lambda t: (1.0 + tau * np.asarray(
             src.g_prime(np.asarray(t, dtype=float) / q))) / q
 
     segs = [Segment(0.0, p, "chord", slope=0.0, contact_run=True),
-            Segment(p, 1.0, "analytic", slope_fn=slope_fn, slope_hi=slope_hi)]
+            Segment(p, 1.0, "analytic", slope_hi=slope_hi)]
     return _env_from_segments(tg, segs, [0.0, p, 1.0])
 
 
@@ -514,15 +484,20 @@ def convex_envelope_analytic(ghat: TransformedGHat) -> PiecewiseEnvelope:
     untruncated = {"residual": ghat.F_t == 0.0, "past": ghat.F_t == 1.0}.get(mode, True)
     if untruncated and src.entropy_convex:
         return _tangent_env(ghat, 0.0, "left", 1.0)
-    if (mode, src.base) not in _TANGENCY:
+    a, base = _order(src.params), src.base
+    if (mode, base) not in _SHAPES and a == 2.0:
+        # the order-2 Tsallis kernel u(1 - u) is its own mirror
+        base = {"CRT": "CT", "CT": "CRT"}.get(base, base)
+    shape = _SHAPES.get((mode, base))
+    if shape is None or shape.equation is None:
         raise NoAnalyticForm(f"no {mode}-mode envelope recipe for base {src.base!r}")
-    equation, side = _TANGENCY[mode, src.base]
     scale = 1.0
     if mode == "residual":
         scale = 1.0 - ghat.F_t
     elif mode == "past":
         scale = ghat.F_t
-    return _tangent_env(ghat, _contact_point(ghat, equation), side, scale)
+    u = shape.contact(a, ghat.F_t)
+    return _tangent_env(ghat, u, shape.side, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -613,20 +588,15 @@ def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
         total = 0.0
         lo_cut = 0
         hi_cut = len(slopes)
-        follow_floor = 8.0 * env.meta.get("grid_floor", GRID_FLOOR)
+        follow_floor = 8.0 * GRID_FLOOR
         floor = CHAIN_FLOOR if tg.tails_exact else 1e-12
-        if (knots[1] - knots[0]) <= follow_floor and tg.ghat_lower is not None \
-                and correct[0]:
-            total += _end_chain_sq(tg.ghat_lower, float(knots[1]),
+        # near u = 0 the distance is u itself, so ghat is its own tail form
+        if (knots[1] - knots[0]) <= follow_floor and correct[0]:
+            total += _end_chain_sq(tg.ghat, float(knots[1]),
                                    0.0, center, ascending_u=False, t_floor=floor)
             lo_cut = 1
-        if (knots[-1] - knots[-2]) <= follow_floor and correct[-1] \
-                and (tg.ghat_upper_rel is not None or tg.ghat_upper is not None):
-            rel = tg.ghat_upper_rel
-            if rel is None:
-                up = tg.ghat_upper
-                rel = lambda t: np.asarray(up(t), dtype=float) - tg.center
-            total += _end_chain_sq(rel, float(1.0 - knots[-2]),
+        if (knots[-1] - knots[-2]) <= follow_floor and correct[-1]:
+            total += _end_chain_sq(tg.ghat_upper_rel, float(1.0 - knots[-2]),
                                    0.0, center, ascending_u=True, t_floor=floor)
             hi_cut = len(slopes) - 1
         sl = slice(lo_cut, hi_cut)
@@ -641,7 +611,7 @@ def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
             continue
 
         def f(u, _s=seg):
-            return (np.asarray(_s.slope_fn(u), dtype=float) - center) ** 2
+            return (np.asarray(_s.slope_at(u), dtype=float) - center) ** 2
 
         f_lo = None
         f_hi = None

@@ -154,8 +154,9 @@ class _StieltjesCache:
     A level holds one ascending array of cell edges in u (0 and 1 included)
     with ghat at each edge, ghat(0) = 0 and ghat(1) = ``center`` at the two
     ends, so the increments telescope with no handover.
-    The two end halves are read in distance, through ``ghat_lower`` /
-    ``ghat_upper`` and the quantile's tails; every other half is read in u.
+    The two end halves are read in distance, through the quantile's tails
+    and, for ghat, ``ghat_upper`` at u = 1 and ``ghat`` at u = 0, where the
+    distance is u itself; every other half is read in u.
     Quantiles are valued per cell at its midpoint in the coordinate it is
     read in; the last cell at each end is the sliver [0, floor].
     """
@@ -177,13 +178,16 @@ class _StieltjesCache:
                 if b < 1.0:
                     inner.append(b - _half_chain(b - a, nb, po, 1e-9 * (b - a))[0][-2:0:-1])
             inner = np.concatenate(inner) if inner else np.empty(0)
+            n_u = len(d_lo) + len(inner)
             # the upper end half's edges 1 - d are written in place
             pts = np.concatenate([d_lo, inner, d_hi[1:]])
-            np.subtract(1.0, d_hi[1:], out=pts[len(d_lo) + len(inner):])
-            gv = np.concatenate([[0.0], _at(tg.ghat_lower, d_lo[1:]), _at(tg.ghat, inner),
+            np.subtract(1.0, d_hi[1:], out=pts[n_u:])
+            # ghat reads the edges below the upper end half in u, and that
+            # half's in distance
+            gv = np.concatenate([[0.0], _at(tg.ghat, pts[1:n_u]),
                                  _at(tg.ghat_upper, d_hi[1:-1]), [tg.center]])
             # the u-read cells run from the lower end half's last edge
-            u = pts[len(d_lo) - 1:len(d_lo) + len(inner)]
+            u = pts[len(d_lo) - 1:n_u]
             self.levels.append({"pts": pts, "gv": gv, "dg": np.diff(gv),
                                 "nodes": (t_lo, 0.5 * (u[:-1] + u[1:]), t_hi)})
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from riskbound import bounds, envelope, ingest, oracle
-from riskbound._num import log_chain
+from riskbound._num import bisect_root, log_chain
 from riskbound.errors import NonConvergent
-from riskbound.distortion import egs_tau_max
+from riskbound.distortion import family_spec
 
 # Family/parameter coverage used by the agreement, attainment and envelope
 # suites.  Tail and dynamic families sweep their level over {0.2, 0.5, 0.9}.
@@ -66,7 +66,7 @@ for p in (0.2, 0.5, 0.9):
         SWEEP.append(("CRES", {"p": p, "tau": tau}))
 for p in (0.2, 0.9):
     for r in (1.5, 3.0):
-        tmax = egs_tau_max(r, p)
+        tmax = 1.0 / family_spec("EGS").scale({"r": r, "p": p})
         for tau in (0.0, 0.5 * tmax, tmax):
             SWEEP.append(("EGS", {"r": r, "p": p, "tau": tau}))
     for a in (2.0 / 3.0, 3.0):
@@ -254,14 +254,67 @@ def reference_slope_l2_norm(env, center):
             continue
         f_lo = squared(seg.slope_lo) if seg.lo == 0.0 and seg.slope_lo else None
         f_hi = squared(seg.slope_hi) if seg.hi == 1.0 and seg.slope_hi else None
+        # a branch reaches an end; its points are read through that end's form
+        if seg.hi == 1.0:
+            inner = lambda u, s=seg: s.slope_hi(1.0 - np.asarray(u, dtype=float))
+        else:
+            inner = seg.slope_lo
         total += reference_integrate_segment(
-            squared(seg.slope_fn), seg.lo, seg.hi, fn_lo=f_lo, fn_hi=f_hi,
+            squared(inner), seg.lo, seg.hi, fn_lo=f_lo, fn_hi=f_hi,
             t_floor=envelope.CHAIN_FLOOR, per_octave=4)
         floor_mass += sum(float(f(envelope.CHAIN_FLOOR)) * envelope.CHAIN_FLOOR
                           for f in (f_lo, f_hi) if f is not None)
     if floor_mass > envelope.FLOOR_MASS_TOL * total:
         raise NonConvergent("squared-slope mass at the quadrature floor")
     return math.sqrt(max(total, 0.0))
+
+
+def reference_tnegini_root(r: float, p: float) -> float:
+    """The contact point of the new-type tail extended Gini transform from
+    its own tangency equation, (1-u)^r + r u (1-u)^(r-1) = (1-p)^(r-1) on
+    [p, 1]; the root is sqrt(p) at r = 2."""
+    if r == 2.0:
+        return math.sqrt(p)
+    c = (1.0 - p) ** (r - 1.0)
+    return bisect_root(lambda u: (1.0 - u) ** r + r * u * (1.0 - u) ** (r - 1.0) - c,
+                       p, 1.0 - 1e-13)
+
+
+def _reference_d_tnegini(r: float, p: float) -> float:
+    u0 = reference_tnegini_root(r, p)
+    q = 1.0 - p
+    t = 1.0 - u0
+    return (t / u0
+            + t * (t / q) ** (2.0 * r - 2.0)
+            * (1.0 / u0 + (r - 1.0) ** 2 / (2.0 * r - 1.0))
+            - 2.0 * t * (t / q) ** (r - 1.0) / u0)
+
+
+def _reference_L_tnegini(r: float, p: float) -> float:
+    return 2.0 * math.sqrt(_reference_d_tnegini(r, p)) / (1.0 - p)
+
+
+def _reference_L_egs(r: float, p: float, tau: float) -> float:
+    q = 1.0 - p
+    return math.sqrt(p / q + 4.0 * tau * tau * q ** (2.0 * r - 5.0) * (r - 1.0) ** 2
+                     / (2.0 * r - 1.0))
+
+
+# each Gini-type family's closed-form L, derived for the family itself
+# rather than read as a scaled Tsallis form.  The references for the Gini
+# rows of ``riskbound.distortion``'s catalog
+REFERENCE_GINI_L = {
+    "GiniSemidiff": lambda P: 1.0 / math.sqrt(3.0),
+    "WGini": lambda P: 1.0 / math.sqrt(3.0),
+    "Gini": lambda P: 2.0 / math.sqrt(3.0),
+    "EGini": lambda P: 2.0 * (P["r"] - 1.0) / math.sqrt(2.0 * P["r"] - 1.0),
+    "TNEGini": lambda P: _reference_L_tnegini(P["r"], P["p"]),
+    "TEGini": lambda P: (2.0 * (1.0 - P["p"]) ** (P["r"] - 3.0)
+                         * math.sqrt(_reference_d_tnegini(P["r"], P["p"]))),
+    "TGini": lambda P: _reference_L_tnegini(2.0, P["p"]),
+    "GS": lambda P: math.sqrt((3.0 * P["p"] + 4.0 * P["tau"] ** 2) / (3.0 * (1.0 - P["p"]))),
+    "EGS": lambda P: _reference_L_egs(P["r"], P["p"], P["tau"]),
+}
 
 
 def reference_stieltjes_sums(cache, Q):

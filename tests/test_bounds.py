@@ -14,7 +14,10 @@ from riskbound.errors import (
     NonInvertibleWeight,
     ParamOutOfDomain,
     RiskboundError,
+    UnknownFamily,
 )
+
+from conftest import REFERENCE_GINI_L, SWEEP
 
 STD = B.MomentInfo(0.0, 1.0)
 
@@ -127,6 +130,52 @@ def test_shortfall_both_paths_agree():
         assert numeric.sup_value == pytest.approx(closed, rel=1e-12)
 
 
+_CUSTOM_BASE = D.catalog_lookup("CRE", {})
+
+
+@pytest.mark.parametrize("kw, expected", [
+    ({"family": "GS", "p": 0.9, "tau": 0.5}, {"p": 0.9, "tau": 0.5}),
+    ({"family": "EGS", "p": 0.9, "tau": 0.5, "r": 3.0}, {"r": 3.0, "p": 0.9, "tau": 0.5}),
+    ({"family": "EGS", "p": 0.9, "tau": 0.5}, ParamOutOfDomain),
+    ({"family": "CRES", "p": 0.2, "tau": 1.0, "r": 3.0}, {"p": 0.2, "tau": 1.0}),
+    ({"family": "CRTES", "p": 0.9, "tau": 1.0, "alpha": 2.0}, {"alpha": 2.0, "p": 0.9, "tau": 1.0}),
+    ({"family": "CRTES", "p": 0.9, "tau": 1.0}, ParamOutOfDomain),
+    ({"family": "ES", "p": 0.5, "tau": 0.3, "alpha": 2.0}, {"p": 0.5}),
+    ({"family": "custom", "p": 0.9, "tau": 0.5, "custom_g": _CUSTOM_BASE}, {}),
+    ({"family": "custom", "p": 0.9, "tau": 0.5}, ParamOutOfDomain),
+    ({"family": "CRE", "p": 0.9}, UnknownFamily),
+    ({"family": "TGini", "p": 0.9}, UnknownFamily),
+    ({"family": "nonsense", "p": 0.9}, UnknownFamily),
+])
+def test_shortfall_catalog_params(kw, expected):
+    spec = B.ShortfallSpec(**kw)
+    if isinstance(expected, dict):
+        params = spec.catalog_params()
+        assert params == expected and list(params) == list(expected)
+    else:
+        with pytest.raises(expected):
+            spec.catalog_params()
+
+
+_GINI_ROWS = sorted(REFERENCE_GINI_L) + ["TNGini", "DGini"]
+
+
+@pytest.mark.parametrize("family, params",
+                         [(f, P) for f, P in SWEEP if f in _GINI_ROWS])
+def test_gini_rows_match_their_own_closed_forms(family, params):
+    # every Gini row is a scaled Tsallis row; its closed form must agree with
+    # the one derived for the family itself.  TNGini and DGini, at unit
+    # scale, are TCRTE and DCT at order 2
+    L = B.closed_form_factor(family, params)[1]
+    if family == "TNGini":
+        expected = B.closed_form_factor("TCRTE", {"alpha": 2.0, "p": params["p"]})[1]
+    elif family == "DGini":
+        expected = B.closed_form_factor("DCT", {"alpha": 2.0, "F_t": params["F_t"]})[1]
+    else:
+        expected = REFERENCE_GINI_L[family](params)
+    assert abs(L - expected) <= 1e-14 * expected, (family, params, L, expected)
+
+
 def test_shortfall_custom_base():
     base = D.catalog_lookup("CRE", {})
     custom = D.custom_distortion(base.g, g_prime=base.g_prime)
@@ -180,8 +229,11 @@ def test_center_slope_residual_vanishes():
             if seg.kind == "chord":
                 total += seg.slope * (seg.hi - seg.lo)
             else:
+                # a branch's points are read through the form of the end it reaches
+                inner = ((lambda u, s=seg: s.slope_hi(1.0 - np.asarray(u, dtype=float)))
+                         if seg.hi == 1.0 else seg.slope_lo)
                 total += integrate_segment(
-                    lambda u, s=seg: np.asarray(s.slope_fn(u), dtype=float),
+                    lambda u, f=inner: np.asarray(f(u), dtype=float),
                     seg.lo, seg.hi,
                     fn_lo=seg.slope_lo, fn_hi=seg.slope_hi)
         assert total - tg.center == pytest.approx(0.0, abs=1e-8)
@@ -382,6 +434,31 @@ def test_closed_form_rejects_stray_parameters():
         B.closed_form_sup("CRE", {"alpha": 2.0}, STD)
     with pytest.raises(ParamOutOfDomain, match="unexpected"):
         B.premium_factor("Gini", {"p": 0.5})
+
+
+def test_an_underflowing_shortfall_scale_is_a_typed_error():
+    # 2(r - 1)(1 - p)^(r - 2) is 8e-396 here, so 1/scale has no double
+    params = {"r": 400.0, "p": 0.9, "tau": 0.0}
+    with pytest.raises(ParamOutOfDomain, match="underflows"):
+        D.catalog_lookup("EGS", params)
+    with pytest.raises(ParamOutOfDomain, match="underflows"):
+        B.closed_form_sup("EGS", params, STD)
+
+
+@pytest.mark.parametrize("family, params, mode, extras", [
+    ("GiniSemidiff", {}, "past", {"F_t": 0.6}),
+    ("Gini", {}, "past", {"F_t": 0.6}),
+    ("CRT", {"alpha": 2.0}, "past", {"F_t": 0.6}),
+    ("DGini", {"F_t": 0.5}, "residual", {"F_t": 0.3}),
+])
+def test_order_two_tsallis_rows_take_their_mirror_recipe(family, params, mode, extras):
+    # u(1 - u) is its own mirror, so an order-2 Tsallis row has an analytic
+    # envelope in the mirrored mode too; it must match the numeric hull
+    g = D.catalog_lookup(family, params)
+    res = B.worst_case_bound(g, mode, extras, STD)
+    assert res.engine == "analytic"
+    numeric = B.worst_case_bound(g, mode, extras, STD, engine="numeric")
+    assert res.sup_value == pytest.approx(numeric.sup_value, rel=1e-9)
 
 
 @pytest.mark.parametrize("name", ["CT", "Gini"])

@@ -29,6 +29,7 @@ from conftest import (
     reference_numeric_grid,
     reference_pool_convex,
     reference_slope_l2_norm,
+    reference_tnegini_root,
 )
 
 REPRESENTATIVE = [
@@ -105,9 +106,13 @@ def test_breakpoint_residuals_are_tiny():
     for eq, params, _ in BREAKPOINT_CASES:
         root = E.solve_breakpoint(eq, params)
         assert abs(residuals[eq](root, params)) <= 1e-12
-    root = E.solve_breakpoint("TNEGini", {"r": 3.0, "p": 0.5})
-    res = (1 - root) ** 3 + 3 * root * (1 - root) ** 2 - 0.25
-    assert abs(res) <= 1e-12
+    # the extended-Gini tail forms are Tsallis forms of order r: the TCRTE
+    # root at alpha = r solves their own tangency equation
+    for r, p in ((3.0, 0.5), (1.5, 0.2), (1.5, 0.9), (6.0, 0.5)):
+        root = E.solve_breakpoint("TCRTE", {"alpha": r, "F_t": p})
+        res = (1 - root) ** r + r * root * (1 - root) ** (r - 1) - (1 - p) ** (r - 1)
+        assert abs(res) <= 1e-12, (r, p)
+        assert root == pytest.approx(reference_tnegini_root(r, p), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.6, 3.0, 20.0, 34.0, 36.0])
@@ -638,16 +643,17 @@ def test_slope_quadrature_matches_the_reference():
 
 def test_each_chain_side_evaluates_once():
     # CRE's branch spans [0, 1] with a stable form at each end; TCRE's runs
-    # from an interior contact point to 1.  Each chain side makes one array
+    # from an interior contact point to 1, and its interior side reads the
+    # branch through the form of that end.  Each chain side makes one array
     # call, and an end side adds the scalar floor-mass point: the calls are
     # listed by the ndim and size of their argument.  A chain has one
     # 20-point panel per two octaves plus the sliver midpoint: 100 panels
     # from 1/2 to the 1e-60 floor, 24 across the interior side's 1e-14
     for family, params, expected in (
-            ("CRE", {}, {"slope_fn": [], "slope_lo": [(0, 1), (1, 2001)],
+            ("CRE", {}, {"slope_lo": [(0, 1), (1, 2001)],
                          "slope_hi": [(0, 1), (1, 2001)]}),
-            ("TCRE", {"p": 0.9}, {"slope_fn": [(1, 481)], "slope_lo": [],
-                                  "slope_hi": [(0, 1), (1, 1941)]})):
+            ("TCRE", {"p": 0.9}, {"slope_lo": [],
+                                  "slope_hi": [(0, 1), (1, 481), (1, 1941)]})):
         tg = _transform(family, params)
         env = E.convex_envelope_analytic(tg)
         calls = {name: [] for name in expected}

@@ -557,7 +557,7 @@ def test_each_level_reads_ghat_on_its_own_edges(family, params):
             assert _same_bits(pts[:a], d_lo) and _same_bits(pts[b:], 1.0 - d_hi[-2::-1])
             # ghat at the level's own edges, each in the coordinate it is
             # read in; the upper end half's midpoint is an edge read in u
-            direct = np.concatenate([[0.0], O._at(tg.ghat_lower, d_lo[1:]),
+            direct = np.concatenate([[0.0], O._at(tg.ghat, d_lo[1:]),
                                      O._at(tg.ghat, pts[a:b]),
                                      O._at(tg.ghat_upper, d_hi[-2:0:-1]), [tg.center]])
             assert _same_bits(level["gv"], direct), (n_base, po, nb)
