@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
-Bracketed root finding, the named tangency equations solved with it, and
-Gauss-Legendre panel quadrature on geometric panel chains (stable down to
+Bracketed root finding, the three contact solvers built on it (each in the
+distance of the contact from its window's far end) and the named tangency
+equations read through them, and Gauss-Legendre panel quadrature on geometric panel chains (stable down to
 distances ~1e-60 from an endpoint, far below what a double can represent as
 ``1 - t``).  Each half of a segment is one chain of panels toward its end,
 ``per_octave`` panels per halving of the distance (fractional densities
@@ -76,8 +77,38 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
     return root
 
 
+def fractional_root(a: float) -> float:
+    """The FGE contact point t, the small root of alpha*(1 - t) + log(t) = 0
+    (alpha > 1).  It is solved as x = t * e^alpha in [1/2, e], so that it keeps
+    full relative precision however small t is."""
+    if a <= 1.0:
+        raise ParamOutOfDomain("the fractional breakpoint exists only for alpha > 1")
+    scale = math.exp(-a)
+    return scale * bisect_root(lambda x: math.log(x) - a * scale * x, 0.5, math.e)
+
+
+def log_tail_root(q: float) -> float:
+    """The contact distance t in (0, q] of the log-kernel tail window of
+    length q in (0, 1]: t - 1 - log(t/q) = 0.  Solved as x = t/q in
+    [1/(2e), 1], where log(x) + 1 - q*x changes sign; t = q at q = 1."""
+    return q * bisect_root(lambda x: math.log(x) + 1.0 - q * x, 0.5 / math.e, 1.0)
+
+
+def tsallis_tail_root(a: float, q: float) -> float:
+    """The contact distance t in (0, q] of the order-a Tsallis tail window of
+    length q in (0, 1]: q^(a-1) = t^(a-1) * (t + a*(1 - t)).  Solved as
+    x = t/q, which lies above a^(1/(1 - a)) for every q, so neither q^(a-1)
+    nor the bracket depends on the window's length; t = q at q = 1.  At
+    a = 2 the root is t = q/(1 + sqrt(1 - q)), exact to rounding."""
+    if a == 2.0:
+        return q / (1.0 + math.sqrt(1.0 - q))
+    lo = 0.5 * a ** (1.0 / (1.0 - a))
+    return q * bisect_root(lambda x: 1.0 - x ** (a - 1.0) * (a - (a - 1.0) * q * x), lo, 1.0)
+
+
 def solve_breakpoint(equation: str, params: dict) -> float:
-    """Solve a named tangency equation to (near) machine precision.
+    """Solve a named tangency equation for its contact point u to (near)
+    machine precision.
 
     Equations (u is the unknown contact point):
 
@@ -88,73 +119,31 @@ def solve_breakpoint(equation: str, params: dict) -> float:
     DCT:      F_t^(a-1) - u^(a-1)*(u + a*(1-u)) = 0        on [0, F_t]
     DCE:      u - 1 - log(u/F_t) = 0                       on (0, F_t]
 
-    The FGRE root is 1 - t for the FGE root t, which is solved as
-    x = t * e^alpha in [1/2, e] so that it keeps full relative precision
-    however small t is.  At a = 2 the TCRTE and DCT equations are quadratic
-    and their roots are returned exactly.  The extended-Gini tail forms
-    solve TCRTE at a = r.
+    Three solvers cover the six: each pair is one equation in the distance t
+    of the contact from the far end of its window.  FGE, DCT and DCE return
+    t itself; FGRE, TCRTE and TCRE return u = 1 - t, where TCRTE and TCRE
+    solve the DCT and DCE equations at the window length q = 1 - F_t.  The
+    extended-Gini tail forms solve TCRTE at a = r.
     """
     if equation in ("FGRE", "FGE"):
-        a = float(params["alpha"])
-        if a <= 1.0:
-            raise ParamOutOfDomain(f"{equation} breakpoint exists only for alpha > 1")
-        scale = math.exp(-a)
-        t = scale * bisect_root(lambda x: math.log(x) - a * scale * x, 0.5, math.e)
+        t = fractional_root(float(params["alpha"]))
         return 1.0 - t if equation == "FGRE" else t
-
+    if equation not in ("TCRE", "TCRTE", "DCT", "DCE"):
+        raise ParamOutOfDomain(f"unknown breakpoint equation {equation!r}")
     F = float(params.get("F_t", params.get("p", math.nan)))
-
-    if equation == "TCRE":
-        if not (0.0 < F < 1.0):
-            raise ParamOutOfDomain("TCRE breakpoint requires F_t in (0, 1)")
-        lq = math.log(1.0 - F)
-        hi = 1.0 - (1.0 - F) * math.exp(-3.0)
-
-        def f(u):
-            return u + math.log1p(-u) - lq
-
-        return bisect_root(f, F, hi)
-
-    if equation == "TCRTE":
+    past = equation in ("DCT", "DCE")
+    if not ((0.0 < F <= 1.0) if past else (0.0 < F < 1.0)):
+        raise ParamOutOfDomain(
+            f"{equation} breakpoint requires F_t in {'(0, 1]' if past else '(0, 1)'}")
+    q = F if past else 1.0 - F
+    if equation in ("TCRE", "DCE"):
+        t = log_tail_root(q)
+    else:
         a = float(params["alpha"])
-        if not (0.0 < F < 1.0):
-            raise ParamOutOfDomain("TCRTE breakpoint requires F_t in (0, 1)")
         if a <= 0.0 or a == 1.0:
-            raise ParamOutOfDomain("TCRTE breakpoint requires alpha > 0, alpha != 1")
-        if a == 2.0:
-            return math.sqrt(F)
-        c = (1.0 - F) ** (a - 1.0)
-
-        def f(u):
-            return c - (1.0 - u) ** (a - 1.0) * (1.0 + (a - 1.0) * u)
-
-        return bisect_root(f, F, 1.0 - 1e-13)
-
-    if equation == "DCT":
-        a = float(params["alpha"])
-        if not (0.0 < F <= 1.0):
-            raise ParamOutOfDomain("DCT breakpoint requires F_t in (0, 1]")
-        if a <= 0.0 or a == 1.0:
-            raise ParamOutOfDomain("DCT breakpoint requires alpha > 0, alpha != 1")
-        if a == 2.0:
-            return 1.0 - math.sqrt(1.0 - F)
-        c = F ** (a - 1.0)
-
-        def f(u):
-            return c - u ** (a - 1.0) * (u + a * (1.0 - u))
-
-        return bisect_root(f, min(1e-13, 0.5 * F), F)
-
-    if equation == "DCE":
-        if not (0.0 < F <= 1.0):
-            raise ParamOutOfDomain("DCE breakpoint requires F_t in (0, 1]")
-
-        def f(u):
-            return u - 1.0 - math.log(u / F)
-
-        return bisect_root(f, F * 1e-12, F)
-
-    raise ParamOutOfDomain(f"unknown breakpoint equation {equation!r}")
+            raise ParamOutOfDomain(f"{equation} breakpoint requires alpha > 0, alpha != 1")
+        t = tsallis_tail_root(a, q)
+    return t if past else 1.0 - t
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

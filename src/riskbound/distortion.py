@@ -12,26 +12,27 @@ mode and scale.  Four base shapes cover every row (Tsallis, fractional and
 log entropies, ES) with the past-side mirrors of the first three; the Gini
 rows are scaled Tsallis rows.  A second table, keyed by (mode, shape),
 holds each closed-form sup factor at unit scale and, where the envelope has
-a contact point, its tangency equation.  The parameter checks, transform
-extras and tail class are worked out from the row.
+a contact point, its contact solver.  It holds the residual side only: a
+past tail is the mirrored residual tail, so a past-side (mode, shape) reads
+its mirror's entry.  The parameter checks, transform extras and tail class
+are worked out from the row.
 
 ``make_ghat`` turns a distortion into the integrand of its quantile
 representation: the reflected function whose Stieltjes measure integrates a
-quantile function, optionally truncated to a residual ``[X - t | X > t]`` or
-past ``[X | X <= t]`` conditioning, or combined with an expected-shortfall
-term into a tail shortfall.
+quantile function, read through one window of [0, 1]: the whole interval,
+or a residual ``[X - t | X > t]`` or past ``[X | X <= t]`` truncation, or a
+tail combined with an expected-shortfall term into a tail shortfall.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from ._num import solve_breakpoint
+from ._num import fractional_root, log_tail_root, tsallis_tail_root
 from .errors import (
     BadTruncationPoint,
     DomainError,
@@ -216,6 +217,7 @@ class TransformedGHat:
     ghat_upper_rel: Optional[Evaluable] = None  # ghat(1-t) - ghat(1), offset-free
     tails_exact: bool = True
     kinks: tuple = ()
+    window: tuple = (0.0, 1.0)  # [lo, hi]: ghat reads g there, and is 0 outside
 
     def __call__(self, u):
         return self.ghat(u)
@@ -446,39 +448,25 @@ def _L_fgre(a: float, contact: Callable[[], float]) -> float:
     return L
 
 
-def _L_tcre(F: float, u0: float) -> float:
-    w = math.log((1.0 - u0) / (1.0 - F))
-    d = (1.0 - u0) / u0 * w * w + (1.0 - u0)
-    return math.sqrt(d) / (1.0 - F)
-
-
-def _L_tcrt(a: float, F: float, u0: float) -> float:
-    q = 1.0 - F
-    t = 1.0 - u0
-    # powers of t/q: t**(2a-1) and q**(2a-2) apart underflow at large alpha
-    d = (t / u0
-         - 2.0 * t * (t / q) ** (a - 1.0) / u0
-         + t * (t / q) ** (2.0 * a - 2.0)
-         * (1.0 / u0 + (a - 1.0) ** 2 / (2.0 * a - 1.0)))
+def _L_tsallis_tail(a: float, q: float, t: float) -> float:
+    """L of the order-a Tsallis tail window of length q with its contact at
+    distance t from the window's far end; the untruncated L at t = q = 1."""
+    if t == q:
+        return _L_tsallis(a)
+    # a sum of squares in y = (t/q)^(a-1): no cancellation as t -> q -> 1, and
+    # no underflow of t^(2a-1) or q^(2a-2) at large alpha
+    y = (t / q) ** (a - 1.0)
+    d = t * ((1.0 - y) ** 2 / (1.0 - t) + (a - 1.0) ** 2 * y * y / (2.0 * a - 1.0))
     return math.sqrt(d) / (abs(a - 1.0) * q)
 
 
-def _L_dct(a: float, F: float, u1: float) -> float:
-    if u1 == 1.0:  # F_t = 1 truncates nothing: the base family's L
-        return _L_tsallis(a)
-    d1 = (u1 / (1.0 - u1)
-          - 2.0 * u1 ** a / ((1.0 - u1) * F ** (a - 1.0))
-          + (u1 ** (2.0 * a - 1.0) / F ** (2.0 * a - 2.0))
-          * (u1 / (1.0 - u1) + a * a / (2.0 * a - 1.0)))
-    return math.sqrt(d1) / (abs(a - 1.0) * F)
-
-
-def _L_dce(F: float, u1: float) -> float:
-    if u1 == 1.0:  # F_t = 1 truncates nothing: CE's L
+def _L_log_tail(q: float, t: float) -> float:
+    """L of the log-kernel tail window of length q with its contact at
+    distance t from the window's far end; 1 at t = q = 1."""
+    if t == q:
         return 1.0
-    w = math.log(u1 / F)
-    d1 = u1 + u1 * w * w / (1.0 - u1)
-    return math.sqrt(d1) / F
+    w = math.log(t / q)
+    return math.sqrt(t + t * w * w / (1.0 - t)) / q
 
 
 def _L_es(p: float) -> float:
@@ -496,43 +484,54 @@ def _L_crtes(a: float, p: float, tau: float) -> float:
 
 @dataclass(frozen=True)
 class _Shape:
-    """One (mode, shape) entry.  ``L(order, level, tau, u)`` is the
-    closed-form ``L`` at unit scale, where ``level`` is F_t or p and ``u()``
-    solves ``equation`` for the contact point of the envelope.  An entry
-    with an equation also names the ``side`` of the envelope's chord:
-    "left" on [0, u], "right" on [u, 1]."""
+    """One (mode, shape) entry on the residual side.  ``L(order, level, tau,
+    t)`` is the closed-form ``L`` at unit scale, where ``level`` is the
+    window length q of a tail mode (1 - F_t residual, F_t past) and p
+    otherwise, and ``t()`` gives the contact distance ``root(order, level)``
+    from the far end of the window.  An entry with a root has its
+    envelope's chord on [0, 1 - t] and its branch on [1 - t, 1]; its mirror
+    has the chord on [t, 1] and the branch on [0, t]."""
 
     L: Callable[..., float]
-    equation: Optional[str] = None
-    side: Optional[str] = None
-
-    def contact(self, a: float, F: Optional[float]) -> float:
-        return solve_breakpoint(self.equation, {"alpha": a, "F_t": F})
+    root: Optional[Callable[[float, float], float]] = None
 
 
-_TSALLIS = _Shape(lambda a, F, tau, u: _L_tsallis(a))
-_LOG = _Shape(lambda a, F, tau, u: 1.0)
-_FGE = _Shape(lambda a, F, tau, u: _L_fgre(a, u), "FGE", "right")
-
-# the only map from a (mode, shape) to a closed form and a contact equation
+# the only map from a (mode, shape) to a closed form and a contact equation.
+# It holds the residual side only: a past-side (mode, shape) reads its
+# mirror's entry, with the chord on the other side
 _SHAPES: dict = {
-    ("entropy", "CRT"): _TSALLIS,
-    ("entropy", "CT"): _TSALLIS,
-    ("entropy", "CRE"): _LOG,
-    ("entropy", "CE"): _LOG,
-    # FGRE's L reads its mirror's root t, which keeps the relative
-    # precision that 1 - u would lose
-    ("entropy", "FGRE"): _Shape(lambda a, F, tau, u: _L_fgre(a, lambda: _FGE.contact(a, F)),
-                                "FGRE", "left"),
-    ("entropy", "FGE"): _FGE,
-    ("residual", "CRT"): _Shape(lambda a, F, tau, u: _L_tcrt(a, F, u()), "TCRTE", "left"),
-    ("residual", "CRE"): _Shape(lambda a, F, tau, u: _L_tcre(F, u()), "TCRE", "left"),
-    ("past", "CT"): _Shape(lambda a, F, tau, u: _L_dct(a, F, u()), "DCT", "right"),
-    ("past", "CE"): _Shape(lambda a, F, tau, u: _L_dce(F, u()), "DCE", "right"),
-    ("riskmetric", "ES"): _Shape(lambda a, F, tau, u: _L_es(F)),
-    ("shortfall", "CRT"): _Shape(lambda a, F, tau, u: _L_crtes(a, F, tau)),
-    ("shortfall", "CRE"): _Shape(lambda a, F, tau, u: _L_cres(F, tau)),
+    ("entropy", "CRT"): _Shape(lambda a, lvl, tau, t: _L_tsallis(a)),
+    ("entropy", "CRE"): _Shape(lambda a, lvl, tau, t: 1.0),
+    ("entropy", "FGRE"): _Shape(lambda a, lvl, tau, t: _L_fgre(a, t),
+                                lambda a, lvl: fractional_root(a)),
+    ("residual", "CRT"): _Shape(lambda a, q, tau, t: _L_tsallis_tail(a, q, t()),
+                                tsallis_tail_root),
+    ("residual", "CRE"): _Shape(lambda a, q, tau, t: _L_log_tail(q, t()),
+                                lambda a, q: log_tail_root(q)),
+    ("riskmetric", "ES"): _Shape(lambda a, p, tau, t: _L_es(p)),
+    ("shortfall", "CRT"): _Shape(lambda a, p, tau, t: _L_crtes(a, p, tau)),
+    ("shortfall", "CRE"): _Shape(lambda a, p, tau, t: _L_cres(p, tau)),
 }
+
+# the mirror u -> 1 - u: past and residual windows trade ends, and each
+# residual-side base trades with the past-side base built as its ``_mirror``
+_MIRROR_MODE = {"entropy": "entropy", "residual": "past", "past": "residual"}
+_MIRROR_BASE = {**_MIRRORS, **{v: k for k, v in _MIRRORS.items()}}
+
+
+def _shape(mode: str, base: str, a: float) -> tuple:
+    """``(entry, mirrored)``: the (mode, base) entry of ``_SHAPES``, or its
+    mirror's with ``mirrored`` set; ``(None, False)`` when neither exists.
+    At order 2 the Tsallis kernel u(1 - u) is its own mirror, so CT and CRT
+    read each other's entries too."""
+    bases = (base, _MIRROR_BASE[base]) if a == 2.0 and base in ("CT", "CRT") else (base,)
+    for b in bases:
+        if (mode, b) in _SHAPES:
+            return _SHAPES[mode, b], False
+        mirror = (_MIRROR_MODE.get(mode), _MIRROR_BASE.get(b))
+        if mirror in _SHAPES:
+            return _SHAPES[mirror], True
+    return None, False
 
 
 def closed_form_L(spec: FamilySpec, P: dict) -> float:
@@ -540,12 +539,15 @@ def closed_form_L(spec: FamilySpec, P: dict) -> float:
     for a row and its checked parameters: the row's scale times its (mode,
     shape) entry's unit-scale ``L``.  A shortfall's scale loads its entropy
     term alone, so there it multiplies tau instead."""
-    shape = _SHAPES[spec.mode, spec.base]
-    a, F, scale = _order(P), P.get("F_t", P.get("p")), spec.scale(P)
-    contact = lambda: shape.contact(a, F)
+    a, scale = _order(P), spec.scale(P)
+    shape = _shape(spec.mode, spec.base, a)[0]
+    level = P.get("F_t", P.get("p"))
+    if spec.mode == "residual":  # the window [F_t, 1]
+        level = 1.0 - level
+    contact = lambda: shape.root(a, level)
     if spec.mode == "shortfall":
-        return shape.L(a, F, P["tau"] * scale, contact)
-    return scale * shape.L(a, F, None, contact)
+        return shape.L(a, level, P["tau"] * scale, contact)
+    return scale * shape.L(a, level, None, contact)
 
 
 def _aliases(*names: tuple, row: tuple) -> tuple:
@@ -693,109 +695,98 @@ def sup_admissible(family: str, params: Optional[dict]) -> dict:
 def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> TransformedGHat:
     """Build the quantile-representation integrand for ``g`` under ``mode``.
 
+    Every mode reads ``g`` through one window [lo, hi] of length q: [0, 1],
+    or [F_t, 1] in residual mode, [0, F_t] in past mode and [p, 1] in
+    shortfall mode.  In the window coordinate s = (u - lo)/q,
+
+        ghat = c + lin*s - w*g(1 - s)  inside the window, 0 outside,
+
+    with (c, lin, w) = (g(1), 0, 1) in riskmetric mode, (0, 0, 1) in
+    entropy, residual and past mode and (0, 1, tau) in shortfall mode:
+
     riskmetric:  ghat(u) = g(1) - g(1-u)
     entropy:     ghat(u) = -g(1-u)                       (requires g(1) = 0)
     residual:    ghat(u) = -g((1-u)/(1-F_t)) on [F_t, 1], 0 below
     past:        ghat(u) = -g(1 - u/F_t)    on [0, F_t], 0 above
     shortfall:   ghat(u) = (u-p)/(1-p) - tau*g((1-u)/(1-p)) on [p, 1], 0 below
 
-    The center (= ghat(1)) is g(1), 0, 0, 0 and 1 respectively.
+    The center (= ghat(1)) is g(1), 0, 0, 0 and 1 respectively.  A window
+    that starts above u = 0 is read at the distance (1 - u)/q from its far
+    end, and a window that ends at u = 1 reads its tail ghat(1 - t) as
+    c + lin*(1 - t/q) - w*g(t/q).  The kinks of ``g`` and the window's
+    inner edges are the transform's kinks.
     """
     extras = dict(extras or {})
     if mode not in MODES:
         raise ModeContractViolation(f"unknown mode {mode!r}; expected one of {MODES}")
-
-    exact = g.g_hi is not None
-    g_hi = g.g_hi or _ev(lambda t: np.asarray(g.g(1.0 - np.asarray(t, dtype=float))))
-
+    lo, hi, c, lin, w = 0.0, 1.0, 0.0, 0.0, 1.0
+    F = p = tau = None
     if mode == "riskmetric":
-        g1 = g.g1
-        ghat = _ev(lambda u: g1 - np.asarray(g_hi(np.asarray(u, dtype=float))))
-        upper = _ev(lambda t: g1 - np.asarray(g.g(t)))
-        rel = _ev(lambda t: -np.asarray(g.g(t)))
-        kinks = tuple(sorted(1.0 - k for k in g.kinks))
-        return TransformedGHat(mode=mode, source=g, ghat=ghat, center=g1,
-                               ghat_upper=upper, ghat_upper_rel=rel,
-                               tails_exact=exact, kinks=kinks)
-
-    if mode == "entropy":
-        if abs(g.g1) > 1e-12:
-            raise ModeContractViolation(
-                f"entropy mode requires g(1) = 0, got g(1) = {g.g1}")
-        ghat = _ev(lambda u: -np.asarray(g_hi(np.asarray(u, dtype=float))))
-        upper = _ev(lambda t: -np.asarray(g.g(t)))
-        kinks = tuple(sorted(1.0 - k for k in g.kinks))
-        return TransformedGHat(mode=mode, source=g, ghat=ghat, center=0.0,
-                               ghat_upper=upper, ghat_upper_rel=upper,
-                               tails_exact=exact, kinks=kinks)
-
-    if mode == "residual":
+        c = g.g1
+    elif mode in ("residual", "past"):
         if "F_t" not in extras:
-            raise BadTruncationPoint("residual mode requires extras={'F_t': ...}")
+            raise BadTruncationPoint(f"{mode} mode requires extras={{'F_t': ...}}")
         F = float(extras["F_t"])
-        if not (0.0 <= F < 1.0):
+        if mode == "residual" and not 0.0 <= F < 1.0:
             raise BadTruncationPoint(f"residual mode requires F_t in [0, 1), got {F}")
-        q = 1.0 - F
-
-        def ghat_arr(u):
-            u = np.asarray(u, dtype=float)
-            v = np.clip((1.0 - u) / q, 0.0, 1.0)
-            return np.where(u >= F, -np.asarray(g.g(v)), 0.0)
-
-        ghat = _ev(ghat_arr)
-        upper = _ev(lambda t: -np.asarray(g.g(np.asarray(t, dtype=float) / q)))
-        kinks = (F,) if F > 0.0 else ()
-        return TransformedGHat(mode=mode, source=g, ghat=ghat, center=0.0,
-                               F_t=F, ghat_upper=upper, ghat_upper_rel=upper,
-                               tails_exact=exact, kinks=kinks)
-
-    if mode == "past":
-        if "F_t" not in extras:
-            raise BadTruncationPoint("past mode requires extras={'F_t': ...}")
-        F = float(extras["F_t"])
-        if not (0.0 < F <= 1.0):
+        if mode == "past" and not 0.0 < F <= 1.0:
             raise BadTruncationPoint(f"past mode requires F_t in (0, 1], got {F}")
+        lo, hi = (F, 1.0) if mode == "residual" else (0.0, F)
+    elif mode == "shortfall":
+        if "p" not in extras or "tau" not in extras:
+            raise BadTruncationPoint("shortfall mode requires extras={'p': ..., 'tau': ...}")
+        p, tau = float(extras["p"]), float(extras["tau"])
+        if not 0.0 < p < 1.0:
+            raise BadTruncationPoint(f"shortfall mode requires p in (0, 1), got {p}")
+        if tau < 0.0:
+            raise ParamOutOfDomain(f"shortfall mode requires tau >= 0, got {tau}")
+        lo, lin, w = p, 1.0, tau
+    if mode in ("entropy", "shortfall") and abs(g.g1) > 1e-12:
+        raise ModeContractViolation(f"{mode} mode requires g(1) = 0, got g(1) = {g.g1}")
 
-        def ghat_arr(u):
-            u = np.asarray(u, dtype=float)
-            w = np.clip(u / F, 0.0, 1.0)
-            return np.where(u <= F, -np.asarray(g_hi(w)), 0.0)
-
-        ghat = _ev(ghat_arr)
-        upper = _ev(lambda t: np.asarray(ghat_arr(1.0 - np.asarray(t, dtype=float))))
-        kinks = (F,) if F < 1.0 else ()
-        return TransformedGHat(mode=mode, source=g, ghat=ghat, center=0.0,
-                               F_t=F, ghat_upper=upper, ghat_upper_rel=upper,
-                               tails_exact=exact, kinks=kinks)
-
-    # shortfall
-    if "p" not in extras or "tau" not in extras:
-        raise BadTruncationPoint("shortfall mode requires extras={'p': ..., 'tau': ...}")
-    p = float(extras["p"])
-    tau = float(extras["tau"])
-    if not (0.0 < p < 1.0):
-        raise BadTruncationPoint(f"shortfall mode requires p in (0, 1), got {p}")
-    if p > 1.0 - 1e-6:
-        warnings.warn("shortfall level p capped at 1 - 1e-6", RuntimeWarning)
-        p = 1.0 - 1e-6
-    if tau < 0.0:
-        raise ParamOutOfDomain(f"shortfall mode requires tau >= 0, got {tau}")
-    if abs(g.g1) > 1e-12:
-        raise ModeContractViolation("shortfall mode requires an entropy base with g(1) = 0")
-    q = 1.0 - p
+    q = hi - lo
+    g_hi = g.g_hi or _ev(lambda t: np.asarray(g.g(1.0 - np.asarray(t, dtype=float))))
+    # the window's edge inside (0, 1), if any, and the side of it the window is on
+    edge, inside = (hi, np.less_equal) if lo == 0.0 else (lo, np.greater_equal)
+    cut = 0.0 < edge < 1.0
 
     def ghat_arr(u):
         u = np.asarray(u, dtype=float)
-        v = np.clip((1.0 - u) / q, 0.0, 1.0)
-        return np.where(u >= p, (u - p) / q - tau * np.asarray(g.g(v)), 0.0)
+        v = np.clip(u, lo, hi) if cut else u
+        if lo == 0.0:  # read from u = 0
+            G = np.asarray(g_hi(v / q if cut else v))
+        else:          # read from the window's far end, u = 1
+            G = np.asarray(g.g((1.0 - v) / q))
+        if w != 1.0:
+            G = w * G
+        val = c - G if c else -G
+        if lin:
+            val = val + lin * (v - lo) / q
+        return np.where(inside(u, edge), val, 0.0) if cut else val
 
-    upper = _ev(lambda t: 1.0 - np.asarray(t, dtype=float) / q
-                - tau * np.asarray(g.g(np.asarray(t, dtype=float) / q)))
-    rel = _ev(lambda t: -np.asarray(t, dtype=float) / q
-              - tau * np.asarray(g.g(np.asarray(t, dtype=float) / q)))
-    return TransformedGHat(mode="shortfall", source=g, ghat=_ev(ghat_arr), center=1.0,
-                           p=p, tau=tau, ghat_upper=upper, ghat_upper_rel=rel,
-                           tails_exact=exact, kinks=(p,))
+    center = c + lin if hi == 1.0 else 0.0
+    if hi == 1.0:
+        def tail_arr(t, c0=0.0, s0=0.0):
+            """c0 + lin*(s0 - t/q) - w*g(t/q): ghat(1 - t) - center at the
+            defaults, and ghat(1 - t) at (c0, s0) = (c, 1)."""
+            x = np.asarray(t, dtype=float) / q
+            G = np.asarray(g.g(x))
+            if w != 1.0:
+                G = w * G
+            val = c0 - G if c0 else -G
+            return val + lin * (s0 - x) if lin else val
+
+        rel = _ev(tail_arr)
+        upper = _ev(lambda t: tail_arr(t, c, 1.0)) if center else rel
+    else:
+        upper = rel = _ev(lambda t: ghat_arr(1.0 - np.asarray(t, dtype=float)))
+    kinks = (edge,) if cut else ()
+    if g.kinks:
+        kinks = tuple(sorted(kinks + tuple(1.0 - q * v if hi == 1.0 else q * (1.0 - v)
+                                           for v in g.kinks)))
+    return TransformedGHat(mode=mode, source=g, ghat=_ev(ghat_arr), center=center,
+                           F_t=F, p=p, tau=tau, ghat_upper=upper, ghat_upper_rel=rel,
+                           tails_exact=g.g_hi is not None, kinks=kinks, window=(lo, hi))
 
 
 def custom_distortion(g: Callable, g_prime: Optional[Callable] = None,

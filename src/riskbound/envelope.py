@@ -24,12 +24,15 @@ import numpy as np
 
 from ._num import integrate_segment, log_chain, solve_breakpoint  # noqa: F401 (re-exported)
 from .errors import NoAnalyticForm, NonConvergent, NonFiniteValue, ParamOutOfDomain
-from .distortion import _SHAPES, TransformedGHat, _order
+from .distortion import TransformedGHat, _order, _shape
 
 DEFAULT_GRID = 4097
 GRID_FLOOR = 1e-9     # deepest cascade offset represented in u coordinates
 CHAIN_FLOOR = 1e-60   # deepest distance reached through stable tail evaluators
 FLOOR_MASS_TOL = 1e-7  # largest share of the squared-slope mass left at that floor
+# nearest distance from u = 1 at which a tail window's analytic branch may
+# start: the branch is read in u, where that distance keeps ~3 digits
+BRANCH_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -234,17 +237,13 @@ def _lower_hull_indices(us: np.ndarray, ys: np.ndarray) -> np.ndarray:
         depth, below = _below(us, ys, hull[j - 1], cand, hull[j])
         cand, j, depth = cand[below], j[below], depth[below]
     # quickhull tested each vertex against the wide chord it was found under;
-    # the collinearity test is local, as in a monotone chain: a vertex stays
-    # only when it lies below the chords from its left neighbour to the next
-    # sample and to its right neighbour.  Merging the runs that fail keeps the
-    # multi-step chords, and so the refinement centres, where the chain has them.
-    # A vertex's test reads only its two neighbours, so after a round only the
-    # neighbours of the vertices it removed are tested again
+    # the collinearity test is local: a vertex stays only when it lies below
+    # the chord of its two hull neighbours.  A vertex's test reads only those
+    # neighbours, so after a round only the neighbours of the vertices it
+    # removed are tested again
     test = np.arange(1, len(hull) - 1)
     while test.size:
-        v = hull[test]
-        lo = hull[test - 1]
-        keep = _below(us, ys, lo, v, v + 1)[1] & _below(us, ys, lo, v, hull[test + 1])[1]
+        keep = _below(us, ys, hull[test - 1], hull[test], hull[test + 1])[1]
         if keep.all():
             break
         alive = np.ones(len(hull), dtype=bool)
@@ -335,8 +334,7 @@ def _pinned_hull(us, ys, pinned) -> np.ndarray:
         edge = np.union1d(pin[wide], pin[wide + 1])
         edge = edge[(edge > 0) & (edge < last)]
         k = np.searchsorted(chain, edge)
-        lo = chain[k - 1]
-        ok = _below(us, ys, lo, edge, edge + 1)[1] & _below(us, ys, lo, edge, chain[k + 1])[1]
+        ok = _below(us, ys, chain[k - 1], edge, chain[k + 1])[1]
         if ok.all():
             return chain
         j = np.searchsorted(pin, edge[~ok])
@@ -400,23 +398,27 @@ def _env_from_segments(tg, segs, knots, meta=None):
                              pieces=tuple(segs))
 
 
-def _tangent_env(tg: TransformedGHat, u: float, side: str,
+def _tangent_env(tg: TransformedGHat, t: float, mirrored: bool,
                  scale: float) -> PiecewiseEnvelope:
-    """A chord from the transform's zero end to the contact point ``u``, and
-    the transform itself on the other side of ``u``.
+    """A chord from the transform's zero end to the contact point, and the
+    transform itself on the other side of it.
 
-    ``side`` places the chord: "left" on [0, u] (residual mode, FGRE) or
-    "right" on [u, 1] (past mode, FGE).  ``scale`` is the length 1 - F_t, F_t
-    or 1 of the source argument's range: the branch slope is
-    g'((1 - u)/scale)/scale left of a chord and g'(1 - u/scale)/scale right of
-    one.  ``u = 0`` on the left means no chord: an untruncated convex
-    transform (scale 1) is its own envelope.
+    The contact lies at distance ``t`` from the far end of the window, whose
+    length is ``scale``: at u = 1 - t with the chord on [0, u] (residual
+    side: FGRE, residual mode), or, ``mirrored``, at u = t with the chord on
+    [u, 1] (past side: FGE, past mode).  The branch slope is
+    g'((1 - u)/scale)/scale left of a chord and g'(1 - u/scale)/scale right
+    of one.  ``t = 1`` on the residual side means no chord: an untruncated
+    convex transform is its own envelope.
     """
     src = tg.source
-    if (u >= 1.0) if side == "left" else (u <= 0.0):
+    u = t if mirrored else 1.0 - t
+    if (u <= 0.0) if mirrored else (u >= 1.0):
         raise ParamOutOfDomain(
             f"{src.family}: the contact point rounds to the end of [0, 1], so the "
             "analytic branch beyond it is not representable in double precision")
+    if not mirrored and scale < 1.0:
+        _check_branch_start(src, t)
 
     # stable tail forms at distance t from u = 1 and from u = 0, each read
     # only where the branch reaches that end; at scale 1 they are the
@@ -429,7 +431,7 @@ def _tangent_env(tg: TransformedGHat, u: float, side: str,
         def slope_lo(t):
             return np.asarray(src.gp_hi(np.asarray(t, dtype=float) / scale)) / scale
 
-    if side == "left":
+    if not mirrored:
         branch = Segment(u, 1.0, "analytic", slope_lo=slope_lo, slope_hi=slope_hi)
         if u == 0.0:
             return _env_from_segments(tg, [branch], [0.0, 1.0])
@@ -450,12 +452,23 @@ def _es_env(tg: TransformedGHat) -> PiecewiseEnvelope:
     return _env_from_segments(tg, segs, [0.0, k, 1.0])
 
 
+def _check_branch_start(src, t: float) -> None:
+    """Refuse a tail window's branch that starts closer than ``BRANCH_FLOOR``
+    to u = 1: its whole squared-slope mass lies at distances of about ``t``,
+    which the quadrature's points in u resolve only to ~1e-16/t."""
+    if t < BRANCH_FLOOR:
+        raise ParamOutOfDomain(
+            f"{src.family}: the analytic branch starts {t:.3g} from u = 1, closer "
+            f"than the {BRANCH_FLOOR:g} that its quadrature in u resolves")
+
+
 def _shortfall_env(tg: TransformedGHat) -> PiecewiseEnvelope:
     src = tg.source
     if not src.concave or src.g_prime is None:
         raise NoAnalyticForm("shortfall envelope recipe needs a concave base with a derivative")
     p, tau = tg.p, tg.tau
     q = 1.0 - p
+    _check_branch_start(src, q)
     kink_slope = 1.0 + tau * float(src.g_prime(1.0))
     if kink_slope < -1e-9:
         raise NoAnalyticForm("loading tau outside the convexity range of the shortfall")
@@ -479,25 +492,16 @@ def convex_envelope_analytic(ghat: TransformedGHat) -> PiecewiseEnvelope:
         return _shortfall_env(ghat)
     if mode == "riskmetric" and src.base == "ES":
         return _es_env(ghat)
-    # entropy and riskmetric transforms, residual ones at F_t = 0 and past
-    # ones at F_t = 1 truncate nothing, so a convex base is its own envelope
-    untruncated = {"residual": ghat.F_t == 0.0, "past": ghat.F_t == 1.0}.get(mode, True)
-    if untruncated and src.entropy_convex:
-        return _tangent_env(ghat, 0.0, "left", 1.0)
-    a, base = _order(src.params), src.base
-    if (mode, base) not in _SHAPES and a == 2.0:
-        # the order-2 Tsallis kernel u(1 - u) is its own mirror
-        base = {"CRT": "CT", "CT": "CRT"}.get(base, base)
-    shape = _SHAPES.get((mode, base))
-    if shape is None or shape.equation is None:
+    # a window of [0, 1] truncates nothing, so a convex base is its own envelope
+    lo, hi = ghat.window
+    if (lo, hi) == (0.0, 1.0) and src.entropy_convex:
+        return _tangent_env(ghat, 1.0, False, 1.0)
+    a = _order(src.params)
+    shape, mirrored = _shape(mode, src.base, a)
+    if shape is None or shape.root is None:
         raise NoAnalyticForm(f"no {mode}-mode envelope recipe for base {src.base!r}")
-    scale = 1.0
-    if mode == "residual":
-        scale = 1.0 - ghat.F_t
-    elif mode == "past":
-        scale = ghat.F_t
-    u = shape.contact(a, ghat.F_t)
-    return _tangent_env(ghat, u, shape.side, scale)
+    q = hi - lo
+    return _tangent_env(ghat, shape.root(a, q), mirrored, q)
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,37 @@ def reference_slope_l2_norm(env, center):
     return math.sqrt(max(total, 0.0))
 
 
+def reference_L_tcre(F: float) -> float:
+    """The tail cumulative residual entropy's L at unit scale, with its
+    contact point u0 from the tangency equation in u, u + log((1 - u)/(1 - F))
+    = 0 on [F, 1].  The reference for the distance form of the residual
+    log-kernel tail in ``riskbound.distortion``."""
+    lq = math.log(1.0 - F)
+    u0 = bisect_root(lambda u: u + math.log1p(-u) - lq, F, 1.0 - (1.0 - F) * math.exp(-3.0))
+    w = math.log((1.0 - u0) / (1.0 - F))
+    return math.sqrt((1.0 - u0) / u0 * w * w + (1.0 - u0)) / (1.0 - F)
+
+
+def reference_L_tcrt(a: float, F: float) -> float:
+    """The order-a Tsallis tail's L at unit scale over [F, 1], with its
+    contact point u0 from the tangency equation in u, (1 - F)^(a-1) =
+    (1 - u)^(a-1) * (1 + (a - 1) u) on [F, 1]; u0 = sqrt(F) at a = 2.  The
+    reference for the distance form of the residual Tsallis tail in
+    ``riskbound.distortion``."""
+    q = 1.0 - F
+    if a == 2.0:
+        u0 = math.sqrt(F)
+    else:
+        c = q ** (a - 1.0)
+        u0 = bisect_root(lambda u: c - (1.0 - u) ** (a - 1.0) * (1.0 + (a - 1.0) * u),
+                         F, 1.0 - 1e-13)
+    t = 1.0 - u0
+    d = (t / u0
+         - 2.0 * t * (t / q) ** (a - 1.0) / u0
+         + t * (t / q) ** (2.0 * a - 2.0) * (1.0 / u0 + (a - 1.0) ** 2 / (2.0 * a - 1.0)))
+    return math.sqrt(d) / (abs(a - 1.0) * q)
+
+
 def reference_tnegini_root(r: float, p: float) -> float:
     """The contact point of the new-type tail extended Gini transform from
     its own tangency equation, (1-u)^r + r u (1-u)^(r-1) = (1-p)^(r-1) on

@@ -17,7 +17,7 @@ from riskbound.errors import (
     UnknownFamily,
 )
 
-from conftest import REFERENCE_GINI_L, SWEEP
+from conftest import REFERENCE_GINI_L, SWEEP, reference_L_tcre, reference_L_tcrt
 
 STD = B.MomentInfo(0.0, 1.0)
 
@@ -494,3 +494,78 @@ def test_closed_form_at_a_large_residual_order(family, params):
     closed = B.closed_form_sup(family, params, STD)
     assert engine > 0.0
     assert abs(closed - engine) <= 1e-10 * engine
+
+
+def _breakpoint(family, params):
+    tg = D.default_transform(D.catalog_lookup(family, params))
+    return E.convex_envelope_analytic(tg).meta["breakpoint"]
+
+
+@pytest.mark.parametrize("F", [0.125, 0.25, 0.5, 0.75])
+@pytest.mark.parametrize("past, residual, order", [
+    *(("DCT", "TCRTE", a) for a in (0.7, 1.5, 3.0, 8.0)),
+    ("DCE", "TCRE", None), ("DGini", "TNGini", None)])
+def test_past_tails_are_mirrored_residual_tails(past, residual, order, F):
+    # the past window [0, F] is the residual window [1 - F, 1] read from the
+    # other end, and 1 - F is exact at these levels: the contact lies at the
+    # same distance t from each window's far end, and L is the same
+    shape = {} if order is None else {"alpha": order}
+    L_past = B.closed_form_sup(past, {**shape, "F_t": F}, STD)
+    L_residual = B.closed_form_sup(residual, {**shape, "p": 1.0 - F}, STD)
+    assert abs(L_past - L_residual) <= 2e-15 * L_residual
+    t = _breakpoint(past, {**shape, "F_t": F})
+    assert abs(t - (1.0 - _breakpoint(residual, {**shape, "p": 1.0 - F}))) <= 2e-15
+
+
+@pytest.mark.parametrize("family, params", [
+    (f, p) for f, p in SWEEP if D.family_spec(f).mode == "residual"], ids=str)
+def test_residual_closed_forms_match_their_forms_in_u(family, params):
+    spec = D.family_spec(family)
+    F = params.get("F_t", params.get("p"))
+    if spec.base == "CRE":
+        ref = reference_L_tcre(F)
+    else:
+        ref = reference_L_tcrt(params.get("alpha", params.get("r", 2.0)), F)
+    closed = B.closed_form_sup(family, params, STD)
+    assert abs(closed - spec.scale(params) * ref) <= 1e-14 * closed
+
+
+@pytest.mark.parametrize("family, params, L", [
+    *(("DCRT", {"alpha": a, "F_t": 0.0}, 1.0 / math.sqrt(2.0 * a - 1.0))
+      for a in (0.6, 0.7, 1.5, 2.0, 3.0, 8.0)),
+    ("DWCRE", {"F_t": 0.0}, 1.0), ("DWGCRE", {"F_t": 0.0}, 1.0)])
+def test_closed_form_at_an_untruncated_residual_level(family, params, L):
+    # F_t = 0 truncates nothing, so the bound is the untruncated family's
+    assert B.closed_form_sup(family, params, STD) == pytest.approx(L, rel=1e-15)
+    g = D.catalog_lookup(family, params)
+    if g.weighted:
+        engine = B.worst_case_weighted(g, D.linear_weight(),
+                                       B.MomentInfo(0.0, 1.0, weighted=True))
+    else:
+        engine = B.worst_case_bound(g, moments=STD)
+    assert abs(engine.sup_value - L) <= 1e-10
+
+
+# sharp bounds at (mu, sigma) = (0, 1) next to an end of the level, from
+# 60-digit references
+EDGE_VALUES = [
+    ("TCRTE", {"alpha": 3.0, "p": 1.0 - 1e-13}, 877246.29814508630),
+    ("TCRTE", {"alpha": 3.0, "p": 1.0 - 1e-14}, 2775637.1078765384),
+    ("TNEGini", {"r": 3.0, "p": 1.0 - 1e-13}, 3508985.1925803452),
+    ("TEGini", {"r": 3.0, "p": 1.0 - 1e-13}, 3.5100762946381659e-7),
+    ("TNGini", {"p": 1.0 - 1e-13}, 1290793.7812767421),
+    ("TCRE", {"p": 1.0 - 1e-13}, 2712065.9519554178),
+    ("DGini", {"F_t": 1e-13}, 1290994.4487358298),
+]
+
+
+@pytest.mark.parametrize("family, params, value", EDGE_VALUES, ids=str)
+def test_closed_forms_next_to_an_end_of_the_level(family, params, value):
+    assert abs(B.closed_form_sup(family, params, STD) - value) <= 1e-12 * value
+    # the engine keeps its contact point in u, which resolves a residual
+    # contact this close to u = 1 to a few digits: it refuses, or is right
+    try:
+        engine = B.worst_case_bound(D.catalog_lookup(family, params), moments=STD)
+    except RiskboundError:
+        return
+    assert abs(engine.sup_value - value) <= 1e-8 * value

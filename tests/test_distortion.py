@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riskbound import bounds as B
 from riskbound import distortion as D
 from riskbound.errors import (
     BadTruncationPoint,
@@ -207,6 +209,34 @@ def test_tail_evaluators_agree_with_ghat(family, params, mode, extras):
     assert np.allclose(tg.ghat_upper(ts), tg.ghat(1.0 - ts), rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("past, entropy, params", [
+    ("DCT", "CT", {"alpha": 3.0}), ("DCE", "CE", {}), ("DGini", "GiniSemidiff", {})])
+def test_untruncated_past_tails_are_the_entropy_tails(past, entropy, params):
+    # the past window [0, 1] ends at u = 1, so its tail is read as -g(t)
+    tp = D.default_transform(D.catalog_lookup(past, {**params, "F_t": 1.0}))
+    te = D.default_transform(D.catalog_lookup(entropy, params))
+    ts = np.array([1e-30, 1e-17, 1e-12])
+    assert tp.ghat_upper(ts).tolist() == te.ghat_upper(ts).tolist()
+    assert tp.ghat_upper_rel(ts).tolist() == te.ghat_upper_rel(ts).tolist()
+    assert np.all(tp.ghat_upper(ts) != 0.0)
+
+
+@pytest.mark.parametrize("mode, extras, kinks", [
+    ("riskmetric", {}, (0.5,)),
+    ("residual", {"F_t": 0.5}, (0.5, 0.75)),
+    ("past", {"F_t": 0.5}, (0.25, 0.5)),
+    ("shortfall", {"p": 0.75, "tau": 0.5}, (0.75, 0.875)),
+])
+def test_kinks_of_g_map_into_the_window(mode, extras, kinks):
+    # g(v) = min(v, 1 - v) has its kink at v = 1/2, which sits at s = 1/2 of
+    # every window, next to the window's inner edge
+    g = D.custom_distortion(lambda v: np.minimum(v, 1.0 - v), kinks=(0.5,))
+    tg = D.make_ghat(g, mode, extras)
+    assert tg.kinks == kinks
+    for k in kinks:
+        assert float(tg.ghat(k)) == pytest.approx(float(tg.ghat_upper(1.0 - k)), abs=1e-15)
+
+
 def test_eval_weight():
     unit = D.unit_weight()
     assert D.eval_weight(unit, 3.0) == (1.0, 3.0)
@@ -239,8 +269,17 @@ def test_custom_distortion_validation():
     assert float(tg.ghat(0.25)) == pytest.approx(0.5)
 
 
-def test_shortfall_level_capped_with_warning():
+def test_shortfall_level_near_one_is_kept():
+    # the shortfall window [p, 1] is read from its far end, so a level next
+    # to 1 needs no cap, and the engine bound is the closed form's
     cre = D.catalog_lookup("CRE", {})
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         tg = D.make_ghat(cre, "shortfall", {"p": 1.0 - 1e-9, "tau": 0.0})
-    assert tg.p == pytest.approx(1.0 - 1e-6)
+    assert tg.p == 1.0 - 1e-9
+    params = {"p": 1.0 - 1e-7, "tau": 0.5}
+    std = B.MomentInfo(0.0, 1.0)
+    closed = B.closed_form_sup("GS", params, std)
+    assert closed == pytest.approx(3651.4835807, rel=1e-10)
+    sup = B.worst_case_bound(D.catalog_lookup("GS", params), moments=std).sup_value
+    assert abs(sup - closed) <= 1e-9 * closed
