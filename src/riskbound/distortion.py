@@ -217,7 +217,6 @@ class TransformedGHat:
     ghat_upper_rel: Optional[Evaluable] = None  # ghat(1-t) - ghat(1), offset-free
     tails_exact: bool = True
     kinks: tuple = ()
-    window: tuple = (0.0, 1.0)  # [lo, hi]: ghat reads g there, and is 0 outside
 
     def __call__(self, u):
         return self.ghat(u)
@@ -750,34 +749,37 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
     edge, inside = (hi, np.less_equal) if lo == 0.0 else (lo, np.greater_equal)
     cut = 0.0 < edge < 1.0
 
+    def combine(G, s, c0):
+        """c0 + lin*s - w*G: the window formula with g read as G at coordinate s."""
+        G = np.asarray(G)
+        if w != 1.0:
+            G = w * G
+        val = c0 - G if c0 else -G
+        return val + lin * s if lin else val
+
     def ghat_arr(u):
         u = np.asarray(u, dtype=float)
         v = np.clip(u, lo, hi) if cut else u
         if lo == 0.0:  # read from u = 0
-            G = np.asarray(g_hi(v / q if cut else v))
+            s = v / q if cut else v
+            val = combine(g_hi(s), s, c)
         else:          # read from the window's far end, u = 1
-            G = np.asarray(g.g((1.0 - v) / q))
-        if w != 1.0:
-            G = w * G
-        val = c - G if c else -G
-        if lin:
-            val = val + lin * (v - lo) / q
+            val = combine(g.g((1.0 - v) / q), (v - lo) / q if lin else 0.0, c)
         return np.where(inside(u, edge), val, 0.0) if cut else val
 
     center = c + lin if hi == 1.0 else 0.0
     if hi == 1.0:
-        def tail_arr(t, c0=0.0, s0=0.0):
-            """c0 + lin*(s0 - t/q) - w*g(t/q): ghat(1 - t) - center at the
-            defaults, and ghat(1 - t) at (c0, s0) = (c, 1)."""
+        # ghat(1 - t) - center and ghat(1 - t), both read as g(t/q)
+        def rel_arr(t):
             x = np.asarray(t, dtype=float) / q
-            G = np.asarray(g.g(x))
-            if w != 1.0:
-                G = w * G
-            val = c0 - G if c0 else -G
-            return val + lin * (s0 - x) if lin else val
+            return combine(g.g(x), -x, 0.0)
 
-        rel = _ev(tail_arr)
-        upper = _ev(lambda t: tail_arr(t, c, 1.0)) if center else rel
+        def upper_arr(t):
+            x = np.asarray(t, dtype=float) / q
+            return combine(g.g(x), 1.0 - x, c)
+
+        rel = _ev(rel_arr)
+        upper = _ev(upper_arr) if center else rel
     else:
         upper = rel = _ev(lambda t: ghat_arr(1.0 - np.asarray(t, dtype=float)))
     kinks = (edge,) if cut else ()
@@ -786,7 +788,7 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
                                            for v in g.kinks)))
     return TransformedGHat(mode=mode, source=g, ghat=_ev(ghat_arr), center=center,
                            F_t=F, p=p, tau=tau, ghat_upper=upper, ghat_upper_rel=rel,
-                           tails_exact=g.g_hi is not None, kinks=kinks, window=(lo, hi))
+                           tails_exact=g.g_hi is not None, kinks=kinks)
 
 
 def custom_distortion(g: Callable, g_prime: Optional[Callable] = None,

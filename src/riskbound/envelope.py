@@ -492,15 +492,17 @@ def convex_envelope_analytic(ghat: TransformedGHat) -> PiecewiseEnvelope:
         return _shortfall_env(ghat)
     if mode == "riskmetric" and src.base == "ES":
         return _es_env(ghat)
-    # a window of [0, 1] truncates nothing, so a convex base is its own envelope
-    lo, hi = ghat.window
-    if (lo, hi) == (0.0, 1.0) and src.entropy_convex:
+    # a window of [0, 1] (F_t unset, 0 residual or 1 past) truncates nothing,
+    # so a convex base is its own envelope
+    F = ghat.F_t
+    if F in (None, 0.0, 1.0) and src.entropy_convex:
         return _tangent_env(ghat, 1.0, False, 1.0)
     a = _order(src.params)
     shape, mirrored = _shape(mode, src.base, a)
     if shape is None or shape.root is None:
         raise NoAnalyticForm(f"no {mode}-mode envelope recipe for base {src.base!r}")
-    q = hi - lo
+    # the window's length: 1 - F_t residual, F_t past
+    q = 1.0 - F if mode == "residual" else F if mode == "past" else 1.0
     return _tangent_env(ghat, shape.root(a, q), mirrored, q)
 
 
