@@ -5,18 +5,20 @@ entropy, premium principle or entropy shortfall over all distributions with
 given mean and variance, and materializes the quantile function of the
 attaining distribution:
 
-    sup = mu * c + sigma * sqrt(integral (envelope_slope(u) - c)^2 du)
+    sup = mu * c + sigma * L,   L = sqrt(integral (envelope_slope(u) - c)^2 du)
 
 where c is the transform's center (its value at 1) and the envelope is the
-greatest convex minorant of the transformed distortion.  The worst-case
-quantile is the standardized excess slope mu + sigma * (slope(u) - c) / L.
+greatest convex minorant of the transformed distortion.  A catalog row under
+its own mode with an analytic envelope reads L from its closed form in the
+distortion table instead, and the envelope is only its certificate.  The
+worst-case quantile is the standardized excess slope mu + sigma * (slope(u) - c) / L.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -25,6 +27,7 @@ from .distortion import (
     DistortionFn,
     TransformedGHat,
     WeightSpec,
+    _L_at,
     catalog_lookup,
     closed_form_L,
     family_names,
@@ -244,34 +247,38 @@ def worst_case_bound(g: DistortionFn, mode: Optional[str] = None,
                      extras: Optional[dict] = None, moments: MomentInfo = None,
                      engine: str = "auto", n_grid: Optional[int] = None) -> BoundResult:
     """Sharp supremum of the transformed riskmetric over all distributions
-    with the given mean and variance, with its worst-case quantile."""
+    with the given mean and variance, with its worst-case quantile.  Its L
+    is the table's closed form, at the envelope's contact point, for a catalog
+    row under its own mode with an analytic envelope; otherwise it is the
+    envelope's squared-slope integral."""
     if moments is None:
         raise DomainError("worst_case_bound requires moments")
     if mode is None:
         mode = g.mode_default
         if extras is None:
             extras = dict(g.extras_default)
+    P = None
     if (g.base != "custom" and mode == g.mode_default
             and dict(extras or {}) == dict(g.extras_default)):
         # diverging-sup parameters are rejected up front for catalog families
-        sup_admissible(g.family, g.params)
+        P = sup_admissible(g.family, g.params)
     tg = make_ghat(g, mode, extras)
     env, used = _build_envelope(tg, engine, n_grid)
-    L = slope_l2_norm(env, tg.center)
-    if not math.isfinite(L):
-        raise ParamOutOfDomain(
-            f"{g.family}: squared-slope integral diverges; no finite bound")
-    # custom transforms lack exact endpoint forms, so the computed norm has a
-    # rounding floor well above machine precision
-    eps = DEGENERATE_EPS if tg.tails_exact else 1e-9
-    degenerate = L < eps
-    if degenerate:
-        L = 0.0  # slope == center a.e.; the residual norm is rounding noise
+    if P is not None and used == "analytic":
+        L = _L_at(family_spec(g.family), P, env.meta.get("t"))
+    else:
+        L = slope_l2_norm(env, tg.center)
+        if not math.isfinite(L):
+            raise ParamOutOfDomain(
+                f"{g.family}: squared-slope integral diverges; no finite bound")
+        # below the norm's rounding floor, which customs (no exact endpoint
+        # forms) keep well above machine precision, slope == center a.e.
+        if L < (DEGENERATE_EPS if tg.tails_exact else 1e-9):
+            L = 0.0
+    degenerate = L == 0.0
     sup = moments.mu * tg.center + moments.sigma * L
-    quantile = None
-    if not degenerate:
-        quantile = _quantile_from_envelope(env, tg.center, L, moments,
-                                           g.tail_class, f"worst[{g.family}]")
+    quantile = None if degenerate else _quantile_from_envelope(
+        env, tg.center, L, moments, g.tail_class, f"worst[{g.family}]")
     return BoundResult(sup_value=float(sup), l2_term=float(L), center=tg.center,
                        degenerate=degenerate, quantile=quantile,
                        family=g.family, params=dict(g.params), mode=tg.mode,
@@ -300,11 +307,7 @@ def worst_case_weighted(g: DistortionFn, w: Optional[WeightSpec],
     quantile = None
     if wq is not None and w is not None and w.Psi_inverse is not None:
         quantile = wq.map(w.Psi_inverse, name=f"PsiInv({wq.name})")
-    return BoundResult(sup_value=inner.sup_value, l2_term=inner.l2_term,
-                       center=inner.center, degenerate=inner.degenerate,
-                       quantile=quantile, weighted_quantile=wq,
-                       family=g.family, params=dict(g.params), mode=inner.mode,
-                       moments=moments, envelope=inner.envelope, engine=inner.engine)
+    return replace(inner, quantile=quantile, weighted_quantile=wq, moments=moments)
 
 
 def closed_form_factor(family: str, params: Optional[dict]) -> tuple:
@@ -371,15 +374,12 @@ def shortfall_bound(spec: ShortfallSpec, moments: MomentInfo,
         return worst_case_bound(spec.custom_g, "shortfall",
                                 {"p": spec.p, "tau": spec.tau}, moments,
                                 engine=engine, n_grid=n_grid)
-    g = catalog_lookup(spec.family, params)
-    result = worst_case_bound(g, moments=moments, engine=engine, n_grid=n_grid)
-    L = shortfall_value(spec, MomentInfo(0.0, 1.0))
-    sup = moments.mu + moments.sigma * L
-    return BoundResult(sup_value=float(sup), l2_term=float(L), center=1.0,
-                       degenerate=result.degenerate, quantile=result.quantile,
-                       family=spec.family, params=dict(params), mode="shortfall",
-                       moments=moments, envelope=result.envelope,
-                       engine=f"closed-form+{result.engine}")
+    result = worst_case_bound(catalog_lookup(spec.family, params), moments=moments,
+                              engine=engine, n_grid=n_grid)
+    L = closed_form_factor(spec.family, params)[1]
+    return replace(result, sup_value=moments.mu + moments.sigma * L, l2_term=L,
+                   params=dict(params), mode="shortfall",
+                   engine=f"closed-form+{result.engine}")
 
 
 def worst_case_quantile(result: BoundResult, u):

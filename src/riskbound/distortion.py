@@ -14,8 +14,9 @@ rows are scaled Tsallis rows.  A second table, keyed by (mode, shape),
 holds each closed-form sup factor at unit scale and, where the envelope has
 a contact point, its contact solver.  It holds the residual side only: a
 past tail is the mirrored residual tail, so a past-side (mode, shape) reads
-its mirror's entry.  The parameter checks, transform extras and tail class
-are worked out from the row.
+its mirror's entry, and a shortfall, ES plus tau times its base's entropy
+term, reads the base's entropy entry.  The parameter checks, transform
+extras and tail class are worked out from the row.
 
 ``make_ghat`` turns a distortion into the integrand of its quantile
 representation: the reflected function whose Stieltjes measure integrates a
@@ -468,28 +469,21 @@ def _L_log_tail(q: float, t: float) -> float:
     return math.sqrt(t + t * w * w / (1.0 - t)) / q
 
 
-def _L_es(p: float) -> float:
-    return math.sqrt(p / (1.0 - p))
-
-
-def _L_cres(p: float, tau: float) -> float:
-    return math.sqrt((p + tau * tau) / (1.0 - p))
-
-
-def _L_crtes(a: float, p: float, tau: float) -> float:
-    k = 2.0 * a - 1.0
-    return math.sqrt((k * p + tau * tau) / (k * (1.0 - p)))
+def _L_shortfall(p: float, entropy: float) -> float:
+    """L of ES at level p plus a loaded entropy term whose own L is
+    ``entropy``: tau times the row's scale times its base's entropy L."""
+    return math.sqrt((p + entropy * entropy) / (1.0 - p))
 
 
 @dataclass(frozen=True)
 class _Shape:
-    """One (mode, shape) entry on the residual side.  ``L(order, level, tau,
-    t)`` is the closed-form ``L`` at unit scale, where ``level`` is the
-    window length q of a tail mode (1 - F_t residual, F_t past) and p
-    otherwise, and ``t()`` gives the contact distance ``root(order, level)``
-    from the far end of the window.  An entry with a root has its
-    envelope's chord on [0, 1 - t] and its branch on [1 - t, 1]; its mirror
-    has the chord on [t, 1] and the branch on [0, t]."""
+    """One (mode, shape) entry on the residual side.  ``L(order, level, t)``
+    is the closed-form ``L`` at unit scale, where ``level`` is the window
+    length q of a tail mode (1 - F_t residual, F_t past) and p otherwise,
+    and ``t()`` gives the contact distance ``root(order, level)`` from the
+    far end of the window.  An entry with a root has its envelope's chord on
+    [0, 1 - t] and its branch on [1 - t, 1]; its mirror has the chord on
+    [t, 1] and the branch on [0, t]."""
 
     L: Callable[..., float]
     root: Optional[Callable[[float, float], float]] = None
@@ -499,17 +493,15 @@ class _Shape:
 # It holds the residual side only: a past-side (mode, shape) reads its
 # mirror's entry, with the chord on the other side
 _SHAPES: dict = {
-    ("entropy", "CRT"): _Shape(lambda a, lvl, tau, t: _L_tsallis(a)),
-    ("entropy", "CRE"): _Shape(lambda a, lvl, tau, t: 1.0),
-    ("entropy", "FGRE"): _Shape(lambda a, lvl, tau, t: _L_fgre(a, t),
+    ("entropy", "CRT"): _Shape(lambda a, lvl, t: _L_tsallis(a)),
+    ("entropy", "CRE"): _Shape(lambda a, lvl, t: 1.0),
+    ("entropy", "FGRE"): _Shape(lambda a, lvl, t: _L_fgre(a, t),
                                 lambda a, lvl: fractional_root(a)),
-    ("residual", "CRT"): _Shape(lambda a, q, tau, t: _L_tsallis_tail(a, q, t()),
+    ("residual", "CRT"): _Shape(lambda a, q, t: _L_tsallis_tail(a, q, t()),
                                 tsallis_tail_root),
-    ("residual", "CRE"): _Shape(lambda a, q, tau, t: _L_log_tail(q, t()),
+    ("residual", "CRE"): _Shape(lambda a, q, t: _L_log_tail(q, t()),
                                 lambda a, q: log_tail_root(q)),
-    ("riskmetric", "ES"): _Shape(lambda a, p, tau, t: _L_es(p)),
-    ("shortfall", "CRT"): _Shape(lambda a, p, tau, t: _L_crtes(a, p, tau)),
-    ("shortfall", "CRE"): _Shape(lambda a, p, tau, t: _L_cres(p, tau)),
+    ("riskmetric", "ES"): _Shape(lambda a, p, t: _L_shortfall(p, 0.0)),
 }
 
 # the mirror u -> 1 - u: past and residual windows trade ends, and each
@@ -535,18 +527,24 @@ def _shape(mode: str, base: str, a: float) -> tuple:
 
 def closed_form_L(spec: FamilySpec, P: dict) -> float:
     """The closed-form ``L`` of the sharp bound ``mu * center + sigma * L``
-    for a row and its checked parameters: the row's scale times its (mode,
-    shape) entry's unit-scale ``L``.  A shortfall's scale loads its entropy
-    term alone, so there it multiplies tau instead."""
+    for a row and its checked parameters."""
+    return _L_at(spec, P, None)
+
+
+def _L_at(spec: FamilySpec, P: dict, t: Optional[float]) -> float:
+    """``closed_form_L`` at the contact distance ``t`` already solved (at the
+    entry's root when None): the row's scale times its (mode, shape) entry's
+    unit-scale ``L``; a shortfall's is ES plus tau times its scaled entropy L."""
     a, scale = _order(P), spec.scale(P)
+    if spec.mode == "shortfall":
+        entropy = _SHAPES["entropy", spec.base].L(a, 1.0, None)
+        return _L_shortfall(P["p"], P["tau"] * scale * entropy)
     shape = _shape(spec.mode, spec.base, a)[0]
     level = P.get("F_t", P.get("p"))
     if spec.mode == "residual":  # the window [F_t, 1]
         level = 1.0 - level
-    contact = lambda: shape.root(a, level)
-    if spec.mode == "shortfall":
-        return shape.L(a, level, P["tau"] * scale, contact)
-    return scale * shape.L(a, level, None, contact)
+    contact = (lambda: shape.root(a, level)) if t is None else (lambda: t)
+    return scale * shape.L(a, level, contact)
 
 
 def _aliases(*names: tuple, row: tuple) -> tuple:

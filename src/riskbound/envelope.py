@@ -409,7 +409,8 @@ def _tangent_env(tg: TransformedGHat, t: float, mirrored: bool,
     [u, 1] (past side: FGE, past mode).  The branch slope is
     g'((1 - u)/scale)/scale left of a chord and g'(1 - u/scale)/scale right
     of one.  ``t = 1`` on the residual side means no chord: an untruncated
-    convex transform is its own envelope.
+    convex transform is its own envelope.  ``meta["t"]`` keeps ``t``, from
+    which the table's closed form reads the bound's value.
     """
     src = tg.source
     u = t if mirrored else 1.0 - t
@@ -431,16 +432,16 @@ def _tangent_env(tg: TransformedGHat, t: float, mirrored: bool,
         def slope_lo(t):
             return np.asarray(src.gp_hi(np.asarray(t, dtype=float) / scale)) / scale
 
+    meta = {"kind": "analytic", "t": t}
     if not mirrored:
         branch = Segment(u, 1.0, "analytic", slope_lo=slope_lo, slope_hi=slope_hi)
         if u == 0.0:
-            return _env_from_segments(tg, [branch], [0.0, 1.0])
+            return _env_from_segments(tg, [branch], [0.0, 1.0], meta)
         segs = [Segment(0.0, u, "chord", slope=float(tg.ghat(u)) / u), branch]
     else:
         branch = Segment(0.0, u, "analytic", slope_lo=slope_lo, slope_hi=slope_hi)
         segs = [branch, Segment(u, 1.0, "chord", slope=-float(tg.ghat(u)) / (1.0 - u))]
-    return _env_from_segments(tg, segs, [0.0, u, 1.0],
-                              meta={"kind": "analytic", "breakpoint": u})
+    return _env_from_segments(tg, segs, [0.0, u, 1.0], {**meta, "breakpoint": u})
 
 
 def _es_env(tg: TransformedGHat) -> PiecewiseEnvelope:

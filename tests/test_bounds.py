@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from riskbound import _num
 from riskbound import bounds as B
 from riskbound import distortion as D
 from riskbound import envelope as E
@@ -487,13 +488,46 @@ def test_closed_form_at_an_untruncated_past_level(family, params):
 
 
 @pytest.mark.parametrize("family,params", [
-    ("DCRT", {"alpha": 180.0, "F_t": 0.9}), ("TNEGini", {"r": 180.0, "p": 0.9})])
+    ("DCRT", {"alpha": 180.0, "F_t": 0.9}), ("TNEGini", {"r": 180.0, "p": 0.9}),
+    ("TEGini", {"r": 180.0, "p": 0.9})])
 def test_closed_form_at_a_large_residual_order(family, params):
     # t**(2a-1) and q**(2a-2) both underflow here; their ratio does not
     engine = B.worst_case_bound(D.catalog_lookup(family, params), moments=STD).sup_value
     closed = B.closed_form_sup(family, params, STD)
     assert engine > 0.0
     assert abs(closed - engine) <= 1e-10 * engine
+
+
+@pytest.mark.parametrize("family, params", [
+    ("CT", {"alpha": 0.51}), ("CRT", {"alpha": 0.51}), ("FGE", {"alpha": 45.0}),
+    ("FGRE", {"alpha": 37.0}), ("TCRTE", {"alpha": 3.0, "p": 1.0 - 1e-10})], ids=str)
+def test_catalog_bound_takes_its_value_from_the_table(family, params):
+    # the squared-slope quadrature loses these values (a power tail below its
+    # floor, a contact next to an end); the table's closed form does not
+    res = B.worst_case_bound(D.catalog_lookup(family, params), moments=STD)
+    closed = B.closed_form_sup(family, params, STD)
+    assert abs(res.sup_value - closed) <= 1e-12 * closed
+    assert res.engine == "analytic"
+    us, qs = res.quantile_grid(1001)
+    assert np.all(np.isfinite(qs))
+    assert np.all(np.diff(qs) >= 0.0)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("DCRT", {"alpha": 2.0 / 3.0, "F_t": 0.5}), ("TCRE", {"p": 0.5}),
+    ("FGRE", {"alpha": 3.0})])
+def test_one_contact_solve_per_bound(monkeypatch, family, params):
+    # the envelope solves the contact point, and the value reads it there
+    calls = []
+    real = _num.bisect_root
+
+    def counted(*args, **kw):
+        calls.append(args[1:])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(_num, "bisect_root", counted)
+    B.worst_case_bound(D.catalog_lookup(family, params), moments=STD)
+    assert len(calls) == 1, calls  # the brackets of each solve
 
 
 def _breakpoint(family, params):

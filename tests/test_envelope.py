@@ -615,7 +615,11 @@ def test_slope_quadrature_matches_the_reference():
         tg = _transform(family, params)
         env = E.convex_envelope_analytic(tg)
         ref = reference_slope_l2_norm(env, tg.center)
-        assert E.slope_l2_norm(env, tg.center) == pytest.approx(ref, rel=1e-12), \
+        norm = E.slope_l2_norm(env, tg.center)
+        assert norm == pytest.approx(ref, rel=1e-12), (family, params)
+        # a catalog bound takes its value from the table, so the quadrature
+        # is the closed forms' independent check
+        assert norm == pytest.approx(B.closed_form_factor(family, params)[1], rel=1e-12), \
             (family, params)
     # where a share of ~1e-8 of the squared-slope mass lies at the 1e-60
     # floor, the value depends on where the deepest panel edge falls; the
