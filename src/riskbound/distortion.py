@@ -15,14 +15,17 @@ holds each closed-form sup factor at unit scale and, where the envelope has
 a contact point, its contact solver.  It holds the residual side only: a
 past tail is the mirrored residual tail, so a past-side (mode, shape) reads
 its mirror's entry, and a shortfall, ES plus tau times its base's entropy
-term, reads the base's entropy entry.  The parameter checks, transform
-extras and tail class are worked out from the row.
+term, reads the base's entropy entry; ES is its tau = 0 case.  The
+parameter checks, transform extras and tail class are worked out from the
+row.
 
 ``make_ghat`` turns a distortion into the integrand of its quantile
 representation: the reflected function whose Stieltjes measure integrates a
 quantile function, read through one window of [0, 1]: the whole interval,
 or a residual ``[X - t | X > t]`` or past ``[X | X <= t]`` truncation, or a
-tail combined with an expected-shortfall term into a tail shortfall.
+tail combined with an expected-shortfall term into a tail shortfall; ES
+reads the shortfall window at tau = 0.  The window's slope forms near each
+end it reaches are the analytic envelope's branches.
 """
 
 from __future__ import annotations
@@ -204,7 +207,9 @@ class TransformedGHat:
     quantile function; ``center`` is the constant subtracted from envelope
     slopes in the sharp bound, and always equals ``ghat(1)``.
     ``ghat_upper(t) = ghat(1 - t)`` is stable for tiny t; near u = 0,
-    ``ghat`` itself is.
+    ``ghat`` itself is.  So are the slopes ``slope_lower(t) = ghat'(t)``
+    and ``slope_upper(t) = ghat'(1 - t)``, each None where the window stops
+    short of that end or ``g`` has no derivative form there.
     """
 
     mode: str
@@ -218,6 +223,8 @@ class TransformedGHat:
     ghat_upper_rel: Optional[Evaluable] = None  # ghat(1-t) - ghat(1), offset-free
     tails_exact: bool = True
     kinks: tuple = ()
+    slope_lower: Optional[Evaluable] = None
+    slope_upper: Optional[Evaluable] = None
 
     def __call__(self, u):
         return self.ghat(u)
@@ -501,7 +508,6 @@ _SHAPES: dict = {
                                 tsallis_tail_root),
     ("residual", "CRE"): _Shape(lambda a, q, t: _L_log_tail(q, t()),
                                 lambda a, q: log_tail_root(q)),
-    ("riskmetric", "ES"): _Shape(lambda a, p, t: _L_shortfall(p, 0.0)),
 }
 
 # the mirror u -> 1 - u: past and residual windows trade ends, and each
@@ -534,11 +540,12 @@ def closed_form_L(spec: FamilySpec, P: dict) -> float:
 def _L_at(spec: FamilySpec, P: dict, t: Optional[float]) -> float:
     """``closed_form_L`` at the contact distance ``t`` already solved (at the
     entry's root when None): the row's scale times its (mode, shape) entry's
-    unit-scale ``L``; a shortfall's is ES plus tau times its scaled entropy L."""
+    unit-scale ``L``; a shortfall's is ES plus tau times its scaled entropy L,
+    and ES is the shortfall at tau = 0."""
     a, scale = _order(P), spec.scale(P)
-    if spec.mode == "shortfall":
-        entropy = _SHAPES["entropy", spec.base].L(a, 1.0, None)
-        return _L_shortfall(P["p"], P["tau"] * scale * entropy)
+    if spec.mode == "shortfall" or spec.base == "ES":
+        entropy = _SHAPES["entropy", spec.base].L(a, 1.0, None) if "tau" in P else 0.0
+        return _L_shortfall(P["p"], P.get("tau", 0.0) * scale * entropy)
     shape = _shape(spec.mode, spec.base, a)[0]
     level = P.get("F_t", P.get("p"))
     if spec.mode == "residual":  # the window [F_t, 1]
@@ -699,26 +706,33 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
         ghat = c + lin*s - w*g(1 - s)  inside the window, 0 outside,
 
     with (c, lin, w) = (g(1), 0, 1) in riskmetric mode, (0, 0, 1) in
-    entropy, residual and past mode and (0, 1, tau) in shortfall mode:
+    entropy, residual and past mode and (0, 1, tau) in shortfall mode.  ES
+    in riskmetric mode is the shortfall at tau = 0: (0, 1, 0) on [p, 1].
 
     riskmetric:  ghat(u) = g(1) - g(1-u)
+    ES:          ghat(u) = (u-p)/(1-p)       on [p, 1], 0 below
     entropy:     ghat(u) = -g(1-u)                       (requires g(1) = 0)
     residual:    ghat(u) = -g((1-u)/(1-F_t)) on [F_t, 1], 0 below
     past:        ghat(u) = -g(1 - u/F_t)    on [0, F_t], 0 above
     shortfall:   ghat(u) = (u-p)/(1-p) - tau*g((1-u)/(1-p)) on [p, 1], 0 below
 
-    The center (= ghat(1)) is g(1), 0, 0, 0 and 1 respectively.  A window
+    The center (= ghat(1)) is g(1), 1, 0, 0, 0 and 1 respectively.  A window
     that starts above u = 0 is read at the distance (1 - u)/q from its far
     end, and a window that ends at u = 1 reads its tail ghat(1 - t) as
-    c + lin*(1 - t/q) - w*g(t/q).  The kinks of ``g`` and the window's
-    inner edges are the transform's kinks.
+    c + lin*(1 - t/q) - w*g(t/q), and its slope ghat'(1 - t) as
+    (lin + w*g'(t/q))/q (ghat'(t) reads g'(1 - t/q) near u = 0), or lin/q at
+    w = 0.  The window's inner edges and, where w != 0, the kinks of ``g``
+    are the transform's kinks.
     """
     extras = dict(extras or {})
     if mode not in MODES:
         raise ModeContractViolation(f"unknown mode {mode!r}; expected one of {MODES}")
     lo, hi, c, lin, w = 0.0, 1.0, 0.0, 0.0, 1.0
     F = p = tau = None
-    if mode == "riskmetric":
+    if mode == "riskmetric" and g.base == "ES":
+        p, tau = g.params["p"], 0.0
+        lo, lin, w = p, 1.0, 0.0
+    elif mode == "riskmetric":
         c = g.g1
     elif mode in ("residual", "past"):
         if "F_t" not in extras:
@@ -781,12 +795,23 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
     else:
         upper = rel = _ev(lambda t: ghat_arr(1.0 - np.asarray(t, dtype=float)))
     kinks = (edge,) if cut else ()
-    if g.kinks:
+    if g.kinks and w:
         kinks = tuple(sorted(kinks + tuple(1.0 - q * v if hi == 1.0 else q * (1.0 - v)
                                            for v in g.kinks)))
+
+    def slope_form(gp):
+        """(lin + w*gp(t/q))/q, with ``gp`` the form of g' at the end read."""
+        if not w:
+            return _ev(lambda t: np.full(np.shape(t), lin / q))
+        if gp is None or (q, lin, w) == (1.0, 0.0, 1.0):
+            return gp
+        return _ev(lambda t: (lin + w * np.asarray(gp(np.asarray(t, dtype=float) / q))) / q)
+
     return TransformedGHat(mode=mode, source=g, ghat=_ev(ghat_arr), center=center,
                            F_t=F, p=p, tau=tau, ghat_upper=upper, ghat_upper_rel=rel,
-                           tails_exact=g.g_hi is not None, kinks=kinks)
+                           tails_exact=g.g_hi is not None, kinks=kinks,
+                           slope_lower=slope_form(g.gp_hi) if lo == 0.0 else None,
+                           slope_upper=slope_form(g.g_prime) if hi == 1.0 else None)
 
 
 def custom_distortion(g: Callable, g_prime: Optional[Callable] = None,

@@ -387,124 +387,85 @@ def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
 # analytic envelopes
 # ---------------------------------------------------------------------------
 
-def _env_from_segments(tg, segs, knots, meta=None):
-    knots = np.asarray(knots, dtype=float)
-    values = np.asarray(tg.ghat(knots), dtype=float)
-    slopes = np.array([np.nan if s.slope is None else s.slope for s in segs])
-    contact = np.array([s.contact_run for s in segs], dtype=bool)
-    return PiecewiseEnvelope(knots=knots, values=values, slopes=slopes,
-                             contact=contact, source=tg,
-                             meta=dict(meta or {"kind": "analytic"}),
-                             pieces=tuple(segs))
-
-
-def _tangent_env(tg: TransformedGHat, t: float, mirrored: bool,
-                 scale: float) -> PiecewiseEnvelope:
+def _tangent_env(tg: TransformedGHat, t: float, mirrored: bool = False,
+                 u: Optional[float] = None) -> PiecewiseEnvelope:
     """A chord from the transform's zero end to the contact point, and the
-    transform itself on the other side of it.
+    transform itself on the other side of it, read through its slope forms.
 
-    The contact lies at distance ``t`` from the far end of the window, whose
-    length is ``scale``: at u = 1 - t with the chord on [0, u] (residual
-    side: FGRE, residual mode), or, ``mirrored``, at u = t with the chord on
-    [u, 1] (past side: FGE, past mode).  The branch slope is
-    g'((1 - u)/scale)/scale left of a chord and g'(1 - u/scale)/scale right
-    of one.  ``t = 1`` on the residual side means no chord: an untruncated
-    convex transform is its own envelope.  ``meta["t"]`` keeps ``t``, from
-    which the table's closed form reads the bound's value.
+    The contact lies at distance ``t`` from the far end of the window: at
+    u = 1 - t with the chord on [0, u] (residual side: FGRE, residual mode),
+    or, ``mirrored``, at u = t with the chord on [u, 1] (past side: FGE,
+    past mode).  ``u`` places it where 1 - t would round it: at the inner
+    edge p of an ES or shortfall window, t = 1 - p.  ``t = 1`` on the
+    residual side means no chord: an untruncated convex transform is its own
+    envelope.  ``meta["t"]`` keeps ``t``, at which the table's closed form
+    reads the bound's value.
     """
     src = tg.source
-    u = t if mirrored else 1.0 - t
+    if u is None:
+        u = t if mirrored else 1.0 - t
     if (u <= 0.0) if mirrored else (u >= 1.0):
         raise ParamOutOfDomain(
             f"{src.family}: the contact point rounds to the end of [0, 1], so the "
             "analytic branch beyond it is not representable in double precision")
-    if not mirrored and scale < 1.0:
-        _check_branch_start(src, t)
-
-    # stable tail forms at distance t from u = 1 and from u = 0, each read
-    # only where the branch reaches that end; at scale 1 they are the
-    # source's own, called directly on the quadrature's long chains
-    slope_hi, slope_lo = src.g_prime, src.gp_hi
-    if scale != 1.0:
-        def slope_hi(t):
-            return np.asarray(src.g_prime(np.asarray(t, dtype=float) / scale)) / scale
-
-        def slope_lo(t):
-            return np.asarray(src.gp_hi(np.asarray(t, dtype=float) / scale)) / scale
-
-    meta = {"kind": "analytic", "t": t}
-    if not mirrored:
-        branch = Segment(u, 1.0, "analytic", slope_lo=slope_lo, slope_hi=slope_hi)
-        if u == 0.0:
-            return _env_from_segments(tg, [branch], [0.0, 1.0], meta)
-        segs = [Segment(0.0, u, "chord", slope=float(tg.ghat(u)) / u), branch]
-    else:
-        branch = Segment(0.0, u, "analytic", slope_lo=slope_lo, slope_hi=slope_hi)
-        segs = [branch, Segment(u, 1.0, "chord", slope=-float(tg.ghat(u)) / (1.0 - u))]
-    return _env_from_segments(tg, segs, [0.0, u, 1.0], {**meta, "breakpoint": u})
-
-
-def _es_env(tg: TransformedGHat) -> PiecewiseEnvelope:
-    # riskmetric transform of the expected-shortfall distortion: kink at 1-p
-    k = tg.kinks[0]
-    q = 1.0 - k
-    segs = [Segment(0.0, k, "chord", slope=0.0, contact_run=True),
-            Segment(k, 1.0, "chord", slope=1.0 / q, contact_run=True)]
-    return _env_from_segments(tg, segs, [0.0, k, 1.0])
-
-
-def _check_branch_start(src, t: float) -> None:
-    """Refuse a tail window's branch that starts closer than ``BRANCH_FLOOR``
-    to u = 1: its whole squared-slope mass lies at distances of about ``t``,
-    which the quadrature's points in u resolve only to ~1e-16/t."""
-    if t < BRANCH_FLOOR:
+    # a branch from a truncated window to u = 1 whose slope varies (a tail, or
+    # a shortfall with tau > 0) holds its squared-slope mass at distances of
+    # about t, which its points in u resolve only to ~1e-16/t
+    if not mirrored and (tg.F_t or tg.p) and tg.tau != 0.0 and t < BRANCH_FLOOR:
         raise ParamOutOfDomain(
             f"{src.family}: the analytic branch starts {t:.3g} from u = 1, closer "
             f"than the {BRANCH_FLOOR:g} that its quadrature in u resolves")
 
-
-def _shortfall_env(tg: TransformedGHat) -> PiecewiseEnvelope:
-    src = tg.source
-    if not src.concave or src.g_prime is None:
-        raise NoAnalyticForm("shortfall envelope recipe needs a concave base with a derivative")
-    p, tau = tg.p, tg.tau
-    q = 1.0 - p
-    _check_branch_start(src, q)
-    kink_slope = 1.0 + tau * float(src.g_prime(1.0))
-    if kink_slope < -1e-9:
-        raise NoAnalyticForm("loading tau outside the convexity range of the shortfall")
-
-    if tau == 0.0:
-        slope_hi = lambda t: np.full_like(np.asarray(t, dtype=float), 1.0 / q)
+    meta = {"kind": "analytic", "t": t}
+    branch = Segment(*((0.0, u) if mirrored else (u, 1.0)), "analytic",
+                     slope_lo=tg.slope_lower, slope_hi=tg.slope_upper)
+    knots = np.array([0.0, 1.0] if u == 0.0 else [0.0, u, 1.0])
+    values = np.asarray(tg.ghat(knots), dtype=float)
+    if u == 0.0:
+        segs = [branch]
+    elif mirrored:
+        segs = [branch, Segment(u, 1.0, "chord", slope=-float(values[1]) / (1.0 - u))]
     else:
-        slope_hi = lambda t: (1.0 + tau * np.asarray(
-            src.g_prime(np.asarray(t, dtype=float) / q))) / q
-
-    segs = [Segment(0.0, p, "chord", slope=0.0, contact_run=True),
-            Segment(p, 1.0, "analytic", slope_hi=slope_hi)]
-    return _env_from_segments(tg, segs, [0.0, p, 1.0])
+        # a chord along the transform's zero (below an ES or shortfall
+        # window) coincides with the transform
+        segs = [Segment(0.0, u, "chord", slope=float(values[1]) / u,
+                        contact_run=bool(values[1] == 0.0)), branch]
+    if u != 0.0:
+        meta["breakpoint"] = u
+    return PiecewiseEnvelope(
+        knots=knots, values=values, source=tg, meta=meta, pieces=tuple(segs),
+        slopes=np.array([np.nan if s.slope is None else s.slope for s in segs]),
+        contact=np.array([s.contact_run for s in segs], dtype=bool))
 
 
 def convex_envelope_analytic(ghat: TransformedGHat) -> PiecewiseEnvelope:
-    """Closed-form envelope for catalog transforms; NoAnalyticForm otherwise."""
+    """Closed-form envelope for catalog transforms; NoAnalyticForm otherwise.
+
+    The contact lies at the window's inner edge p for ES and the shortfalls,
+    which are 0 below it and convex above it with a nonnegative slope there;
+    at the table's root for a truncated tail; and nowhere for an untruncated
+    convex base."""
     src = ghat.source
-    mode = ghat.mode
-    if mode == "shortfall":
-        return _shortfall_env(ghat)
-    if mode == "riskmetric" and src.base == "ES":
-        return _es_env(ghat)
+    if ghat.p is not None:
+        q = 1.0 - ghat.p
+        if not src.concave or ghat.slope_upper is None:
+            raise NoAnalyticForm("shortfall envelope recipe needs a concave base with a derivative")
+        if ghat.slope_upper(q) * q < -1e-9:
+            raise NoAnalyticForm("loading tau outside the convexity range of the shortfall")
+        return _tangent_env(ghat, q, u=ghat.p)
     # a window of [0, 1] (F_t unset, 0 residual or 1 past) truncates nothing,
     # so a convex base is its own envelope
     F = ghat.F_t
     if F in (None, 0.0, 1.0) and src.entropy_convex:
-        return _tangent_env(ghat, 1.0, False, 1.0)
+        return _tangent_env(ghat, 1.0)
     a = _order(src.params)
+    mode = ghat.mode
     shape, mirrored = _shape(mode, src.base, a)
     if shape is None or shape.root is None:
         raise NoAnalyticForm(f"no {mode}-mode envelope recipe for base {src.base!r}")
     # the window's length: 1 - F_t residual, F_t past
     q = 1.0 - F if mode == "residual" else F if mode == "past" else 1.0
-    return _tangent_env(ghat, shape.root(a, q), mirrored, q)
+    return _tangent_env(ghat, shape.root(a, q), mirrored)
 
 
 # ---------------------------------------------------------------------------

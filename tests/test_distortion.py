@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from riskbound import bounds as B
 from riskbound import distortion as D
+from riskbound import envelope as E
 from riskbound.errors import (
     BadTruncationPoint,
     DomainError,
@@ -175,13 +176,25 @@ def test_residual_without_truncation_matches_entropy():
     assert np.allclose(te.ghat(us), tr.ghat(us), atol=1e-14)
 
 
-def test_shortfall_zero_loading_matches_expected_shortfall_transform():
-    p = 0.7
-    gs = D.catalog_lookup("GS", {"p": p, "tau": 0.0})
-    tg = D.make_ghat(gs, "shortfall", {"p": p, "tau": 0.0})
+@pytest.mark.parametrize("p", [1e-13, 0.2, 0.7, 0.9, 1.0 - 1e-14])
+def test_shortfall_zero_loading_matches_expected_shortfall_transform(p):
+    # ES reads the shortfall window (u - p)/(1 - p) on [p, 1] with tau = 0:
+    # the same transform, kink, envelope and bound as every tau = 0 shortfall
+    us = np.concatenate([np.linspace(0.0, 1.0, 1001), [p]])
+    ts = np.geomspace(1e-300, 0.5, 301)
+    moments = B.MomentInfo(0.3, 1.7)
     es = D.make_ghat(D.catalog_lookup("ES", {"p": p}), "riskmetric", {})
-    us = np.linspace(0.0, 1.0, 1001)
-    assert np.max(np.abs(tg.ghat(us) - es.ghat(us))) <= 1e-12
+    env = E.convex_envelope_analytic(es)
+    sup = B.worst_case_bound(D.catalog_lookup("ES", {"p": p}), moments=moments).sup_value
+    assert es.kinks == (p,) and env.knots.tolist() == [0.0, p, 1.0]
+    for family in ("CRES", "GS"):
+        g = D.catalog_lookup(family, {"p": p, "tau": 0.0})
+        tg = D.make_ghat(g, "shortfall", {"p": p, "tau": 0.0})
+        assert tg.kinks == (p,)
+        assert np.array_equal(tg.ghat(us), es.ghat(us))
+        assert np.array_equal(tg.ghat_upper(ts), es.ghat_upper(ts))
+        assert np.array_equal(E.convex_envelope_analytic(tg).knots, env.knots)
+        assert B.worst_case_bound(g, moments=moments).sup_value == sup
 
 
 def test_truncation_point_validation():

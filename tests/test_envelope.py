@@ -140,6 +140,31 @@ def test_quadratic_tail_breakpoints_are_exact():
     assert abs(env.meta["breakpoint"] - (1.0 - math.sqrt(0.81))) <= 1e-12
 
 
+@pytest.mark.parametrize("family, params", SWEEP, ids=str)
+def test_slope_forms_match_the_expressions_they_replace(family, params):
+    # the envelope's branches read the window's own slope forms: bit for bit
+    # g'(t/q)/q at u = 1, g'(1 - t/q)/q at u = 0, and (1 + tau g'(t/q))/q on
+    # ES's and a shortfall's window [p, 1]
+    tg = _transform(family, params)
+    E.convex_envelope_analytic(tg)
+    g, t = tg.source, np.geomspace(1e-300, 0.5, 241)
+    if tg.p is not None:
+        q = 1.0 - tg.p
+        assert tg.slope_upper(t).tobytes() == ((1.0 + tg.tau * g.g_prime(t / q)) / q).tobytes()
+        assert tg.slope_lower is None
+        return
+    F = tg.F_t
+    q = 1.0 - F if tg.mode == "residual" else F if tg.mode == "past" else 1.0
+    if tg.mode == "past" and F < 1.0:
+        assert tg.slope_upper is None
+    else:
+        assert tg.slope_upper(t).tobytes() == (g.g_prime(t / q) / q).tobytes()
+    if tg.mode == "residual" and F > 0.0:
+        assert tg.slope_lower is None
+    else:
+        assert tg.slope_lower(t).tobytes() == (g.gp_hi(t / q) / q).tobytes()
+
+
 def test_tgini_envelope_is_linear_then_quadratic():
     tg = _transform("TGini", {"p": 0.81})
     env = E.convex_envelope_analytic(tg)
