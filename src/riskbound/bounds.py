@@ -8,9 +8,9 @@ attaining distribution:
     sup = mu * c + sigma * L,   L = sqrt(integral (envelope_slope(u) - c)^2 du)
 
 where c is the transform's center (its value at 1) and the envelope is the
-greatest convex minorant of the transformed distortion.  A catalog row under
-its own mode with an analytic envelope reads L from its closed form in the
-distortion table instead, and the envelope is only its certificate.  The
+greatest convex minorant of the transformed distortion.  Any analytic
+envelope reads L from its read's closed form in the distortion table
+instead, and the envelope is only its certificate.  The
 worst-case quantile is the standardized excess slope mu + sigma * (slope(u) - c) / L.
 """
 
@@ -28,6 +28,7 @@ from .distortion import (
     TransformedGHat,
     WeightSpec,
     _L_at,
+    _order,
     catalog_lookup,
     closed_form_L,
     family_names,
@@ -194,11 +195,11 @@ def _quantile_from_envelope(env: PiecewiseEnvelope, center: float, L: float,
     def end_tail(k, length, beyond):
         # Q at distance t from the end of piece k (0 or -1): the piece's own
         # form inside it, and ``beyond(t)`` past its far end, each only where
-        # it applies.  A chord's Q is constant there; an analytic branch
-        # needs its stable slope form, and without one QuantileFn reads fn
-        piece = env.pieces[k] if env.pieces else None
-        if piece is not None and piece.kind == "analytic":
-            stable = piece.slope_lo if k == 0 else piece.slope_hi
+        # it applies.  A chord's Q is constant there; an analytic branch (nan
+        # slope) needs the transform's slope form at that end, and without
+        # one QuantileFn reads fn
+        if math.isnan(env.slopes[k]):
+            stable = env.source.slope_lower if k == 0 else env.source.slope_upper
             if stable is None:
                 return None
 
@@ -248,24 +249,27 @@ def worst_case_bound(g: DistortionFn, mode: Optional[str] = None,
                      engine: str = "auto", n_grid: Optional[int] = None) -> BoundResult:
     """Sharp supremum of the transformed riskmetric over all distributions
     with the given mean and variance, with its worst-case quantile.  Its L
-    is the table's closed form, at the envelope's contact point, for a catalog
-    row under its own mode with an analytic envelope; otherwise it is the
-    envelope's squared-slope integral."""
+    is the table's closed form, at the envelope's contact point, for any
+    analytic envelope, and the envelope's squared-slope integral for a
+    numeric one.  A catalog row's parameters are checked for a diverging
+    supremum whatever the mode, extras or engine."""
     if moments is None:
         raise DomainError("worst_case_bound requires moments")
     if mode is None:
         mode = g.mode_default
         if extras is None:
             extras = dict(g.extras_default)
-    P = None
-    if (g.base != "custom" and mode == g.mode_default
-            and dict(extras or {}) == dict(g.extras_default)):
+    if g.base != "custom":
         # diverging-sup parameters are rejected up front for catalog families
-        P = sup_admissible(g.family, g.params)
+        sup_admissible(g.family, g.params)
     tg = make_ghat(g, mode, extras)
     env, used = _build_envelope(tg, engine, n_grid)
-    if P is not None and used == "analytic":
-        L = _L_at(family_spec(g.family), P, env.meta.get("t"))
+    if used == "analytic":
+        # the read's closed form, at the contact distance the envelope solved
+        level = tg.p if tg.tau is not None else (
+            1.0 - tg.F_t if tg.mode == "residual" else tg.F_t)
+        L = _L_at(tg.mode, g.base, _order(g.params), level,
+                  family_spec(g.family).scale(g.params), tg.tau, env.meta["t"])
     else:
         L = slope_l2_norm(env, tg.center)
         if not math.isfinite(L):

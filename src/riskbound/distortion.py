@@ -138,7 +138,8 @@ def _phi_prime(s, a):
     pos = s > 0.0
     ls = np.where(pos, np.log(np.where(pos, s, 1.0)), 0.0)
     out = (-np.expm1((a - 1.0) * ls)) / (a - 1.0) - np.exp((a - 1.0) * ls)
-    fill = 1.0 / (a - 1.0) if a > 1.0 else -np.inf
+    # the limit at s = 0: 1/(a - 1) above order 1, and +inf below it
+    fill = 1.0 / (a - 1.0) if a > 1.0 else np.inf
     return np.where(pos, out, fill)
 
 
@@ -148,7 +149,7 @@ def _phi_prime_one_minus(t, a):
     ok = t < 1.0
     ls = np.where(ok, np.log1p(-np.where(ok, t, 0.0)), 0.0)
     out = (-np.expm1((a - 1.0) * ls)) / (a - 1.0) - np.exp((a - 1.0) * ls)
-    fill = 1.0 / (a - 1.0) if a > 1.0 else -np.inf
+    fill = 1.0 / (a - 1.0) if a > 1.0 else np.inf
     return np.where(ok, out, fill)
 
 
@@ -534,22 +535,29 @@ def _shape(mode: str, base: str, a: float) -> tuple:
 def closed_form_L(spec: FamilySpec, P: dict) -> float:
     """The closed-form ``L`` of the sharp bound ``mu * center + sigma * L``
     for a row and its checked parameters."""
-    return _L_at(spec, P, None)
-
-
-def _L_at(spec: FamilySpec, P: dict, t: Optional[float]) -> float:
-    """``closed_form_L`` at the contact distance ``t`` already solved (at the
-    entry's root when None): the row's scale times its (mode, shape) entry's
-    unit-scale ``L``; a shortfall's is ES plus tau times its scaled entropy L,
-    and ES is the shortfall at tau = 0."""
-    a, scale = _order(P), spec.scale(P)
-    if spec.mode == "shortfall" or spec.base == "ES":
-        entropy = _SHAPES["entropy", spec.base].L(a, 1.0, None) if "tau" in P else 0.0
-        return _L_shortfall(P["p"], P.get("tau", 0.0) * scale * entropy)
-    shape = _shape(spec.mode, spec.base, a)[0]
     level = P.get("F_t", P.get("p"))
     if spec.mode == "residual":  # the window [F_t, 1]
         level = 1.0 - level
+    tau = P.get("tau", 0.0) if spec.mode == "shortfall" or spec.base == "ES" else None
+    return _L_at(spec.mode, spec.base, _order(P), level, spec.scale(P), tau)
+
+
+def _L_at(mode: str, base: str, a: float, level: Optional[float], scale: float,
+          tau: Optional[float] = None, t: Optional[float] = None) -> float:
+    """The closed-form ``L`` of a read of an order-``a`` base under ``mode``:
+    ``scale`` times the (mode, shape) entry's unit-scale ``L``, with the
+    contact at distance ``t`` (at the entry's root when None).  ``level`` is
+    the window length of a tail read (1 - F_t residual, F_t past) and p of a
+    shortfall window, the read whose ``tau`` is set: its L is ES plus tau
+    times the scaled entropy L, and ES is the shortfall at tau = 0.  A
+    riskmetric read of a base with g(1) = 0 is its entropy read, and so is a
+    tail window of length 1, which truncates nothing."""
+    if tau is not None:
+        entropy = _L_at("entropy", base, a, None, 1.0) if tau else 0.0
+        return _L_shortfall(level, tau * scale * entropy)
+    if mode == "riskmetric" or level == 1.0:
+        mode = "entropy"
+    shape = _shape(mode, base, a)[0]
     contact = (lambda: shape.root(a, level)) if t is None else (lambda: t)
     return scale * shape.L(a, level, contact)
 

@@ -4,7 +4,9 @@ The sharp worst-case bound is driven by the right derivative of the greatest
 convex minorant of the transformed distortion.  Two routes are provided: a
 closed-form assembly for catalog families (linear piece + analytic branch
 meeting at a contact point solved from the family's tangency equation) and a
-numeric route (lower convex hull of a refined sample of the graph).
+numeric route (lower convex hull of a refined sample of the graph).  Both
+give the same arrays; an analytic branch is the piece with a nan slope,
+read through the transform's slope forms.
 
 The squared-slope integral is evaluated so that log- and power-type slope
 blow-ups at the ends of [0, 1] are captured: analytic branches are integrated
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,39 +38,17 @@ BRANCH_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One envelope piece: a straight chord or an analytic branch.
-
-    An analytic branch reaches u = 0 or u = 1 and carries its slope there
-    in distance form; ``slope_at`` reads the branch's points through the
-    form of the end it reaches."""
-
-    lo: float
-    hi: float
-    kind: str                       # "chord" | "analytic"
-    slope: Optional[float] = None   # chords
-    slope_lo: Optional[Callable] = None  # slope at u = t      (stable, lo == 0)
-    slope_hi: Optional[Callable] = None  # slope at u = 1 - t  (stable, hi == 1)
-    contact_run: bool = False       # envelope coincides with the source here
-
-    def slope_at(self, u):
-        """The branch's slope at points ``u`` inside it: ``slope_hi(1 - u)``
-        on a branch that ends at 1, otherwise ``slope_lo(u)``."""
-        if self.hi == 1.0:
-            return self.slope_hi(1.0 - np.asarray(u, dtype=float))
-        return self.slope_lo(u)
-
-
-@dataclass(frozen=True)
 class PiecewiseEnvelope:
     """The greatest convex minorant of a transformed distortion.
 
     ``knots`` are the piece boundaries and ``values`` the envelope there.
-    ``slopes`` holds each piece's chord slope (nan on an analytic branch) and
-    ``contact`` marks the pieces where the envelope coincides with the source.
-    ``pieces`` keeps the ``Segment``s of an analytic envelope, whose branches
-    carry slope evaluators; a numeric envelope is chords only and leaves it
-    empty.  Slopes are right derivatives.
+    ``slopes`` holds each piece's chord slope and ``contact`` marks the
+    pieces where the envelope coincides with the source.  An analytic
+    envelope has one branch, the piece whose slope is nan: it coincides with
+    the source and reaches u = 0 or u = 1, and its slope is read through the
+    source's form at the end it reaches, ``slope_upper(1 - u)`` on a branch
+    that ends at 1, otherwise ``slope_lower(u)``.  Slopes are right
+    derivatives.
     """
 
     knots: np.ndarray
@@ -77,18 +57,18 @@ class PiecewiseEnvelope:
     contact: np.ndarray
     source: TransformedGHat
     meta: dict = field(default_factory=dict)
-    pieces: tuple = ()
 
     @cached_property
-    def segments(self) -> tuple:
-        """One ``Segment`` per piece; built from the arrays for a numeric envelope."""
-        if self.pieces:
-            return self.pieces
-        return tuple(Segment(lo=lo, hi=hi, kind="chord", slope=s, contact_run=c)
-                     for lo, hi, s, c in zip(self.knots[:-1].tolist(),
-                                             self.knots[1:].tolist(),
-                                             self.slopes.tolist(),
-                                             self.contact.tolist()))
+    def _branch(self) -> Optional[int]:
+        """The index of the analytic branch, or None for chords only."""
+        at = np.flatnonzero(np.isnan(self.slopes))
+        return int(at[0]) if at.size else None
+
+    def _branch_slope(self, u):
+        """The branch's slope at points ``u`` inside it."""
+        if self.knots[self._branch + 1] == 1.0:
+            return self.source.slope_upper(1.0 - np.asarray(u, dtype=float))
+        return self.source.slope_lower(u)
 
     def _locate(self, u):
         u = np.asarray(u, dtype=float)
@@ -111,13 +91,11 @@ class PiecewiseEnvelope:
     def slope(self, u):
         u_arr, idx = self._locate(u)
         out = np.array(self.slopes[idx], dtype=float)
-        # each analytic branch is evaluated on its own points only
-        for k, seg in enumerate(self.pieces):
-            if seg.kind != "analytic":
-                continue
-            m = idx == k
+        # the branch is evaluated on its own points only
+        if self._branch is not None:
+            m = idx == self._branch
             if np.any(m):
-                out[m] = seg.slope_at(u_arr[m])
+                out[m] = self._branch_slope(u_arr[m])
         if np.ndim(u) == 0:
             return float(out.reshape(-1)[0])
         return out
@@ -417,25 +395,20 @@ def _tangent_env(tg: TransformedGHat, t: float, mirrored: bool = False,
             f"than the {BRANCH_FLOOR:g} that its quadrature in u resolves")
 
     meta = {"kind": "analytic", "t": t}
-    branch = Segment(*((0.0, u) if mirrored else (u, 1.0)), "analytic",
-                     slope_lo=tg.slope_lower, slope_hi=tg.slope_upper)
     knots = np.array([0.0, 1.0] if u == 0.0 else [0.0, u, 1.0])
     values = np.asarray(tg.ghat(knots), dtype=float)
+    # the branch (nan slope) coincides with the transform, and so does a
+    # chord along its zero (below an ES or shortfall window)
     if u == 0.0:
-        segs = [branch]
+        slopes, contact = [np.nan], [False]
     elif mirrored:
-        segs = [branch, Segment(u, 1.0, "chord", slope=-float(values[1]) / (1.0 - u))]
+        slopes, contact = [np.nan, -float(values[1]) / (1.0 - u)], [False, False]
     else:
-        # a chord along the transform's zero (below an ES or shortfall
-        # window) coincides with the transform
-        segs = [Segment(0.0, u, "chord", slope=float(values[1]) / u,
-                        contact_run=bool(values[1] == 0.0)), branch]
+        slopes, contact = [float(values[1]) / u, np.nan], [values[1] == 0.0, False]
     if u != 0.0:
         meta["breakpoint"] = u
-    return PiecewiseEnvelope(
-        knots=knots, values=values, source=tg, meta=meta, pieces=tuple(segs),
-        slopes=np.array([np.nan if s.slope is None else s.slope for s in segs]),
-        contact=np.array([s.contact_run for s in segs], dtype=bool))
+    return PiecewiseEnvelope(knots=knots, values=values, slopes=np.array(slopes),
+                             contact=np.array(contact, dtype=bool), source=tg, meta=meta)
 
 
 def convex_envelope_analytic(ghat: TransformedGHat) -> PiecewiseEnvelope:
@@ -571,25 +544,22 @@ def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
         total += _chord_sq_with_curvature(lengths[sl], slopes[sl], center, correct[sl])
         return math.sqrt(max(total, 0.0))
 
+    def squared(slope):
+        return lambda x: (np.asarray(slope(x), dtype=float) - center) ** 2
+
+    tg = env.source
     total = 0.0
     floor_mass = 0.0   # squared-slope mass per unit of log t at CHAIN_FLOOR
-    for seg in env.pieces:
-        if seg.kind == "chord":
-            total += (seg.slope - center) ** 2 * (seg.hi - seg.lo)
+    knots = env.knots.tolist()
+    for k, s in enumerate(env.slopes.tolist()):
+        lo, hi = knots[k], knots[k + 1]
+        if k != env._branch:
+            total += (s - center) ** 2 * (hi - lo)
             continue
-
-        def f(u, _s=seg):
-            return (np.asarray(_s.slope_at(u), dtype=float) - center) ** 2
-
-        f_lo = None
-        f_hi = None
-        if seg.lo == 0.0 and seg.slope_lo is not None:
-            def f_lo(t, _s=seg):
-                return (np.asarray(_s.slope_lo(t), dtype=float) - center) ** 2
-        if seg.hi == 1.0 and seg.slope_hi is not None:
-            def f_hi(t, _s=seg):
-                return (np.asarray(_s.slope_hi(t), dtype=float) - center) ** 2
-        total += integrate_segment(f, seg.lo, seg.hi, fn_lo=f_lo, fn_hi=f_hi,
+        # each end the branch reaches is read through the transform's form there
+        f_lo = squared(tg.slope_lower) if lo == 0.0 and tg.slope_lower is not None else None
+        f_hi = squared(tg.slope_upper) if hi == 1.0 and tg.slope_upper is not None else None
+        total += integrate_segment(squared(env._branch_slope), lo, hi, fn_lo=f_lo, fn_hi=f_hi,
                                    t_floor=CHAIN_FLOOR, per_octave=0.5)
         floor_mass += sum(float(fn(CHAIN_FLOOR)) * CHAIN_FLOOR
                           for fn in (f_lo, f_hi) if fn is not None)

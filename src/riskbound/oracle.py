@@ -63,7 +63,6 @@ class QuantileFn:
     tail_class: str = "bounded"
     upper_tail: Optional[Callable] = None
     lower_tail: Optional[Callable] = None
-    domain: tuple = (0.0, 1.0)
     name: str = "quantile"
 
     def __call__(self, u):

@@ -246,21 +246,24 @@ def reference_slope_l2_norm(env, center):
     def squared(slope):
         return lambda x: (np.asarray(slope(x), dtype=float) - center) ** 2
 
+    tg = env.source
     total = 0.0
     floor_mass = 0.0
-    for seg in env.pieces:
-        if seg.kind == "chord":
-            total += (seg.slope - center) ** 2 * (seg.hi - seg.lo)
+    knots = env.knots.tolist()
+    for lo, hi, slope in zip(knots[:-1], knots[1:], env.slopes.tolist()):
+        if not math.isnan(slope):
+            total += (slope - center) ** 2 * (hi - lo)
             continue
-        f_lo = squared(seg.slope_lo) if seg.lo == 0.0 and seg.slope_lo else None
-        f_hi = squared(seg.slope_hi) if seg.hi == 1.0 and seg.slope_hi else None
-        # a branch reaches an end; its points are read through that end's form
-        if seg.hi == 1.0:
-            inner = lambda u, s=seg: s.slope_hi(1.0 - np.asarray(u, dtype=float))
+        f_lo = squared(tg.slope_lower) if lo == 0.0 and tg.slope_lower else None
+        f_hi = squared(tg.slope_upper) if hi == 1.0 and tg.slope_upper else None
+        # the branch (nan slope) reaches an end; its points are read through
+        # the transform's form at that end
+        if hi == 1.0:
+            inner = lambda u: tg.slope_upper(1.0 - np.asarray(u, dtype=float))
         else:
-            inner = seg.slope_lo
+            inner = tg.slope_lower
         total += reference_integrate_segment(
-            squared(inner), seg.lo, seg.hi, fn_lo=f_lo, fn_hi=f_hi,
+            squared(inner), lo, hi, fn_lo=f_lo, fn_hi=f_hi,
             t_floor=envelope.CHAIN_FLOOR, per_octave=4)
         floor_mass += sum(float(f(envelope.CHAIN_FLOOR)) * envelope.CHAIN_FLOOR
                           for f in (f_lo, f_hi) if f is not None)

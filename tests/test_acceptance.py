@@ -209,7 +209,7 @@ def _check_envelope_properties(tg, n_grid=None):
     assert np.all(env.value(us) <= tg.ghat(us) + 1e-9)
     assert abs(env.value(0.0) - float(tg.ghat(0.0))) <= 1e-10
     assert abs(env.value(1.0) - float(tg.ghat(1.0))) <= 1e-10
-    slopes = np.array([s.slope for s in env.segments])
+    slopes = env.slopes
     assert np.all(np.diff(slopes) >= -1e-10 * np.maximum(1.0, np.abs(slopes[:-1])))
     # idempotence of the envelope's piecewise representation
     pl = lambda u, e=env: np.interp(np.asarray(u, dtype=float), e.knots, e.values)
@@ -236,7 +236,7 @@ def test_criterion_7_envelope_property_suite():
         assert np.all(env.value(us) <= tg.ghat(us) + 1e-9)
         assert abs(env.value(0.0) - float(tg.ghat(0.0))) <= 1e-10
         assert abs(env.value(1.0) - float(tg.ghat(1.0))) <= 1e-10
-        slopes = np.array([s.slope for s in env.segments])
+        slopes = env.slopes
         assert np.all(np.diff(slopes) >= -1e-10 * np.maximum(1.0, np.abs(slopes[:-1])))
         pl = lambda u, e=env: np.interp(np.asarray(u, dtype=float), e.knots, e.values)
         env2 = E.convex_envelope_numeric(D.custom_transform(pl), 1025,

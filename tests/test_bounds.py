@@ -12,13 +12,15 @@ from riskbound.errors import (
     DegenerateResult,
     DomainError,
     ModeContractViolation,
+    NoAnalyticForm,
     NonInvertibleWeight,
     ParamOutOfDomain,
     RiskboundError,
     UnknownFamily,
 )
 
-from conftest import REFERENCE_GINI_L, SWEEP, reference_L_tcre, reference_L_tcrt
+from conftest import (REFERENCE_GINI_L, SWEEP, reference_L_tcre, reference_L_tcrt,
+                      reference_slope_l2_norm)
 
 STD = B.MomentInfo(0.0, 1.0)
 
@@ -226,17 +228,18 @@ def test_center_slope_residual_vanishes():
         tg = D.default_transform(D.catalog_lookup(family, params))
         env = convex_envelope_analytic(tg)
         total = 0.0
-        for seg in env.segments:
-            if seg.kind == "chord":
-                total += seg.slope * (seg.hi - seg.lo)
-            else:
-                # a branch's points are read through the form of the end it reaches
-                inner = ((lambda u, s=seg: s.slope_hi(1.0 - np.asarray(u, dtype=float)))
-                         if seg.hi == 1.0 else seg.slope_lo)
-                total += integrate_segment(
-                    lambda u, f=inner: np.asarray(f(u), dtype=float),
-                    seg.lo, seg.hi,
-                    fn_lo=seg.slope_lo, fn_hi=seg.slope_hi)
+        knots = env.knots.tolist()
+        for lo, hi, slope in zip(knots[:-1], knots[1:], env.slopes.tolist()):
+            if not math.isnan(slope):
+                total += slope * (hi - lo)
+                continue
+            # the branch's points are read through the transform's form at
+            # the end it reaches
+            inner = ((lambda u: tg.slope_upper(1.0 - np.asarray(u, dtype=float)))
+                     if hi == 1.0 else tg.slope_lower)
+            total += integrate_segment(
+                lambda u, f=inner: np.asarray(f(u), dtype=float), lo, hi,
+                fn_lo=tg.slope_lower, fn_hi=tg.slope_upper)
         assert total - tg.center == pytest.approx(0.0, abs=1e-8)
 
 
@@ -446,12 +449,15 @@ def test_an_underflowing_shortfall_scale_is_a_typed_error():
         B.closed_form_sup("EGS", params, STD)
 
 
-@pytest.mark.parametrize("family, params, mode, extras", [
+ORDER_TWO_MIRROR_READS = [
     ("GiniSemidiff", {}, "past", {"F_t": 0.6}),
     ("Gini", {}, "past", {"F_t": 0.6}),
     ("CRT", {"alpha": 2.0}, "past", {"F_t": 0.6}),
     ("DGini", {"F_t": 0.5}, "residual", {"F_t": 0.3}),
-])
+]
+
+
+@pytest.mark.parametrize("family, params, mode, extras", ORDER_TWO_MIRROR_READS)
 def test_order_two_tsallis_rows_take_their_mirror_recipe(family, params, mode, extras):
     # u(1 - u) is its own mirror, so an order-2 Tsallis row has an analytic
     # envelope in the mirrored mode too; it must match the numeric hull
@@ -460,6 +466,65 @@ def test_order_two_tsallis_rows_take_their_mirror_recipe(family, params, mode, e
     assert res.engine == "analytic"
     numeric = B.worst_case_bound(g, mode, extras, STD, engine="numeric")
     assert res.sup_value == pytest.approx(numeric.sup_value, rel=1e-9)
+
+
+@pytest.mark.parametrize("family, params, mode, extras", [
+    ("CRT", {"alpha": 0.7}, "residual", {"F_t": 0.4}),
+    ("CRT", {"alpha": 3.0}, "residual", {"F_t": 0.4}),
+    ("CRE", {}, "residual", {"F_t": 0.25}),
+    ("CE", {}, "past", {"F_t": 0.25}),
+    ("CT", {"alpha": 1.5}, "past", {"F_t": 0.25}),
+    ("CRT", {"alpha": 3.0}, "riskmetric", {}),
+    ("CRE", {}, "riskmetric", {}),
+    ("FGRE", {"alpha": 0.8}, "riskmetric", {}),
+    ("FGRE", {"alpha": 3.0}, "entropy", {}),
+    ("FGE", {"alpha": 3.0}, "entropy", {}),
+    ("TCRE", {"p": 0.9}, "residual", {"F_t": 0.5}),
+    ("CRT", {"alpha": 3.0}, "shortfall", {"p": 0.9, "tau": 0.5}),
+    ("CRE", {}, "shortfall", {"p": 0.9, "tau": 0.5}),
+    ("CT", {"alpha": 3.0}, "shortfall", {"p": 0.9, "tau": 0.5}),
+    ("GS", {"p": 0.9, "tau": 0.5}, "residual", {"F_t": 0.4}),
+    *ORDER_TWO_MIRROR_READS,
+], ids=str)
+def test_reads_under_other_modes_take_the_table(monkeypatch, family, params, mode, extras):
+    # an analytic envelope's L is its read's closed form in any mode; the
+    # squared-slope quadrature of the same envelope is its independent check
+    g = D.catalog_lookup(family, params)
+    with monkeypatch.context() as m:
+        m.setattr(B, "slope_l2_norm", None)
+        res = B.worst_case_bound(g, mode, extras, STD)
+    assert res.engine == "analytic"
+    env, center = res.envelope, res.center
+    assert res.l2_term == pytest.approx(E.slope_l2_norm(env, center), rel=1e-12, abs=1e-12)
+    assert res.l2_term == pytest.approx(reference_slope_l2_norm(env, center), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("engine", ["auto", "numeric"])
+@pytest.mark.parametrize("family, params, mode, extras", [
+    ("CRT", {"alpha": 0.45}, "riskmetric", {}),
+    ("CT", {"alpha": 0.4}, "past", {"F_t": 0.5}),
+    ("CRT", {"alpha": 0.45}, "residual", {"F_t": 0.5}),
+], ids=str)
+def test_a_diverging_supremum_is_refused_under_every_mode(family, params, mode, extras, engine):
+    # the numeric hull of a diverging read is finite at any grid, so the
+    # parameters are checked whatever the mode, extras or engine
+    g = D.catalog_lookup(family, params)
+    with pytest.raises(ParamOutOfDomain, match="alpha > 1/2"):
+        B.worst_case_bound(g, mode, extras, STD, engine=engine)
+
+
+def test_a_shortfall_whose_slope_at_p_is_minus_infinity_has_no_analytic_form():
+    # below order 1, the CT kernel's slope at 1 is -inf (the Tsallis kernel's
+    # at 0 is +inf), so the shortfall window falls from its inner edge and
+    # its envelope is not the ES chord plus the window
+    g = D.catalog_lookup("CT", {"alpha": 0.6})
+    extras = {"p": 0.7, "tau": 0.5}
+    with pytest.raises(NoAnalyticForm, match="convexity range"):
+        B.worst_case_bound(g, "shortfall", extras, STD, engine="analytic")
+    res = B.worst_case_bound(g, "shortfall", extras, STD)
+    assert res.engine == "numeric"
+    table = D._L_at("shortfall", "CT", 0.6, 0.7, 1.0, 0.5)
+    assert res.l2_term < 0.8 * table
 
 
 @pytest.mark.parametrize("name", ["CT", "Gini"])

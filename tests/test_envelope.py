@@ -168,8 +168,8 @@ def test_slope_forms_match_the_expressions_they_replace(family, params):
 def test_tgini_envelope_is_linear_then_quadratic():
     tg = _transform("TGini", {"p": 0.81})
     env = E.convex_envelope_analytic(tg)
-    assert env.segments[0].kind == "chord"
-    assert env.segments[1].kind == "analytic"
+    # a chord, then the branch (nan slope)
+    assert np.isnan(env.slopes).tolist() == [False, True]
     assert env.knots[1] == pytest.approx(0.9, abs=1e-12)
     # quadratic branch: slope is affine in u
     us = np.linspace(0.91, 0.99, 9)
@@ -187,7 +187,7 @@ def test_envelope_properties(family, params):
     assert abs(env.value(0.0) - float(tg.ghat(0.0))) <= 1e-10
     assert abs(env.value(1.0) - float(tg.ghat(1.0))) <= 1e-10
     # convexity of hull slopes
-    slopes = np.array([s.slope for s in env.segments])
+    slopes = env.slopes
     assert np.all(np.diff(slopes) >= -1e-10 * np.maximum(1.0, np.abs(slopes[:-1])))
     # fundamental theorem: hull slopes integrate to the endpoint difference
     lens = np.diff(env.knots)
@@ -514,32 +514,6 @@ def test_numeric_envelope_matches_the_reference_hull(monkeypatch):
         assert L == pytest.approx(ref, rel=1e-12)
 
 
-def test_numeric_bound_builds_no_segments(monkeypatch):
-    made = []
-    real = E.Segment
-
-    def counting(*args, **kwargs):
-        made.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(E, "Segment", counting)
-    g = D.catalog_lookup("TCRE", {"p": 0.9})
-    res = B.worst_case_bound(g, moments=B.MomentInfo(0.3, 1.7), engine="numeric")
-    res.quantile.fn(np.linspace(0.0, 1.0, 11))
-    assert len(made) <= 2
-
-
-def test_numeric_segments_match_arrays():
-    env = E.convex_envelope_numeric(_transform("TGini", {"p": 0.81}), 1025)
-    segs = env.segments
-    assert len(segs) == len(env.slopes) == len(env.knots) - 1
-    assert all(s.kind == "chord" for s in segs)
-    assert [s.lo for s in segs] == env.knots[:-1].tolist()
-    assert [s.hi for s in segs] == env.knots[1:].tolist()
-    assert [s.slope for s in segs] == env.slopes.tolist()
-    assert [s.contact_run for s in segs] == env.contact.tolist()
-
-
 def test_numeric_bound_imports_no_hull_library():
     # scipy.optimize and scipy.spatial each add megabytes to the process
     code = ("import sys, riskbound as rb\n"
@@ -678,10 +652,10 @@ def test_each_chain_side_evaluates_once():
     # 20-point panel per two octaves plus the sliver midpoint: 100 panels
     # from 1/2 to the 1e-60 floor, 24 across the interior side's 1e-14
     for family, params, expected in (
-            ("CRE", {}, {"slope_lo": [(0, 1), (1, 2001)],
-                         "slope_hi": [(0, 1), (1, 2001)]}),
-            ("TCRE", {"p": 0.9}, {"slope_lo": [],
-                                  "slope_hi": [(0, 1), (1, 481), (1, 1941)]})):
+            ("CRE", {}, {"slope_lower": [(0, 1), (1, 2001)],
+                         "slope_upper": [(0, 1), (1, 2001)]}),
+            ("TCRE", {"p": 0.9}, {"slope_lower": [],
+                                  "slope_upper": [(0, 1), (1, 481), (1, 1941)]})):
         tg = _transform(family, params)
         env = E.convex_envelope_analytic(tg)
         calls = {name: [] for name in expected}
@@ -692,12 +666,10 @@ def test_each_chain_side_evaluates_once():
                 return inner(x)
             return f
 
-        pieces = tuple(
-            dataclasses.replace(seg, **{name: counted(name, getattr(seg, name))
-                                        for name in expected
-                                        if getattr(seg, name) is not None})
-            if seg.kind == "analytic" else seg for seg in env.pieces)
-        L = E.slope_l2_norm(dataclasses.replace(env, pieces=pieces), tg.center)
+        source = dataclasses.replace(tg, **{name: counted(name, getattr(tg, name))
+                                            for name in expected
+                                            if getattr(tg, name) is not None})
+        L = E.slope_l2_norm(dataclasses.replace(env, source=source), tg.center)
         assert L == E.slope_l2_norm(env, tg.center)
         assert {k: sorted(v) for k, v in calls.items()} == expected, family
 
