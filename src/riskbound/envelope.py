@@ -551,9 +551,8 @@ def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
     total = 0.0
     floor_mass = 0.0   # squared-slope mass per unit of log t at CHAIN_FLOOR
     knots = env.knots.tolist()
-    for k, s in enumerate(env.slopes.tolist()):
-        lo, hi = knots[k], knots[k + 1]
-        if k != env._branch:
+    for lo, hi, s in zip(knots[:-1], knots[1:], env.slopes.tolist()):
+        if not math.isnan(s):
             total += (s - center) ** 2 * (hi - lo)
             continue
         # each end the branch reaches is read through the transform's form there
