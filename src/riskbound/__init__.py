@@ -23,7 +23,6 @@ from .envelope import (
     convex_envelope_numeric,
     envelope_table,
     slope_l2_norm,
-    solve_breakpoint,
 )
 from .bounds import (
     BoundResult,

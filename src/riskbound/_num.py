@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
 Bracketed root finding, the three contact solvers built on it (each in the
-distance of the contact from its window's far end) and the named tangency
-equations read through them, and Gauss-Legendre panel quadrature on geometric panel chains (stable down to
+distance of the contact from its window's far end), and Gauss-Legendre
+panel quadrature on geometric panel chains (stable down to
 distances ~1e-60 from an endpoint, far below what a double can represent as
 ``1 - t``).  Each half of a segment is one chain of panels toward its end,
 ``per_octave`` panels per halving of the distance (fractional densities
@@ -104,46 +104,6 @@ def tsallis_tail_root(a: float, q: float) -> float:
         return q / (1.0 + math.sqrt(1.0 - q))
     lo = 0.5 * a ** (1.0 / (1.0 - a))
     return q * bisect_root(lambda x: 1.0 - x ** (a - 1.0) * (a - (a - 1.0) * q * x), lo, 1.0)
-
-
-def solve_breakpoint(equation: str, params: dict) -> float:
-    """Solve a named tangency equation for its contact point u to (near)
-    machine precision.
-
-    Equations (u is the unknown contact point):
-
-    FGRE:     alpha*u + log(1 - u) = 0                     on [1 - e^(1-alpha), 1)
-    FGE:      alpha*(1 - u) + log(u) = 0                   on (0, e^(1-alpha)]
-    TCRE:     u + log((1 - u)/(1 - F_t)) = 0               on [F_t, 1]
-    TCRTE:    (1-F_t)^(a-1) - (1-u)^(a-1)*(1+(a-1)u) = 0   on [F_t, 1]
-    DCT:      F_t^(a-1) - u^(a-1)*(u + a*(1-u)) = 0        on [0, F_t]
-    DCE:      u - 1 - log(u/F_t) = 0                       on (0, F_t]
-
-    Three solvers cover the six: each pair is one equation in the distance t
-    of the contact from the far end of its window.  FGE, DCT and DCE return
-    t itself; FGRE, TCRTE and TCRE return u = 1 - t, where TCRTE and TCRE
-    solve the DCT and DCE equations at the window length q = 1 - F_t.  The
-    extended-Gini tail forms solve TCRTE at a = r.
-    """
-    if equation in ("FGRE", "FGE"):
-        t = fractional_root(float(params["alpha"]))
-        return 1.0 - t if equation == "FGRE" else t
-    if equation not in ("TCRE", "TCRTE", "DCT", "DCE"):
-        raise ParamOutOfDomain(f"unknown breakpoint equation {equation!r}")
-    F = float(params.get("F_t", params.get("p", math.nan)))
-    past = equation in ("DCT", "DCE")
-    if not ((0.0 < F <= 1.0) if past else (0.0 < F < 1.0)):
-        raise ParamOutOfDomain(
-            f"{equation} breakpoint requires F_t in {'(0, 1]' if past else '(0, 1)'}")
-    q = F if past else 1.0 - F
-    if equation in ("TCRE", "DCE"):
-        t = log_tail_root(q)
-    else:
-        a = float(params["alpha"])
-        if a <= 0.0 or a == 1.0:
-            raise ParamOutOfDomain(f"{equation} breakpoint requires alpha > 0, alpha != 1")
-        t = tsallis_tail_root(a, q)
-    return t if past else 1.0 - t
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

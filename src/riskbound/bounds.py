@@ -371,8 +371,11 @@ def shortfall_value(spec: ShortfallSpec, moments: MomentInfo) -> float:
 
 def shortfall_bound(spec: ShortfallSpec, moments: MomentInfo,
                     engine: str = "auto", n_grid: Optional[int] = None) -> BoundResult:
-    """The value of ``shortfall_value`` together with its certificate: the
-    envelope and attaining quantile from the engine."""
+    """The shortfall's bound from the engine, with its certificate: the
+    envelope and attaining quantile.  A named shortfall is its catalog row's
+    ``worst_case_bound``, so under the analytic engine its value is
+    ``shortfall_value``'s closed form, and under the numeric engine its
+    value and quantile share the numeric L."""
     params = spec.catalog_params()
     if spec.family == "custom":
         return worst_case_bound(spec.custom_g, "shortfall",
@@ -380,10 +383,7 @@ def shortfall_bound(spec: ShortfallSpec, moments: MomentInfo,
                                 engine=engine, n_grid=n_grid)
     result = worst_case_bound(catalog_lookup(spec.family, params), moments=moments,
                               engine=engine, n_grid=n_grid)
-    L = closed_form_factor(spec.family, params)[1]
-    return replace(result, sup_value=moments.mu + moments.sigma * L, l2_term=L,
-                   params=dict(params), mode="shortfall",
-                   engine=f"closed-form+{result.engine}")
+    return replace(result, params=dict(params), mode="shortfall")
 
 
 def worst_case_quantile(result: BoundResult, u):

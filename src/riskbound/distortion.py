@@ -176,7 +176,7 @@ class DistortionFn:
     forms near u = 1.  ``base`` names the canonical shape the envelope
     recipes key on, or is "custom" for a user-supplied distortion.
     ``tail_class`` is the tail behaviour of the worst-case quantile, which
-    sets the oracle's quadrature depth; customs take the conservative
+    picks the oracle's default tolerance; customs take the conservative
     "log-divergent".
     """
 
@@ -340,8 +340,8 @@ def _kernels(base: str, P: dict, scale: float, family: str):
 
 
 def _tail_class(base: str, P: dict) -> str:
-    """The worst-case quantile's tail behaviour, the hint that sets the
-    oracle's quadrature depth."""
+    """The worst-case quantile's tail behaviour, the hint that picks the
+    oracle's default tolerance."""
     if base == "ES" or P.get("tau") == 0.0:  # a shortfall at tau = 0 is ES
         return "bounded"
     if base in ("CRE", "CE"):

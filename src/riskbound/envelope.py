@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._num import integrate_segment, log_chain, solve_breakpoint  # noqa: F401 (re-exported)
+from ._num import integrate_segment, log_chain
 from .errors import NoAnalyticForm, NonConvergent, NonFiniteValue, ParamOutOfDomain
 from .distortion import TransformedGHat, _order, _shape
 

@@ -6,25 +6,23 @@ computes quantile moments, and stress-tests a bound against randomized
 feasible distributions.  Everything here deliberately avoids the envelope
 machinery so it can serve as an oracle for it.
 
-The Stieltjes sums use only values of the transformed distortion (never its
-derivative).  Each segment between the transform's kinks is split at its
-midpoint, and each half is one chain in distance from its own end, as
-``_num.integrate_segment`` lays out its panels: the segment's uniform mesh
-points plus cells shrinking in proportion to the distance, so that log- and
-power-divergent quantile tails are integrated to tolerance.  The halves at
-u = 0 and u = 1 run down to ~1e-60 and are read in distance through the
-stable tail evaluators of the transform and the quantile; the others are
-read in u.  One ascending array of cell edges in u carries the values of the
-transform, so its increments telescope with no handover between coordinates.
+One panel layout (``_Layout``) does all three jobs.  The transform's kinks
+cut (0, 1) into segments; each half of a segment is a chain of 20-point
+Gauss-Legendre panels toward its own end, down to 1e-60 at u = 0 and u = 1
+and to 1e-14 of the half at a kink, and the quantile's breakpoints cut the
+panels they fall in.  The end segment next to u = 1 is read in its distance
+from u = 1, through the stable tails of the transform and the quantile;
+every other panel is read in u.
 
-The stress test evaluates the trials of each random shape together.  Their
-parameters come from each trial's own seeded stream, drawn once per (shape,
-seed, trial count) and kept for later calls.  Each trial is piecewise
-constant or linear in u, so its sum is taken piece by piece from two running
-sums per partition level, of dghat and of u * dghat, with the cells that
-hold a knot split as for any quantile.  Quantile moments use Gauss panels
-at 1/2 and 1 per octave of distance from each end, two densities a factor
-2 apart.
+The Stieltjes sum uses only values of the transform (never its derivative):
+on each panel Q is interpolated at the nodes by a polynomial P, and
+``int Q dghat = [P ghat] - int ghat P'`` is taken by the panel's own Gauss
+rule.  Its error estimate is the change from one to two panels per octave,
+plus the rounding of the sum.  Moments are Gauss sums of Q and Q^2 on the
+same panels.  The stress test reads the transform once per call: the
+shapes that draw nothing take the product rule, a step trial sums its
+levels times the change in ghat across each step, and a spline trial its
+slopes times the integral of ghat over each piece.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._num import integrate_segment, log_chain
+from ._num import _GL20, log_chain
 from .distortion import DistortionFn, TransformedGHat, WeightSpec, make_ghat
 from .errors import BoundViolated, DomainError, NonConvergent, NonFiniteValue
 
@@ -51,11 +49,13 @@ class QuantileFn:
     """A nondecreasing map on (0, 1) representing a distribution.
 
     ``upper_tail(t) = Q(1 - t)`` and ``lower_tail(t) = Q(t)`` are stable
-    evaluators at distance t from an end.  The oracle reads them at every
-    distance up to half the transform's end segment, so each must agree
-    with ``fn`` there, not only in the far tail.  When absent, the upper
-    tail reads ``fn(1 - t)`` with t clamped at 2**-53 so that 1 - t stays
-    below 1, and the lower tail reads ``fn(t)``.
+    evaluators at distance t from an end.  The oracle reads each across the
+    end segment at its end: from u = 1 down to the last kink of the
+    transform or breakpoint of Q (or u = 1/2, if that lies lower), and from
+    u = 0 up to the first (or u = 1/2), so each must agree with ``fn``
+    there, not only in the far tail.  When absent, the upper tail reads
+    ``fn(1 - t)`` with t clamped at 2**-53 so that 1 - t stays below 1, and
+    the lower tail reads ``fn(t)``.
     """
 
     fn: Callable
@@ -115,27 +115,70 @@ class QuantileFn:
 
 
 # ---------------------------------------------------------------------------
-# Stieltjes machinery
+# Gauss panels and the product rule
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _half_chain(span: float, n_base: int, per_octave: int, stop: float) -> tuple:
-    """Ascending distances from one end of a segment to its midpoint, 0 and
-    the midpoint included, and the midpoints of the cells between them.
+_X, _W = _GL20
+_EPS = float(np.finfo(float).eps)
 
-    The distances are the segment's uniform mesh points in that half and a
-    geometric chain from the midpoint down to ``stop``.  Both arrays are
-    read-only, so the partitions of every transform share them.
-    """
-    step = span / n_base
-    chain = log_chain(0.5 * span, stop, per_octave)[::-1]
-    # only the chain above the first mesh point interleaves with the mesh
-    k = np.searchsorted(chain, step)
-    mesh = step * np.arange(1, (n_base + 1) // 2)
-    d = np.concatenate([[0.0], chain[:k], np.unique(np.concatenate([mesh, chain[k:]]))])
-    mid = 0.5 * (d[:-1] + d[1:])
-    d.flags.writeable = mid.flags.writeable = False
-    return d, mid
+
+def _product_rule() -> tuple:
+    """(l, wD): the Lagrange basis of the 20 Gauss nodes at x = 1, l[j] =
+    l_j(1), and wD[i, j] = w_i l_j'(x_i), from the barycentric weights of the
+    nodes.  On a panel read as x in [-1, 1], P = sum_j q_j l_j interpolates
+    Q, and integration by parts gives
+    int P dg = sum_j q_j ((g(1) - g(-1)) l[j] - sum_i (g(x_i) - g(-1)) wD[i, j])."""
+    diff = _X[:, None] - _X[None, :]
+    np.fill_diagonal(diff, 1.0)
+    bary = 1.0 / diff.prod(axis=1)
+    slopes = bary[None, :] / bary[:, None] / diff
+    np.fill_diagonal(slopes, 0.0)
+    # each row of l_j'(x_i) sums to 0, the derivative of sum_j l_j = 1
+    np.fill_diagonal(slopes, -slopes.sum(axis=1))
+    at_one = bary / (1.0 - _X)
+    return at_one / at_one.sum(), _W[:, None] * slopes
+
+
+_L1, _WD = _product_rule()
+
+
+def _chain(h: float, floor: float, per_octave: float) -> np.ndarray:
+    """Ascending distances of a chain's panel edges from its end: 0, then the
+    chain of ``log_chain(h, floor, per_octave)`` below h (h excluded)."""
+    d = log_chain(h, floor, per_octave)
+    return np.concatenate([[0.0], d[:0:-1]])
+
+
+@lru_cache(maxsize=32)
+def _chains(kinks: tuple, per_octave: float, floor: float) -> tuple:
+    """(u, t): the ascending panel edges of the transform's chains (see
+    ``_Layout``), those read in u and those of the end segment next to
+    u = 1 in its distance t from u = 1, both read-only."""
+    ends = [0.0, *kinks, 1.0]
+    u_parts, t_parts = [], []
+    for lo_end, hi_end in zip(ends[:-1], ends[1:]):
+        h = 0.5 * (hi_end - lo_end)
+        lo = _chain(h, floor if lo_end == 0.0 else 1e-14 * h, per_octave)
+        hi = _chain(h, floor if hi_end == 1.0 else 1e-14 * h, per_octave)
+        if hi_end < 1.0:
+            u_parts += [lo_end + lo, [lo_end + h], hi_end - hi]
+        elif lo_end > 0.0:
+            t_parts += [hi, [h], (1.0 - lo_end) - lo]
+        else:
+            u_parts += [lo, [h]]
+            t_parts += [hi, [h]]
+    u, t = (np.unique(np.concatenate(p)) for p in (u_parts, t_parts))
+    u.flags.writeable = t.flags.writeable = False
+    return u, t
+
+
+def _nodes(edges: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The Gauss nodes of each panel between consecutive ``edges``, one row
+    per panel.  A node that rounds onto an edge is moved one ulp inside, so
+    that it reads Q on its own side of a breakpoint."""
+    x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * _X
+    np.maximum(x, np.nextafter(edges[:-1], np.inf)[:, None], out=x)
+    return np.minimum(x, np.nextafter(edges[1:], 0.0)[:, None], out=x)
 
 
 def _at(fn, x: np.ndarray) -> np.ndarray:
@@ -144,165 +187,84 @@ def _at(fn, x: np.ndarray) -> np.ndarray:
     return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
 
 
-class _StieltjesCache:
-    """Precomputed two-level partition of a transform for repeated evaluation.
+class _Layout:
+    """The Gauss panels of the oracle on (0, 1).
 
-    Each segment between the transform's kinks is split at its midpoint, and
-    each half is one chain in distance from its own end (``_half_chain``):
-    down to ``t_floor`` at u = 0 and u = 1, to 1e-9 of the segment at a kink.
-    A level holds one ascending array of cell edges in u (0 and 1 included)
-    with ghat at each edge, ghat(0) = 0 and ghat(1) = ``center`` at the two
-    ends, so the increments telescope with no handover.
-    The two end halves are read in distance, through the quantile's tails
-    and, for ghat, ``ghat_upper`` at u = 1 and ``ghat`` at u = 0, where the
-    distance is u itself; every other half is read in u.
-    Quantiles are valued per cell at its midpoint in the coordinate it is
-    read in; the last cell at each end is the sliver [0, floor].
+    The transform's kinks cut (0, 1) into segments.  Each segment is split
+    at its midpoint, and each half is a chain of panels toward its own end,
+    ``per_octave`` per halving of the distance: down to ``floor`` at u = 0
+    and u = 1, and to 1e-14 of the half at a kink; the sliver left below a
+    chain is one more panel.  The quantile's breakpoints cut the panels they
+    fall in, so that Q is smooth on every panel.  Each panel carries the 20
+    Gauss-Legendre nodes of its own coordinate.
+
+    The end segment next to u = 1, from the last kink or breakpoint up (from
+    u = 1/2 when that lies lower), is read in its distance t = 1 - u from
+    u = 1, with Q read through its upper tail; every other panel is read in
+    u, with Q read through its lower tail up to the first kink or breakpoint
+    (or u = 1/2) and through ``fn`` above.  ``mass`` holds the weights of du
+    at the nodes, for moments.
     """
 
-    def __init__(self, tg: TransformedGHat, n_base: int = 2048,
-                 per_octave: int = 16, t_floor: float = 1e-60):
-        self.tg = tg
-        self.levels = []
-        edges = [0.0] + sorted(k for k in tg.kinks if 0.0 < k < 1.0) + [1.0]
-        for nb, po in ((n_base, per_octave), (2 * n_base, 2 * per_octave)):
-            d_lo, t_lo = _half_chain(edges[1], nb, po, t_floor)
-            d_hi, t_hi = (a[::-1] for a in _half_chain(1.0 - edges[-2], nb, po, t_floor))
-            # the u-read edges: each segment from its lower end up to (not
-            # including) its upper end, less the two end halves
-            inner = []
-            for a, b in zip(edges[:-1], edges[1:]):
-                if a > 0.0:
-                    inner.append(a + _half_chain(b - a, nb, po, 1e-9 * (b - a))[0])
-                if b < 1.0:
-                    inner.append(b - _half_chain(b - a, nb, po, 1e-9 * (b - a))[0][-2:0:-1])
-            inner = np.concatenate(inner) if inner else np.empty(0)
-            n_u = len(d_lo) + len(inner)
-            # the upper end half's edges 1 - d are written in place
-            pts = np.concatenate([d_lo, inner, d_hi[1:]])
-            np.subtract(1.0, d_hi[1:], out=pts[n_u:])
-            # ghat reads the edges below the upper end half in u, and that
-            # half's in distance
-            gv = np.concatenate([[0.0], _at(tg.ghat, pts[1:n_u]),
-                                 _at(tg.ghat_upper, d_hi[1:-1]), [tg.center]])
-            # the u-read cells run from the lower end half's last edge
-            u = pts[len(d_lo) - 1:n_u]
-            self.levels.append({"pts": pts, "gv": gv, "dg": np.diff(gv),
-                                "nodes": (t_lo, 0.5 * (u[:-1] + u[1:]), t_hi)})
+    def __init__(self, kinks, breakpoints, per_octave: float, floor: float = 1e-60):
+        kinks = tuple(sorted(k for k in kinks if 0.0 < k < 1.0))
+        u, t = _chains(kinks, per_octave, floor)
+        b = np.asarray(breakpoints, dtype=float)
+        b = b[(b > 0.0) & (b < 1.0)]
+        inner = list(kinks) + b.tolist()
+        #: the lower end of the segment read in distance
+        self.split = max(inner) if kinks else max(inner + [0.5])
+        top = 1.0 - self.split
+        if b.size:
+            u = np.unique(np.concatenate([u, b, 1.0 - t[t > top]]))
+            t = np.append(t[t < top], top)
+        self.u, self.t = u, t
+        self.n_lower = int(np.searchsorted(u, min(inner + [0.5])))
+        halves = [0.5 * np.diff(e) for e in (self.u, self.t)]
+        self.u_nodes, self.t_nodes = (_nodes(e, hw) for e, hw in zip((self.u, self.t), halves))
+        self.mass = np.concatenate([(hw[:, None] * _W).ravel() for hw in halves])
 
-    def _running_sums(self, level) -> tuple:
-        """The level's nodes in u, as ``_Trials`` reads them, and the
-        running sums of dghat and of u * dghat over its cells, 0 first.
-        The increments of ghat telescope, so their running sum is ``gv``.
-        The other is a pair: the running sum, and the running sum of the
-        rounding error of each of its steps (recovered exactly by TwoSum),
-        so that the difference of two entries keeps the accuracy of the
-        terms between them however large the sum before them.  Built once
-        per level and shared by every batch of trials."""
-        if "running" not in level:
-            t_lo, u, t_hi = level["nodes"]
-            x = np.concatenate([t_lo, u, 1.0 - np.maximum(t_hi, _T_MIN)])
-            xdg = x * level["dg"]
-            s1, err = np.zeros(len(x) + 1), np.zeros(len(x) + 1)
-            np.cumsum(xdg, out=s1[1:])
-            before, after = s1[:-1], s1[1:]
-            part = after - before
-            np.cumsum((before - (after - part)) + (xdg - part), out=err[1:])
-            level["running"] = x, level["gv"], (s1, err)
-        return level["running"]
+    def values(self, Q: QuantileFn) -> np.ndarray:
+        """Q at every node, the u-read panels first, as one flat array."""
+        k = self.n_lower
+        return np.concatenate([_at(Q._lower(), self.u_nodes[:k].ravel()),
+                               _at(Q.fn, self.u_nodes[k:].ravel()),
+                               _at(Q._upper(), self.t_nodes.ravel())])
 
-    def _split_terms(self, batch, cells=None) -> np.ndarray:
-        """What inserting each quantile's breakpoints into each level's
-        partition adds to its sum, shape (levels, quantiles).
+    def read(self, tg: TransformedGHat) -> "_Layout":
+        """Read ghat once at every edge and node.  Sets ``weights``, those
+        of Q at the nodes in the product rule, so that ``values(Q) @
+        weights`` is the integral of Q against dghat, and ``integrals``, the
+        integral of ghat over each panel in ascending u.  The distance-read
+        panels take ``ghat_upper_rel``, ghat less its value at u = 1, for its
+        relative accuracy near u = 1; the product rule is blind to that
+        constant."""
+        weights, integrals = [], []
+        for edges, nodes, fn, sign in ((self.u, self.u_nodes, tg.ghat, 1.0),
+                                       (self.t, self.t_nodes, tg.ghat_upper_rel, -1.0)):
+            # one call at the edges and nodes; ghat is 0 at u = 0 and its
+            # relative form 0 at t = 0
+            v = _at(fn, np.concatenate([edges[1:], nodes.ravel()]))
+            ge = np.concatenate([[0.0], v[:len(edges) - 1]])
+            gn = v[len(edges) - 1:].reshape(nodes.shape)
+            weights.append(sign * ((ge[1:] - ge[:-1])[:, None] * _L1
+                                   - (gn - ge[:-1, None]) @ _WD).ravel())
+            integrals.append(0.5 * np.diff(edges) * (gn @ _W))
+        self.weights = np.concatenate(weights)
+        self.integrals = np.concatenate([integrals[0],
+                                         (integrals[1] + tg.center * np.diff(self.t))[::-1]])
+        return self
 
-        A cell [p_c, p_c+1] holding breakpoints b_1 < ... < b_m is replaced
-        by its sub-cells [p_c, b_1], ..., [b_m, p_c+1], each valued in u at
-        its midpoint.  ghat is evaluated once on the breakpoints of all
-        quantiles.  The value the level's sum took on the cell is taken from
-        ``cells``, each level's matrix of values, when given; otherwise the
-        batch is read at the cell's node in u (``_running_sums``) together
-        with the sub-cells, in one call for all levels.
-        """
-        n, n_lv = batch.size, len(self.levels)
-        tr, b = batch.breaks
-        if not b.size:
-            return np.zeros((n_lv, n))
-        gb = _at(self.tg.ghat, b)
-        key, at, dg = [], [], []
-        split = np.zeros(n_lv * n)
-        for li, level in enumerate(self.levels):
-            pts, gv = level["pts"], level["gv"]
-            c = np.searchsorted(pts, b) - 1
-            first = np.ones(len(b), dtype=bool)
-            first[1:] = (tr[1:] != tr[:-1]) | (c[1:] != c[:-1])
-            last = np.append(first[1:], True)
-            cf, cl = c[first], c[last] + 1
-            # the sub-cell ending at each breakpoint, then the one closing each cell
-            x_lo, g_lo = np.empty_like(b), np.empty_like(gb)
-            x_lo[1:], g_lo[1:] = b[:-1], gb[:-1]
-            x_lo[first], g_lo[first] = pts[cf], gv[cf]
-            key += [li * n + tr, li * n + tr[last]]
-            at += [0.5 * (x_lo + b), 0.5 * (b[last] + pts[cl])]
-            dg += [gb - g_lo, gv[cl] - gb[last]]
-            if cells is None:
-                key.append(li * n + tr[first])
-                at.append(self._running_sums(level)[0][cf])
-                dg.append(-level["dg"][cf])
-            else:
-                split += np.bincount(li * n + tr[first], minlength=n_lv * n,
-                                     weights=cells[li][tr[first], cf] * level["dg"][cf])
-        key, at, dg = (np.concatenate(a) for a in (key, at, dg))
-        added = np.bincount(key, weights=batch.pairs(key % n, at) * dg, minlength=n_lv * n)
-        return (added - split).reshape(n_lv, n)
-
-    def values(self, Qs):
-        """(coarse, fine) Stieltjes sums of the integral of each quantile
-        against dghat, as two arrays.  ``Qs`` is a list of ``QuantileFn`` or
-        the ``_Trials`` of one random shape.  The cells of a list form one
-        matrix per level, multiplied by that level's fixed increments of
-        ghat.  Trials are piecewise in u, so each sums its pieces from the
-        level's running sums (``_running_sums``), at a cost set by its
-        pieces, not by the level's cells."""
-        if isinstance(Qs, (list, tuple)):
-            batch = _Rows(Qs)
-            cells = [batch.cells(*level["nodes"]) for level in self.levels]
-            sums = np.stack([c @ level["dg"] for c, level in zip(cells, self.levels)])
-        else:
-            batch, cells = Qs, None
-            sums = np.stack([batch.sums(*self._running_sums(level)) for level in self.levels])
-        coarse, fine = sums + self._split_terms(batch, cells)
-        return coarse, fine
-
-
-class _Rows:
-    """A list of ``QuantileFn`` evaluated as a batch, one row per quantile."""
-
-    def __init__(self, Qs):
-        self.Qs = list(Qs)
-        self.size = len(self.Qs)
-        brk = [np.sort(np.asarray(Q.breakpoints, dtype=float)) for Q in self.Qs]
-        tr = np.repeat(np.arange(self.size), [len(b) for b in brk])
-        b = np.concatenate(brk)
-        inside = (b > 0.0) & (b < 1.0)
-        #: each breakpoint inside (0, 1) and its quantile, grouped by quantile
-        self.breaks = tr[inside], b[inside]
-
-    def cells(self, t_lo, u, t_hi):
-        """Each quantile at the distances ``t_lo`` from u = 0, the points
-        ``u`` and the distances ``t_hi`` from u = 1, one row per quantile."""
-        out = np.empty((self.size, len(t_lo) + len(u) + len(t_hi)))
-        a, b = len(t_lo), len(t_lo) + len(u)
-        for row, Q in zip(out, self.Qs):
-            row[:a], row[a:b], row[b:] = Q._lower()(t_lo), Q.fn(u), Q._upper()(t_hi)
-        return out
-
-    def pairs(self, rows, u):
-        """The value of quantile ``rows[i]`` at ``u[i]``."""
-        order = np.argsort(rows, kind="stable")
-        parts = np.split(u[order], np.searchsorted(rows[order], np.arange(1, self.size)))
-        out = np.empty_like(u)
-        out[order] = np.concatenate([_at(Q.fn, x) for Q, x in zip(self.Qs, parts)])
-        return out
+    def integrals_between(self, knots: np.ndarray) -> np.ndarray:
+        """The integral of ghat between consecutive knots of each row of
+        ``knots`` (after ``read``), each row ascending from 0 to 1 with its
+        inner knots edges at or below ``split``.  Each piece sums its own
+        panels, so a short piece keeps its relative accuracy."""
+        n = len(self.integrals)
+        at = np.where(knots < 1.0, np.searchsorted(self.u, knots), n)
+        # a trailing 0 closes each row's last piece at the end of the panels
+        sums = np.add.reduceat(np.append(self.integrals, 0.0), at.ravel())
+        return sums.reshape(knots.shape)[:, :-1]
 
 
 def _tolerance(Q: QuantileFn, rel_tol: Optional[float]) -> float:
@@ -321,90 +283,71 @@ def _as_transform(g, mode, extras) -> TransformedGHat:
     return make_ghat(g, mode, extras or {})
 
 
-_PER_OCTAVE = {"bounded": 12, "log-divergent": 64, "power-divergent": 96}
+def _estimate(layout, terms) -> tuple:
+    """(sum, error estimate) of the last axis of ``terms(layout(po))`` at
+    two panels per octave.  The estimate is the change from one panel per
+    octave plus the rounding of a sum of n terms, sqrt(n) eps times the sum
+    of their magnitudes."""
+    coarse, fine = (terms(layout(po)) for po in (1, 2))
+    value = fine.sum(axis=-1)
+    err = (np.abs(value - coarse.sum(axis=-1))
+           + math.sqrt(fine.shape[-1]) * _EPS * np.abs(fine).sum(axis=-1))
+    return value, err
 
 
 def riskmetric_of_quantile(g, mode=None, extras=None, Q: QuantileFn = None,
-                           rel_tol: Optional[float] = None, n_base: int = 2048,
-                           *, _caches=None) -> float:
+                           rel_tol: Optional[float] = None) -> float:
     """Riemann-Stieltjes value of the riskmetric at an explicit quantile.
 
-    A midpoint partition sum (kinks and quantile breakpoints inserted,
-    spacing proportional to the distance from either endpoint), refined once
-    and Richardson-extrapolated.  Raises NonFiniteValue when a sum is not
-    finite, and NonConvergent when the refinement levels disagree beyond
-    10x the tolerance target (1e-8 smooth, 1e-6 for divergent tails).
-
-    ``_caches`` maps points per octave (set by the tail class) to partitions
-    of this transform at this ``n_base``; a partition missing from it is
-    built and added, so callers evaluating many quantiles share them.
+    The product rule on the oracle's Gauss panels (``_Layout``), split at
+    the transform's kinks and the quantile's breakpoints, at two panels per
+    octave (``_estimate``).  Raises NonFiniteValue when the sum is not
+    finite, and NonConvergent when its error estimate exceeds 10x the
+    tolerance target (1e-8 smooth, 1e-6 for divergent tails).
     """
     if Q is None:
         raise DomainError("riskmetric_of_quantile requires a quantile function")
     tg = _as_transform(g, mode, extras)
-    po = _PER_OCTAVE.get(Q.tail_class, 64)
-    cache = None if _caches is None else _caches.get(po)
-    if cache is None:
-        cache = _StieltjesCache(tg, n_base=n_base, per_octave=po)
-        if _caches is not None:
-            _caches[po] = cache
-    (s1,), (s2,) = cache.values([Q])
-    value = s2 + (s2 - s1) / 3.0
+    value, err = _estimate(lambda po: _Layout(tg.kinks, Q.breakpoints, po).read(tg),
+                           lambda lay: lay.values(Q) * lay.weights)
     if not math.isfinite(value):
-        raise NonFiniteValue(f"Stieltjes sums of {Q.name} are {s1} and {s2}")
+        raise NonFiniteValue(f"the Stieltjes sum of {Q.name} is {value}")
     tol = _tolerance(Q, rel_tol)
-    # the observed order is ~2 in the partition density, so the extrapolated
-    # value carries roughly a third of the level disagreement as residual
-    if abs(s2 - s1) / 3.0 > 10.0 * tol * max(1.0, abs(value)):
+    if err > 10.0 * tol * max(1.0, abs(value)):
         raise NonConvergent(
-            f"Stieltjes refinements disagree: {s1} vs {s2} (target {tol})")
+            f"Stieltjes sum {value} has error estimate {err} (target {tol})")
     return float(value)
 
 
 def weighted_entropy_of_quantile(g, w: WeightSpec, Q: QuantileFn,
                                  mode: Optional[str] = None, extras=None,
-                                 rel_tol: Optional[float] = None,
-                                 n_base: int = 2048) -> float:
+                                 rel_tol: Optional[float] = None) -> float:
     """Stieltjes value of the weighted form: integral of Psi(Q) against dghat."""
     psiQ = Q.map(w.Psi, name=f"Psi({Q.name})")
-    return riskmetric_of_quantile(g, mode, extras, psiQ, rel_tol=rel_tol,
-                                  n_base=n_base)
+    return riskmetric_of_quantile(g, mode, extras, psiQ, rel_tol=rel_tol)
 
 
 def quantile_moments(Q: QuantileFn, rel_tol: Optional[float] = None,
                      t_floor: float = 1e-60):
     """(mean, variance) of the distribution represented by ``Q``.
 
-    Plain integrals of Q and Q^2 on breakpoint-split panels with geometric
-    endpoint refinement, both powers from one evaluation of Q per node set;
-    two panel densities, 1/2 and 1 per octave, are compared and
-    NonConvergent is raised if they disagree beyond 10x tolerance,
-    NonFiniteValue if a moment is not finite.
+    Gauss sums of Q and Q^2 on the oracle's panels (``_Layout`` with no
+    kinks, the end chains down to ``t_floor``), both powers from one
+    evaluation of Q per panel density (``_estimate``).  NonConvergent is
+    raised if an error estimate exceeds 10x tolerance, NonFiniteValue if a
+    moment is not finite.
     """
-    def powers(fn):
-        def f(u):
-            v = np.asarray(fn(u), dtype=float)
-            return np.stack([v, v * v])
-        return f
+    def terms(lay):
+        q = lay.values(Q)
+        return np.stack([q, q * q]) * lay.mass
 
-    f, f_lo, f_hi = powers(Q.fn), powers(Q._lower()), powers(Q._upper())
-    edges = [0.0] + sorted(b for b in Q.breakpoints if 0.0 < b < 1.0) + [1.0]
-    results = []
-    for po in (0.5, 1):
-        m = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            m = m + integrate_segment(f, a, b, fn_lo=f_lo if a == 0.0 else None,
-                                      fn_hi=f_hi if b == 1.0 else None,
-                                      t_floor=t_floor, per_octave=po)
-        results.append(tuple(m))
-    (m1a, m2a), (m1b, m2b) = results
-    if not (math.isfinite(m1b) and math.isfinite(m2b)):
-        raise NonFiniteValue(f"moments of {Q.name} are {m1b} and {m2b}")
+    (m1, m2), err = _estimate(lambda po: _Layout((), Q.breakpoints, po, t_floor), terms)
+    if not (math.isfinite(m1) and math.isfinite(m2)):
+        raise NonFiniteValue(f"moments of {Q.name} are {m1} and {m2}")
     tol = _tolerance(Q, rel_tol)
-    scale = max(1.0, abs(m1b), abs(m2b))
-    if max(abs(m1b - m1a), abs(m2b - m2a)) > 10.0 * tol * scale:
-        raise NonConvergent("moment quadrature refinements disagree")
-    return float(m1b), float(m2b - m1b * m1b)
+    if np.max(err) > 10.0 * tol * max(1.0, abs(m1), abs(m2)):
+        raise NonConvergent(f"moments {m1}, {m2} have error estimates {err} (target {tol})")
+    return float(m1), float(m2 - m1 * m1)
 
 
 # ---------------------------------------------------------------------------
@@ -510,76 +453,26 @@ def _seeded_draws(kind: str, seed: int, trials: int) -> tuple:
     return knots, levels
 
 
-class _Trials:
-    """The trials of one random shape, their draws standardized to
-    (mu, sigma), evaluated as arrays.
+def _trial_values(kind: str, draws: tuple, mu: float, sigma: float,
+                  tg: TransformedGHat, lay: _Layout) -> np.ndarray:
+    """The riskmetric of each random-shape trial, from its draw ``draws``
+    (knots, levels) standardized to (mu, sigma), summed exactly.
 
-    Each trial is piecewise in u: piece c holds the u with c knots at or
-    left of them.  A step shape takes its level there; the spline takes its
-    linear piece, flat left of the first node and from the last, which is
-    ``np.interp``'s arithmetic.  The affine map comes last, so row i of
-    ``inner`` matches ``_affine(_standard_shape(kind, rng), mu, sigma)`` bit
-    for bit, for the stream ``rng`` that drew row i.  ``sums`` integrates
-    each piece from running sums, with no value at any node.  ``draws`` is
-    (knots, levels), one row per trial, as ``_draw`` gives them.
-    """
-
-    def __init__(self, kind: str, draws: tuple, mu: float, sigma: float):
-        knots, levels = draws
-        self.knots, self.mu, self.sigma = knots, mu, sigma
-        self.size = len(knots)
-        inf = np.full((self.size, 1), np.inf)
-        self._bounds = np.hstack([-inf, knots, inf])
-        if kind == "spline":
-            flat = np.zeros((self.size, 1))
-            brk = knots[:, 1:-1]
-            # (slope, left node, value there) of each piece
-            self.pieces = (np.hstack([flat, np.diff(levels, axis=1) / np.diff(knots, axis=1), flat]),
-                           np.hstack([knots[:, :1], knots]), np.hstack([levels[:, :1], levels]))
-        else:
-            brk = knots
-            self.pieces = (levels,)
-        #: each breakpoint and its trial, grouped by trial
-        self.breaks = np.repeat(np.arange(self.size), brk.shape[1]), brk.ravel()
-
-    def _on_pieces(self, take, u):
-        """The values at ``u``, given ``take(a)``: each point's entry of a
-        per-piece array ``a`` of shape (trials, pieces)."""
-        if len(self.pieces) == 1:
-            v = take(self.pieces[0])
-        else:
-            slope, x0, y0 = map(take, self.pieces)
-            v = slope * (u - x0) + y0
-        return self.mu + self.sigma * v
-
-    def inner(self, u):
-        """Every trial at the nondecreasing points ``u``, shape (trials, len(u))."""
-        # the knots split u into runs, one per piece
-        at = np.searchsorted(u, self._bounds)
-        runs = (at[:, 1:] - at[:, :-1]).ravel()
-        return self._on_pieces(
-            lambda a: np.repeat(a.ravel(), runs).reshape(self.size, len(u)), u)
-
-    def sums(self, x, s0, s1):
-        """Every trial's sum of its values at the nondecreasing nodes ``x``
-        times weights w, given the running sums ``s0`` of w and ``s1`` of
-        x * w (0 first), the latter as a pair (sum, error sum).  Piece c
-        spans the nodes from ``at[c]`` on, so its weight and first moment
-        are differences of the running sums, and its sum is linear in them."""
-        at = np.searchsorted(x, self._bounds)
-        lo, hi = at[:, :-1], at[:, 1:]
-        w0 = s0[hi] - s0[lo]
-        if len(self.pieces) == 1:
-            return np.sum((self.mu + self.sigma * self.pieces[0]) * w0, axis=1)
-        slope, x0, y0 = self.pieces
-        w1 = (s1[0][hi] - s1[0][lo]) + (s1[1][hi] - s1[1][lo])
-        return np.sum((self.mu + self.sigma * y0) * w0
-                      + self.sigma * slope * (w1 - x0 * w0), axis=1)
-
-    def pairs(self, rows, u):
-        """The value of trial ``rows[i]`` at ``u[i]``."""
-        c = (self.knots[rows] <= u[:, None]).sum(axis=1)
-        return self._on_pieces(lambda a: a[rows, c], u)
+    A step trial takes level c between knots c - 1 and c (u = 0 and u = 1
+    at the ends), so its sum is that of level c times the change in ghat
+    across its step.  A spline is linear between its knots, which start at
+    u = 0 and end at u = 1, and continuous, so integration by parts leaves
+    Q(1) ghat(1) less the sum over its pieces of slope times the integral
+    of ghat over the piece, which ``lay`` holds with every spline knot as
+    one of its edges."""
+    knots, levels = draws
+    if kind == "spline":
+        slopes = np.diff(levels, axis=1) / np.diff(knots, axis=1)
+        dG = lay.integrals_between(knots)
+        return (mu + sigma * levels[:, -1]) * tg.center - sigma * np.sum(slopes * dG, axis=1)
+    n = len(knots)
+    at_knots = np.hstack([np.zeros((n, 1)), _at(tg.ghat, knots), np.full((n, 1), tg.center)])
+    return np.sum((mu + sigma * levels) * np.diff(at_knots, axis=1), axis=1)
 
 
 @dataclass(frozen=True)
@@ -614,23 +507,21 @@ def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
 
     Draws quantile functions of six shape types, affinely standardized to the
     requested mean and standard deviation, and asserts none exceeds the sharp
-    bound beyond 1e-8 relative slack.  Trials run on a cheap quadrature; any
-    trial landing near the bound is re-evaluated at full precision before the
-    comparison.  Deterministic for a fixed seed: trial k has shape k mod 6
-    and uses the counter-based stream seeded with (seed, k).
+    bound beyond 1e-8 relative slack.  Deterministic for a fixed seed: trial
+    k has shape k mod 6 and uses the counter-based stream seeded with
+    (seed, k).
 
-    The uniform, Gaussian and exponential shapes draw nothing, so each is
-    evaluated once and its value stands for every repeat.  The draws of the
-    other shapes depend only on (shape, seed, trials) and are made once for
-    all calls (``_seeded_draws``).  The trials of each random shape are
-    summed together (``_Trials``) from running sums that the cheap
-    partition builds once per level and call, at a cost per trial set by
-    its pieces; a trial's own quantile function is built only when it is
-    refined or reported.  The full-precision partitions (one per tail
-    class) are built at most once per call and shared by all refinements.
-    ``result`` is the ``BoundResult`` of ``worst_case_bound`` for these
-    inputs when the caller already has it; otherwise it is computed here.
-    ``moments`` is required, and ``trials`` must be an integer.
+    One layout of the transform, with every spline knot as an edge, is read
+    once per call.  The uniform, Gaussian and exponential shapes draw
+    nothing, so each is evaluated once by the product rule on it, and its
+    value stands for every repeat.  The draws of the other shapes depend
+    only on (shape, seed, trials) and are made once for all calls
+    (``_seeded_draws``); their trials are summed exactly from their draws
+    (``_trial_values``), and a trial's own quantile function is built only
+    when it is reported.  ``result`` is the ``BoundResult`` of
+    ``worst_case_bound`` for these inputs when the caller already has it;
+    otherwise it is computed here.  ``moments`` is required, and ``trials``
+    must be an integer.
     """
     try:
         trials = operator.index(trials)
@@ -650,9 +541,6 @@ def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
         return StressReport(family=g.family, params=dict(g.params), mode=tg.mode,
                             bound=bound, max_observed=-math.inf, gap=math.inf,
                             trials=0, seed=seed, worst_shape="")
-    cheap = _StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45)
-    fine: dict = {}
-    near = 2e-3 * (1.0 + abs(bound))
     mu, sigma = moments.mu, moments.sigma
 
     def trial(k):
@@ -663,18 +551,16 @@ def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
         draws = _seeded_draws(kind, seed, trials)
         return _affine(_drawn_shape(kind, *(a[k // len(_SHAPES)] for a in draws)), mu, sigma)
 
+    # the spline knots are edges of the layout, so G is read at each
+    knots = _seeded_draws("spline", seed, trials)[0] if trials > _SHAPES.index("spline") else ()
+    lay = _Layout(tg.kinks, np.ravel(knots), 2).read(tg)
     vals = np.empty(trials)
     for j, kind in enumerate(_SHAPES[:trials]):
         if kind in _FIXED:
-            batch = [trial(j)]
+            vals[j::len(_SHAPES)] = lay.values(trial(j)) @ lay.weights
         else:
-            batch = _Trials(kind, _seeded_draws(kind, seed, trials), mu, sigma)
-        s1, s2 = cheap.values(batch)
-        v = s2 + (s2 - s1) / 3.0
-        for i in np.flatnonzero(v > bound - near):
-            v[i] = riskmetric_of_quantile(tg, None, None, trial(j + i * len(_SHAPES)),
-                                          n_base=4096, _caches=fine)
-        vals[j::len(_SHAPES)] = v
+            vals[j::len(_SHAPES)] = _trial_values(kind, _seeded_draws(kind, seed, trials),
+                                                 mu, sigma, tg, lay)
     max_obs = -math.inf
     worst = -1
     shape_max: dict = {}

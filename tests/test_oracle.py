@@ -8,9 +8,10 @@ from riskbound import bounds as B
 from riskbound import distortion as D
 from riskbound import oracle as O
 from riskbound._num import integrate_segment
-from riskbound.errors import BoundViolated, DomainError, NonConvergent, NonFiniteValue
+from riskbound.errors import (BoundViolated, DomainError, NonConvergent, NonFiniteValue,
+                              ParamOutOfDomain)
 
-from conftest import SWEEP, reference_feasibility_stress, reference_stieltjes_sums
+from conftest import SWEEP, reference_feasibility_stress
 
 STD = B.MomentInfo(0.0, 1.0)
 PARITY_MOMENTS = B.MomentInfo(0.3, 1.7)
@@ -157,51 +158,33 @@ def test_quantile_moments_integrate_both_powers_from_one_evaluation():
     res = B.worst_case_bound(D.catalog_lookup("CRE", {}), moments=PARITY_MOMENTS)
     gauss = O._affine(O._standard_shape("gaussian", None), 0.3, 1.7)
     for Q in (res.quantile, gauss):
-        calls = [0]
+        calls = {}
 
-        def fn(u, inner=Q.fn):
-            calls[0] += 1
-            return inner(u)
+        def counted(name, inner):
+            def fn(x):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(x)
+            return fn
 
-        counted = dataclasses.replace(Q, fn=fn)
-        mean, var = O.quantile_moments(counted)
-        once = calls[0]
-        # the finer depth again, each power integrated on its own
-        calls[0] = 0
+        mean, var = O.quantile_moments(dataclasses.replace(
+            Q, fn=counted("fn", Q.fn), lower_tail=counted("lower", Q._lower()),
+            upper_tail=counted("upper", Q._upper())))
+        # each reader of Q once per panel density, for both powers
+        assert calls == {"fn": 2, "lower": 2, "upper": 2}
+        # the moments at six panels per octave, each power on its own
         edges = [0.0] + sorted(b for b in Q.breakpoints if 0.0 < b < 1.0) + [1.0]
         m = [0.0, 0.0]
         for p in (1, 2):
             for a, b in zip(edges[:-1], edges[1:]):
                 m[p - 1] += integrate_segment(
-                    lambda u: np.asarray(counted.fn(u), dtype=float) ** p, a, b,
+                    lambda u: np.asarray(Q.fn(u), dtype=float) ** p, a, b,
                     fn_lo=(lambda t: np.asarray(Q._lower()(t), dtype=float) ** p)
                     if a == 0.0 else None,
                     fn_hi=(lambda t: np.asarray(Q._upper()(t), dtype=float) ** p)
                     if b == 1.0 else None,
                     t_floor=1e-60, per_octave=6)
-        # quantile_moments runs two depths and this one depth twice, so
-        # equal counts mean one evaluation of Q per node set for both powers
-        assert calls[0] == once
         assert mean == pytest.approx(m[0], rel=1e-14, abs=1e-15)
         assert var == pytest.approx(m[1] - m[0] * m[0], rel=1e-14)
-
-
-def test_batched_sums_match_the_reference():
-    shapes = [O._affine(O._standard_shape(kind, np.random.default_rng([3, k])), 0.3, 1.7)
-              for k, kind in enumerate(O._SHAPES * 3)]
-    for family, params, engine in (("TCRE", {"p": 0.5}, "auto"),
-                                   ("DCT", {"alpha": 3.0, "F_t": 0.5}, "numeric")):
-        g = D.catalog_lookup(family, params)
-        tg = O._as_transform(g, None, None)
-        # the worst-case quantile carries every envelope knot as a breakpoint
-        Qs = [B.worst_case_bound(g, moments=PARITY_MOMENTS, engine=engine).quantile] + shapes
-        for cache in (O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45),
-                      O._StieltjesCache(tg, n_base=2048, per_octave=12)):
-            s1, s2 = cache.values(Qs)
-            for j, Q in enumerate(Qs):
-                r1, r2 = reference_stieltjes_sums(cache, Q)
-                assert abs(s1[j] - r1) <= 1e-12 * max(1.0, abs(r1)), (family, Q.name)
-                assert abs(s2[j] - r2) <= 1e-12 * max(1.0, abs(r2)), (family, Q.name)
 
 
 @pytest.mark.parametrize("family", D.family_names())
@@ -223,8 +206,7 @@ def test_stress_matches_the_per_trial_reference(family):
 
 def test_stress_evaluates_each_fixed_shape_once(monkeypatch):
     real_shape = O._standard_shape
-    real_refine = O.riskmetric_of_quantile
-    calls, refines = {}, {}
+    calls = {}
 
     def counted_shape(kind, rng):
         Q = real_shape(kind, rng)
@@ -235,51 +217,41 @@ def test_stress_evaluates_each_fixed_shape_once(monkeypatch):
 
         return dataclasses.replace(Q, fn=fn)
 
-    def counted_refine(*args, **kwargs):
-        name = args[3].name
-        refines[name] = refines.get(name, 0) + 1
-        return real_refine(*args, **kwargs)
-
     monkeypatch.setattr(O, "_standard_shape", counted_shape)
-    monkeypatch.setattr(O, "riskmetric_of_quantile", counted_refine)
     g = D.catalog_lookup("GiniSemidiff", {})
     seen = []
     for trials in (12, 120):
         calls.clear()
-        refines.clear()
         O.feasibility_stress(g, None, None, STD, trials=trials, seed=5)
-        seen.append(({k: calls.get(k, 0) for k in O._FIXED},
-                     {k: refines.get(k, 0) for k in O._FIXED}))
+        seen.append({k: calls.get(k, 0) for k in O._FIXED})
     # ten times the trials, the same work on the shapes that draw nothing
     assert seen[0] == seen[1]
-    assert all(seen[0][0].values())
-    # the uniform attains the Gini bound, so it is refined, once
-    assert seen[0][1]["uniform"] == 1
-    assert max(seen[0][1].values()) == 1
+    assert all(seen[0].values())
 
 
-def test_stress_shares_one_fine_partition_per_tail_class(monkeypatch):
-    builds = []
-    refines = []
-    real_refine = O.riskmetric_of_quantile
+def test_stress_reads_ghat_once_and_builds_no_trial_quantile(monkeypatch):
+    reads, built = [], []
+    real_read, real_drawn = O._Layout.read, O._drawn_shape
 
-    class Counted(O._StieltjesCache):
-        def __init__(self, tg, n_base=2048, per_octave=16, t_floor=1e-60):
-            builds.append((n_base, per_octave))
-            super().__init__(tg, n_base, per_octave, t_floor)
+    def counted_read(self, tg):
+        reads.append(tg)
+        return real_read(self, tg)
 
-    def counted_refine(*args, **kwargs):
-        refines.append(args[3].tail_class)
-        return real_refine(*args, **kwargs)
+    def counted_drawn(*args):
+        built.append(args[0])
+        return real_drawn(*args)
 
-    monkeypatch.setattr(O, "_StieltjesCache", Counted)
-    monkeypatch.setattr(O, "riskmetric_of_quantile", counted_refine)
-    O.feasibility_stress(D.catalog_lookup("GiniSemidiff", {}), None, None, STD,
-                         trials=120, seed=4)
-    fine = [b for b in builds if b[0] == 4096]
-    assert len(fine) == len(set(fine)) == len(set(refines)) >= 1
-    assert len(refines) > len(fine)
-    assert [b for b in builds if b[0] != 4096] == [(512, 6)]
+    monkeypatch.setattr(O._Layout, "read", counted_read)
+    monkeypatch.setattr(O, "_drawn_shape", counted_drawn)
+    for family, params in (("GiniSemidiff", {}), ("ES", {"p": 0.9})):
+        for trials in (5, 48, 300):
+            reads.clear()
+            O.feasibility_stress(D.catalog_lookup(family, params), None, None, STD,
+                                 trials=trials, seed=4)
+            # one layout and one evaluation of ghat serve every trial
+            assert len(reads) == 1
+    # the random shapes are summed from their draws alone
+    assert built == []
 
 
 @pytest.mark.parametrize("family, params", [("GiniSemidiff", {}), ("ES", {"p": 0.9})])
@@ -307,71 +279,34 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.parametrize("kind", [k for k in O._SHAPES if k not in O._FIXED])
-def test_trial_arrays_match_the_per_trial_shapes(kind):
-    def streams():
-        return [np.random.default_rng([11, k]) for k in range(40)]
-
-    draws = tuple(np.array(a) for a in zip(*(O._draw(kind, rng) for rng in streams())))
-    trials = O._Trials(kind, draws, 0.3, 1.7)
-    Qs = [O._affine(O._standard_shape(kind, rng), 0.3, 1.7) for rng in streams()]
-
-    def each(fn_of, x):
-        return np.stack([np.asarray(fn_of(Q)(x), dtype=float) for Q in Qs])
-
-    # the nodes of both partitions of a transform with a kink
-    tg = O._as_transform(D.catalog_lookup("ES", {"p": 0.9}), None, None)
-    for cache in (O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45),
-                  O._StieltjesCache(tg, n_base=4096, per_octave=12)):
-        for level in cache.levels:
-            t_lo, u, t_hi = level["nodes"]
-            # the nodes in u that the running sums place the trials' pieces by
-            x = cache._running_sums(level)[0]
-            assert _same_bits(trials.inner(u), each(lambda Q: Q.fn, u))
-            assert _same_bits(trials.inner(x),
-                              np.hstack([each(lambda Q: Q._lower(), t_lo),
-                                         each(lambda Q: Q.fn, u),
-                                         each(lambda Q: Q._upper(), t_hi)]))
-            assert _same_bits(trials.inner(x), O._Rows(Qs).cells(t_lo, u, t_hi))
-    # distances down past the point where 1 - t rounds to 1
-    t = np.geomspace(0.5, 1e-30, 301)
-    assert _same_bits(trials.inner(1.0 - np.maximum(t, O._T_MIN)), each(lambda Q: Q._upper(), t))
-    assert _same_bits(trials.inner(t[::-1]), each(lambda Q: Q._lower(), t[::-1]))
-    # exactly at each trial's breakpoints and knots, and between them
-    grid = np.linspace(0.0, 1.0, 257)
-    for i, Q in enumerate(Qs):
-        u = np.sort(np.concatenate([grid, trials.knots[i], np.asarray(Q.breakpoints)]))
-        ref = np.asarray(Q.fn(u), dtype=float)
-        assert _same_bits(trials.inner(u)[i], ref)
-        assert _same_bits(trials.pairs(np.full(len(u), i), u), ref)
-    # pairs mixing every trial, in no particular order
-    rng = np.random.default_rng(5)
-    rows = rng.integers(0, trials.size, 500)
-    u = np.where(rng.random(500) < 0.3, trials.knots[rows, 0], rng.random(500))
-    ref = np.array([float(Qs[r].fn(np.array([x]))[0]) for r, x in zip(rows, u)])
-    assert _same_bits(trials.pairs(rows, u), ref)
-
-
 @pytest.mark.parametrize("p", [1e-13, 0.3, 0.5, 1.0 - 1e-13])
-def test_partition_edges_ascend_from_zero_to_one(p):
+def test_layout_edges_cover_the_unit_interval(p):
     for family, params in (("ES", {"p": p}), ("TCRE", {"p": p}), ("CRE", {})):
-        tg = O._as_transform(D.catalog_lookup(family, params), None, None)
+        g = D.catalog_lookup(family, params)
+        tg = O._as_transform(g, None, None)
         kinks = [k for k in tg.kinks if 0.0 < k < 1.0]
-        cache = O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45)
-        for level in cache.levels:
-            pts, gv = level["pts"], level["gv"]
-            t_lo, u, t_hi = level["nodes"]
-            assert pts[0] == 0.0 and pts[-1] == 1.0 and np.all(np.diff(pts) >= 0.0)
-            assert gv[0] == 0.0 and gv[-1] == tg.center
-            assert np.array_equal(level["dg"], np.diff(gv))
-            assert len(t_lo) + len(u) + len(t_hi) == len(pts) - 1
-            assert set(kinks) <= set(pts.tolist()), (family, params)
-            # both end chains reach the floor, and the u-read cells lie
-            # between the two end halves
-            assert t_lo[0] < 1e-45 and t_hi[-1] < 1e-45
-            assert np.all(np.diff(t_lo) > 0.0) and np.all(np.diff(t_hi) < 0.0)
-            if u.size:
-                assert t_lo[-1] <= u[0] and u[-1] <= 1.0 - t_hi[0]
+        try:
+            breaks = list(B.worst_case_bound(g, moments=STD).quantile.breakpoints)
+        except ParamOutOfDomain:  # a contact closer to u = 1 than the certificate holds
+            breaks = [0.25]
+        for po in (1, 2):
+            lay = O._Layout(tg.kinks, breaks, po)
+            u, t = lay.u, lay.t
+            # the u-read edges ascend from 0 to the split, the distances from
+            # u = 1 from 0 to the split's distance, and the split is the last
+            # kink or breakpoint, or 1/2 below every one of them
+            assert lay.split == max(kinks + breaks + ([0.5] if not kinks else []))
+            assert u[0] == 0.0 and u[-1] == lay.split and np.all(np.diff(u) > 0.0)
+            assert t[0] == 0.0 and t[-1] == 1.0 - lay.split and np.all(np.diff(t) > 0.0)
+            # every kink and breakpoint is an edge
+            assert set(kinks + breaks) <= set(u.tolist()), (family, params)
+            # both end chains reach the floor
+            assert 0.0 < u[1] < 1e-60 and 0.0 < t[1] < 1e-60
+            # every node lies in its own panel
+            for e, nodes in ((u, lay.u_nodes), (t, lay.t_nodes)):
+                assert nodes.shape == (len(e) - 1, 20)
+                assert np.all(nodes >= e[:-1, None]) and np.all(nodes <= e[1:, None])
+            assert lay.mass.sum() == pytest.approx(1.0, rel=1e-15)
 
 
 def test_moments_match_a_dense_reference_on_every_worst_case():
@@ -414,7 +349,7 @@ def test_moments_match_a_dense_reference_on_every_worst_case():
 @pytest.mark.parametrize("alpha", [9.0, 12.0, 16.0, 20.0, 30.0])
 def test_attainment_with_the_contact_point_near_an_end(family, alpha):
     # the worst case carries its mass within e^-alpha of u = 1 (FGRE) or
-    # u = 0 (FGE), deep in the chain that the end half reads in distance
+    # u = 0 (FGE), deep in the chain that the end segment reads in distance
     g = D.catalog_lookup(family, {"alpha": alpha})
     res = B.worst_case_bound(g, moments=STD)
     attained = O.riskmetric_of_quantile(g, None, None, res.quantile)
@@ -431,7 +366,7 @@ def test_attainment_with_the_contact_point_near_an_end(family, alpha):
 ])
 def test_mirrored_families_attain_the_same_value(left, right):
     # each pair's transforms mirror each other about u = 1/2, and so do the
-    # partitions: both ends are chains in distance from their own end
+    # layouts: both ends are chains in distance from their own end
     attained = []
     for family, params in (left, right):
         g = D.catalog_lookup(family, params)
@@ -479,14 +414,16 @@ def test_dce_attains_with_its_kink_next_to_zero():
 
 
 def test_identity_transform_reads_ghat_at_every_edge():
-    # the identity's ghat, read in u or in distance from either end, is
-    # the edge itself, and its quantile's mean comes out exact
+    # the identity's ghat, read in u or in distance from u = 1, is the point
+    # itself: its integral between edges is that of u, a constant sums to ghat(1), and a
+    # quantile's mean comes out exact
     tg = D.custom_transform(lambda u: u)
-    cache = O._StieltjesCache(tg, n_base=64, per_octave=4)
-    for level in cache.levels:
-        assert np.array_equal(level["gv"], level["pts"])
+    lay = O._Layout((), (0.3, 0.7), 2).read(tg)
+    pieces = lay.integrals_between(np.array([[0.0, 0.3, 0.7, 1.0]] * 2))
+    assert np.allclose(pieces, [[0.045, 0.2, 0.255]] * 2, rtol=1e-15, atol=0.0)
+    assert np.sum(lay.weights) == pytest.approx(1.0, abs=1e-15)
     Q = O.QuantileFn.from_callable(lambda u: 0.2 + u)
-    assert O.riskmetric_of_quantile(tg, None, None, Q) == pytest.approx(0.7, abs=1e-12)
+    assert O.riskmetric_of_quantile(tg, None, None, Q) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_a_non_finite_quantile_raises():
@@ -511,29 +448,20 @@ def test_stress_rejects_missing_moments_and_fractional_trials():
             == O.feasibility_stress(g, None, None, STD, trials=12, seed=1).to_json())
 
 
-def _crafted_draws(kind, cache):
-    """(knots, levels) of trials whose knots sit exactly on edges of both
-    levels (in each end half and in between), on the kinks, on an edge of
-    the fine level only, and two inside one cell of the coarse level."""
-    coarse, fine = (level["pts"] for level in cache.levels)
-    t_lo, u, t_hi = cache.levels[0]["nodes"]
-    c = len(t_lo) + len(u) // 2
-    two = [coarse[c] + 0.3 * (coarse[c + 1] - coarse[c]),
-           coarse[c] + 0.7 * (coarse[c + 1] - coarse[c])]
-    only_fine = np.setdiff1d(fine[(fine > 0.05) & (fine < 0.95)], coarse)[7]
-    edges = [coarse[np.searchsorted(coarse, 0.01)], coarse[len(t_lo) + len(u) // 3],
-             coarse[np.searchsorted(coarse, 0.99)], only_fine]
-    kinks = [k for k in cache.tg.kinks if 0.0 < k < 1.0] or [0.5]
+def _crafted_draws(kind, kink):
+    """(knots, levels) of trials with knots on the transform's kink, within
+    1e-9 of either end, at u = 1/2, and close together."""
+    near = [1e-9, 1.0 - 1e-9]
     if kind == "two-point":
-        knots = np.array([[q] for q in edges + kinks + two])
+        knots = np.array([[q] for q in [kink, 0.5, 0.3 + 1e-12] + near])
         levels = np.array([[-math.sqrt((1.0 - q) / q), math.sqrt(q / (1.0 - q))]
                            for (q,) in knots])
     elif kind == "three-point":
-        knots = np.sort([two, [edges[0], kinks[0]], [kinks[0], edges[2]],
-                         [edges[1], edges[3]]], axis=1)
+        knots = np.sort([[0.3, 0.3 + 1e-12], [near[0], kink], [kink, near[1]], near], axis=1)
         levels = np.tile([-1.2, 0.1, 0.9], (len(knots), 1))
     else:
-        inside = np.sort([two + edges[:3] + kinks[:1], edges + two])
+        inside = np.sort([[near[0], 0.3, 0.301, 0.75, kink, near[1]],
+                          [0.1, 0.2, 0.4, 0.6, 0.7, kink]], axis=1)
         knots = np.hstack([np.zeros((2, 1)), inside, np.ones((2, 1))])
         levels = np.cumsum(np.linspace(0.1, 0.9, 8 * len(knots)).reshape(len(knots), 8),
                            axis=1) - 2.0
@@ -546,37 +474,31 @@ def test_trial_sums_match_the_reference(kind):
     for family, params in (("ES", {"p": 0.9}), ("TCRE", {"p": 0.5}),
                            ("DCT", {"alpha": 3.0, "F_t": 0.5})):
         tg = O._as_transform(D.catalog_lookup(family, params), None, None)
-        for cache in (O._StieltjesCache(tg, n_base=512, per_octave=6, t_floor=1e-45),
-                      O._StieltjesCache(tg, n_base=4096, per_octave=12)):
-            crafted = _crafted_draws(kind, cache)
-            knots, levels = (np.vstack(a) for a in zip(crafted, O._seeded_draws(kind, 3, 60)))
-            s1, s2 = cache.values(O._Trials(kind, (knots, levels), mu, sigma))
-            for i in range(len(knots)):
-                Q = O._affine(O._drawn_shape(kind, knots[i], levels[i]), mu, sigma)
-                r1, r2 = reference_stieltjes_sums(cache, Q)
-                assert abs(s1[i] - r1) <= 1e-13 * max(1.0, abs(r1)), (family, i)
-                assert abs(s2[i] - r2) <= 1e-13 * max(1.0, abs(r2)), (family, i)
+        (kink,) = tg.kinks
+        crafted = _crafted_draws(kind, kink)
+        knots, levels = (np.vstack(a) for a in zip(crafted, O._seeded_draws(kind, 3, 60)))
+        # as in the stress test, the spline knots are edges of the layout
+        lay = O._Layout(tg.kinks, knots.ravel() if kind == "spline" else (), 2).read(tg)
+        sums = O._trial_values(kind, (knots, levels), mu, sigma, tg, lay)
+        for i in range(len(knots)):
+            Q = O._affine(O._drawn_shape(kind, knots[i], levels[i]), mu, sigma)
+            ref = O.riskmetric_of_quantile(tg, None, None, Q)
+            assert abs(sums[i] - ref) <= 1e-13 * max(1.0, abs(ref)), (family, i)
 
 
 @pytest.mark.parametrize("family, params", SWEEP)
-def test_each_level_reads_ghat_on_its_own_edges(family, params):
+def test_the_layout_reads_ghat_alike_in_both_coordinates(family, params):
+    # a constant's sum telescopes to ghat(1) - ghat(0), and the panels'
+    # integrals of ghat add up to its integral, each across the handover
+    # from u to the distance from u = 1
     tg = O._as_transform(D.catalog_lookup(family, params), None, None)
+    lay = O._Layout(tg.kinks, (0.3, 0.6), 2).read(tg)
+    assert abs(np.sum(lay.weights) - tg.center) <= 1e-14 * max(1.0, abs(tg.center))
     edges = [0.0] + sorted(k for k in tg.kinks if 0.0 < k < 1.0) + [1.0]
-    for n_base, po, t_floor in ((512, 6, 1e-45), (2048, 12, 1e-60), (2048, 64, 1e-60),
-                                (2048, 96, 1e-60)):
-        cache = O._StieltjesCache(tg, n_base, po, t_floor)
-        for (nb, p), level in zip(((n_base, po), (2 * n_base, 2 * po)), cache.levels):
-            d_lo = O._half_chain(edges[1], nb, p, t_floor)[0]
-            d_hi = O._half_chain(1.0 - edges[-2], nb, p, t_floor)[0]
-            pts = level["pts"]
-            a, b = len(d_lo), len(pts) - len(d_hi) + 1
-            assert _same_bits(pts[:a], d_lo) and _same_bits(pts[b:], 1.0 - d_hi[-2::-1])
-            # ghat at the level's own edges, each in the coordinate it is
-            # read in; the upper end half's midpoint is an edge read in u
-            direct = np.concatenate([[0.0], O._at(tg.ghat, d_lo[1:]),
-                                     O._at(tg.ghat, pts[a:b]),
-                                     O._at(tg.ghat_upper, d_hi[-2:0:-1]), [tg.center]])
-            assert _same_bits(level["gv"], direct), (n_base, po, nb)
+    ref = sum(integrate_segment(tg.ghat, a, b, fn_hi=tg.ghat_upper if b == 1.0 else None,
+                                per_octave=2) for a, b in zip(edges[:-1], edges[1:]))
+    whole = lay.integrals_between(np.array([[0.0, 1.0]]))[0, 0]
+    assert whole == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
 
 def test_seeded_draws_are_made_once_and_read_only():
@@ -599,3 +521,112 @@ def test_seeded_draws_are_made_once_and_read_only():
     O._seeded_draws.cache_clear()
     cold = O.feasibility_stress(g, None, None, PARITY_MOMENTS, trials=48, seed=7)
     assert warm.to_json() == cold.to_json()
+
+
+#: the engine's worst cases at (0, 1) that the midpoint Stieltjes sums could
+#: not check: they raised NonConvergent or attained only to 1e-8 or worse
+HARD_ATTAINMENT = [
+    ("CT", {"alpha": 8.0}), ("CRT", {"alpha": 8.0}),
+    ("EGini", {"r": 4.0}), ("EGini", {"r": 4.5}), ("EGini", {"r": 8.0}),
+    ("FGRE", {"alpha": 1.08}), ("FGRE", {"alpha": 2.0}), ("FGRE", {"alpha": 3.0}),
+    ("FGE", {"alpha": 2.0}), ("TCRE", {"p": 0.9}), ("CRE", {}),
+]
+
+
+@pytest.mark.parametrize("family, params", HARD_ATTAINMENT, ids=str)
+def test_attainment_matches_the_closed_form(family, params):
+    g = D.catalog_lookup(family, params)
+    res = B.worst_case_bound(g, moments=STD)
+    attained = O.riskmetric_of_quantile(g, None, None, res.quantile)
+    closed = B.closed_form_sup(family, params, STD)
+    assert abs(attained - closed) <= 1e-8 * abs(closed)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("TCRTE", {"alpha": 3.0, "p": 1.0 - 1e-10}),
+    ("TCRTE", {"alpha": 3.0, "p": 1.0 - 1e-12}),
+    ("GS", {"p": 1.0 - 1e-12, "tau": 0.5}),
+], ids=str)
+def test_moments_with_the_kink_next_to_one(family, params):
+    # the kink lies within 1e-10 of u = 1, in the end segment read in distance
+    Q = B.worst_case_bound(D.catalog_lookup(family, params), moments=STD).quantile
+    mean, var = O.quantile_moments(Q)
+    assert abs(mean) <= 1e-10 and abs(var - 1.0) <= 1e-10
+
+
+def _misses(g, Q, sup):
+    """Whether Q fails the attainment check of ``sup``, at 1e-8 relative."""
+    return abs(O.riskmetric_of_quantile(g, None, None, Q) - sup) > 1e-8 * max(1.0, abs(sup))
+
+
+@pytest.mark.parametrize("family, params", [
+    ("CT", {"alpha": 3.0}), ("EGini", {"r": 4.5}), ("GS", {"p": 0.7, "tau": 0.5}),
+    ("TCRE", {"p": 0.9}), ("FGRE", {"alpha": 3.0}), ("FGE", {"alpha": 3.0}),
+], ids=str)
+def test_the_oracle_catches_a_wrong_bound(family, params):
+    g = D.catalog_lookup(family, params)
+    res = B.worst_case_bound(g, moments=STD)
+    env, L = res.envelope, res.l2_term
+    assert not _misses(g, res.quantile, res.sup_value)
+    # L off by 1e-6, in the stated bound or in the quantile's scale
+    assert _misses(g, res.quantile, res.center * STD.mu + STD.sigma * L * (1.0 + 1e-6))
+    off = B._quantile_from_envelope(env, res.center, L * (1.0 + 1e-6), STD,
+                                    g.tail_class, "off")
+    assert _misses(g, off, res.sup_value)
+    # the contact moved a tenth of the way toward the end its branch reaches:
+    # a chord to that point of the graph, standardized to (0, 1), is
+    # feasible and attains less than the bound
+    inner = (env.knots > 0.0) & (env.knots < 1.0) & ~np.isin(env.knots, env.source.kinks)
+    for k in np.flatnonzero(inner):
+        branch_at_one = np.isnan(env.slopes[k])
+        c = env.knots[k] + 0.1 * ((1.0 - env.knots[k]) if branch_at_one else -env.knots[k])
+        gc = float(env.source.ghat(c))
+        knots, values, slopes = env.knots.copy(), env.values.copy(), env.slopes.copy()
+        knots[k], values[k] = c, gc
+        chord = k - 1 if branch_at_one else k
+        slopes[chord] = (values[chord + 1] - values[chord]) / (knots[chord + 1] - knots[chord])
+        moved = B._quantile_from_envelope(
+            dataclasses.replace(env, knots=knots, values=values, slopes=slopes),
+            res.center, L, STD, g.tail_class, "moved")
+        mean, var = O.quantile_moments(moved)
+        feasible = moved.map(lambda x: (x - mean) / math.sqrt(var))
+        assert abs(O.quantile_moments(feasible)[1] - 1.0) <= 1e-10
+        assert np.all(np.diff(feasible.fn(np.linspace(0.001, 0.999, 999))) >= 0.0)
+        attained = O.riskmetric_of_quantile(g, None, None, feasible)
+        assert attained < res.sup_value and _misses(g, feasible, res.sup_value)
+
+
+def test_the_stress_catches_a_bound_low_by_1e_6(monkeypatch):
+    # the uniform attains the Gini bound, so a bound 1e-6 low is violated
+    real = B.worst_case_bound
+
+    def low(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, sup_value=res.sup_value * (1.0 - 1e-6))
+
+    monkeypatch.setattr(B, "worst_case_bound", low)
+    with pytest.raises(BoundViolated) as exc:
+        O.feasibility_stress(D.catalog_lookup("GiniSemidiff", {}), None, None, STD,
+                             trials=12, seed=1)
+    assert exc.value.shape == "uniform"
+
+
+def test_the_oracle_reads_no_slope(monkeypatch):
+    # the oracle reads values of the transform only: a transform whose slope
+    # forms raise gives the same attainment and stress
+    g = D.catalog_lookup("TCRE", {"p": 0.9})
+    res = B.worst_case_bound(g, moments=STD)
+    tg = O._as_transform(g, None, None)
+
+    def boom(*args):
+        raise AssertionError("the oracle read a slope")
+
+    blind = dataclasses.replace(tg, slope_lower=boom, slope_upper=boom,
+                                source=dataclasses.replace(tg.source, g_prime=boom, gp_hi=boom))
+    assert (O.riskmetric_of_quantile(blind, None, None, res.quantile)
+            == O.riskmetric_of_quantile(tg, None, None, res.quantile))
+    monkeypatch.setattr(O, "_as_transform", lambda *args: blind)
+    stress = O.feasibility_stress(g, None, None, STD, trials=48, seed=2, result=res)
+    monkeypatch.undo()
+    assert stress.to_json() == O.feasibility_stress(g, None, None, STD, trials=48, seed=2,
+                                                    result=res).to_json()
