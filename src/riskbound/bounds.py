@@ -38,6 +38,7 @@ from .distortion import (
 )
 from .envelope import (
     DEFAULT_GRID,
+    GRID_FLOOR,
     PiecewiseEnvelope,
     convex_envelope_analytic,
     convex_envelope_numeric,
@@ -48,6 +49,7 @@ from .errors import (
     DomainError,
     ModeContractViolation,
     NoAnalyticForm,
+    NonConvergent,
     NonInvertibleWeight,
     ParamOutOfDomain,
     UnknownFamily,
@@ -252,7 +254,10 @@ def worst_case_bound(g: DistortionFn, mode: Optional[str] = None,
     is the table's closed form, at the envelope's contact point, for any
     analytic envelope, and the envelope's squared-slope integral for a
     numeric one.  A catalog row's parameters are checked for a diverging
-    supremum whatever the mode, extras or engine."""
+    supremum whatever the mode, extras or engine.  A numeric L that reads as
+    degenerate raises NonConvergent when a segment between the transform's
+    ends and kinks is at most 4 * GRID_FLOOR wide: the grid samples almost
+    nothing of it."""
     if moments is None:
         raise DomainError("worst_case_bound requires moments")
     if mode is None:
@@ -278,6 +283,16 @@ def worst_case_bound(g: DistortionFn, mode: Optional[str] = None,
         # below the norm's rounding floor, which customs (no exact endpoint
         # forms) keep well above machine precision, slope == center a.e.
         if L < (DEGENERATE_EPS if tg.tails_exact else 1e-9):
+            # unless a segment between the ends and kinks is too narrow for
+            # the grid to sample: _numeric_grid gives a segment at most
+            # 4 * GRID_FLOOR wide no cascade
+            spans = np.diff([0.0, *sorted(k for k in tg.kinks if 0.0 < k < 1.0), 1.0])
+            narrow = spans[(spans > 0.0) & (spans <= 4.0 * GRID_FLOOR)]
+            if narrow.size:
+                raise NonConvergent(
+                    f"{g.family}: the numeric grid cannot sample a segment "
+                    f"{narrow.min():.3g} wide between the transform's ends and kinks, "
+                    f"and its L reads as 0")
             L = 0.0
     degenerate = L == 0.0
     sup = moments.mu * tg.center + moments.sigma * L

@@ -17,12 +17,16 @@ every other panel is read in u.
 The Stieltjes sum uses only values of the transform (never its derivative):
 on each panel Q is interpolated at the nodes by a polynomial P, and
 ``int Q dghat = [P ghat] - int ghat P'`` is taken by the panel's own Gauss
-rule.  Its error estimate is the change from one to two panels per octave,
-plus the rounding of the sum.  Moments are Gauss sums of Q and Q^2 on the
-same panels.  The stress test reads the transform once per call: the
-shapes that draw nothing take the product rule, a step trial sums its
-levels times the change in ghat across each step, and a spline trial its
-slopes times the integral of ghat over each piece.
+rule.  Moments are Gauss sums of Q and Q^2 on the same panels.  Both take
+their value at one panel per octave, and their error estimate is the change
+from one panel per two octaves, plus the rounding of the sum.  That density
+is enough by the Bernstein-ellipse bound of ``_num.integrate_segment``: a
+20-point panel [x, 4x] of an integrand analytic off t = 0 errs by about
+3^-40 ~ 8e-20 relative, so even one panel per two octaves reads such a tail
+to rounding.  The stress test reads the transform once per call, at one
+panel per octave: the shapes that draw nothing take the product rule, a
+step trial sums its levels times the change in ghat across each step, and a
+spline trial its slopes times the integral of ghat over each piece.
 """
 
 from __future__ import annotations
@@ -285,10 +289,14 @@ def _as_transform(g, mode, extras) -> TransformedGHat:
 
 def _estimate(layout, terms) -> tuple:
     """(sum, error estimate) of the last axis of ``terms(layout(po))`` at
-    two panels per octave.  The estimate is the change from one panel per
-    octave plus the rounding of a sum of n terms, sqrt(n) eps times the sum
-    of their magnitudes."""
-    coarse, fine = (terms(layout(po)) for po in (1, 2))
+    one panel per octave.  The estimate is the change from one panel per two
+    octaves plus the rounding of a sum of n terms, sqrt(n) eps times the sum
+    of their magnitudes.  Both densities read a tail analytic off its end to
+    rounding (the Bernstein-ellipse bound of ``_num.integrate_segment``), so
+    a change above rounding marks a panel on which Q or ghat is not
+    analytic: a kink or breakpoint the layout does not hold, or a tail cut
+    at the floor."""
+    coarse, fine = (terms(layout(po)) for po in (0.5, 1))
     value = fine.sum(axis=-1)
     err = (np.abs(value - coarse.sum(axis=-1))
            + math.sqrt(fine.shape[-1]) * _EPS * np.abs(fine).sum(axis=-1))
@@ -300,10 +308,13 @@ def riskmetric_of_quantile(g, mode=None, extras=None, Q: QuantileFn = None,
     """Riemann-Stieltjes value of the riskmetric at an explicit quantile.
 
     The product rule on the oracle's Gauss panels (``_Layout``), split at
-    the transform's kinks and the quantile's breakpoints, at two panels per
-    octave (``_estimate``).  Raises NonFiniteValue when the sum is not
-    finite, and NonConvergent when its error estimate exceeds 10x the
-    tolerance target (1e-8 smooth, 1e-6 for divergent tails).
+    the transform's kinks and the quantile's breakpoints, at one panel per
+    octave, with the change from one panel per two octaves as its error
+    estimate (``_estimate``; the Bernstein-ellipse bound of
+    ``_num.integrate_segment`` says why that density is enough).  Raises
+    NonFiniteValue when the sum is not finite, and NonConvergent when its
+    error estimate exceeds 10x the tolerance target (1e-8 smooth, 1e-6 for
+    divergent tails).
     """
     if Q is None:
         raise DomainError("riskmetric_of_quantile requires a quantile function")
@@ -512,13 +523,15 @@ def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
     (seed, k).
 
     One layout of the transform, with every spline knot as an edge, is read
-    once per call.  The uniform, Gaussian and exponential shapes draw
-    nothing, so each is evaluated once by the product rule on it, and its
-    value stands for every repeat.  The draws of the other shapes depend
-    only on (shape, seed, trials) and are made once for all calls
-    (``_seeded_draws``); their trials are summed exactly from their draws
-    (``_trial_values``), and a trial's own quantile function is built only
-    when it is reported.  ``result`` is the ``BoundResult`` of
+    once per call, at one panel per octave: the density at which
+    ``_estimate`` takes its value, enough by the Bernstein-ellipse bound of
+    ``_num.integrate_segment``.  The uniform, Gaussian and exponential
+    shapes draw nothing, so each is evaluated once by the product rule on
+    it, and its value stands for every repeat.  The draws of the other
+    shapes depend only on (shape, seed, trials) and are made once for all
+    calls (``_seeded_draws``); their trials are summed exactly from their
+    draws (``_trial_values``), and a trial's own quantile function is built
+    only when it is reported.  ``result`` is the ``BoundResult`` of
     ``worst_case_bound`` for these inputs when the caller already has it;
     otherwise it is computed here.  ``moments`` is required, and ``trials``
     must be an integer.
@@ -553,7 +566,7 @@ def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
 
     # the spline knots are edges of the layout, so G is read at each
     knots = _seeded_draws("spline", seed, trials)[0] if trials > _SHAPES.index("spline") else ()
-    lay = _Layout(tg.kinks, np.ravel(knots), 2).read(tg)
+    lay = _Layout(tg.kinks, np.ravel(knots), 1).read(tg)
     vals = np.empty(trials)
     for j, kind in enumerate(_SHAPES[:trials]):
         if kind in _FIXED:

@@ -13,6 +13,7 @@ from riskbound.errors import (
     DomainError,
     ModeContractViolation,
     NoAnalyticForm,
+    NonConvergent,
     NonInvertibleWeight,
     ParamOutOfDomain,
     RiskboundError,
@@ -692,3 +693,32 @@ def test_closed_forms_next_to_an_end_of_the_level(family, params, value):
     except ParamOutOfDomain:
         return
     assert abs(engine.sup_value - value) <= 1e-12 * value
+
+
+@pytest.mark.parametrize("family, params", [
+    ("TCRE", {"p": 1.0 - 1e-13}),
+    ("TCRTE", {"alpha": 3.0, "p": 1.0 - 1e-12}),
+    ("DGini", {"F_t": 1e-13}),
+    ("DCT", {"alpha": 3.0, "F_t": 1e-13}),
+], ids=str)
+def test_a_window_the_numeric_grid_cannot_sample_is_a_typed_error(family, params):
+    # the window lies within GRID_FLOOR of an end, so the grid samples almost
+    # nothing of it and its L would read as a degenerate 0; the closed forms
+    # are about 1e6
+    assert B.closed_form_sup(family, params, STD) > 1e5
+    with pytest.raises(NonConvergent):
+        B.worst_case_bound(D.catalog_lookup(family, params), moments=STD, engine="numeric")
+
+
+def test_a_narrow_kink_pair_keeps_a_finite_numeric_bound():
+    # a segment 1e-10 wide between two kinks, on a map with real curvature
+    # elsewhere: L is not degenerate, so the narrow segment is no error
+    def raw(u):
+        u = np.asarray(u, dtype=float)
+        return u * u + 0.3 * np.clip(u - 0.4, 0.0, 1e-10)
+
+    tg = D.custom_transform(raw, kinks=(0.4, 0.4 + 1e-10))
+    res = B.worst_case_bound(tg.source, "riskmetric", {}, STD, engine="numeric")
+    # the slope of u^2 is 2u about its center 1: L^2 = 1/3
+    assert not res.degenerate
+    assert res.l2_term == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-9)

@@ -78,6 +78,14 @@ def test_domain_error_exit_code(capsys):
     assert "r > 1" in err
 
 
+def test_a_window_the_numeric_grid_cannot_sample_exits_3(capsys):
+    code, out, err = run_cli(capsys, "bound", "--family", "TCRE", "--param",
+                             "p=0.9999999999999", "--engine", "numeric",
+                             "--mu", "0", "--sigma", "1")
+    assert code == 3 and out == ""
+    assert "cannot sample" in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "bound", "--family", "Gini", "--mu", "0")
     assert code == 2
