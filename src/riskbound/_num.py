@@ -1,25 +1,19 @@
 """Shared numerical kernels.
 
 Bracketed root finding, the three contact solvers built on it (each in the
-distance of the contact from its window's far end), and Gauss-Legendre
-panel quadrature on geometric panel chains (stable down to
-distances ~1e-60 from an endpoint, far below what a double can represent as
-``1 - t``).  Each half of a segment is one chain of panels toward its end,
-``per_octave`` panels per halving of the distance (fractional densities
-allowed), closed by a midpoint-rule sliver; the integrand is evaluated once
-per chain, at all panel nodes and the sliver midpoint together.  A chain's
-nodes and weights are a cached, read-only template of the unit chain at its
-density, scaled to the chain's length.  Integrands analytic off the endpoint
-(t^p- and log-type blow-ups) need only one 20-point panel per two octaves:
-the Bernstein ellipse of a panel [x, 4x] that avoids t = 0 has parameter 3,
-so the panel's error is ~3^-40 ~ 8e-20 relative, below double rounding.
+distance of the contact from its window's far end), geometric panel chains
+(``log_chain``: offsets from an end down to distances ~1e-60, far below what
+a double can represent as ``1 - t``, on cached ratios) and the 20-point
+Gauss-Legendre rule ``_GL20``.  The numeric envelope's grid cascades and the
+slope norm's end chains are ``log_chain``s; the oracle's Gauss panels
+(``oracle._Layout``) are ``_GL20`` on them.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -119,8 +113,8 @@ def _unit_ratios(n: int, per_octave: float) -> np.ndarray:
 def _chain_ratios(per_octave: float) -> np.ndarray:
     """2**(-k/per_octave) for k = 0 .. 200*per_octave, read-only: 200 octaves
     cover every chain from 1/2 down to 1e-60.  ``per_octave`` may be
-    fractional; at 1/2 each ratio is a quarter of the last, so the panels of
-    ``_chain_template`` built on them are [x, 4x]."""
+    fractional; at 1/2 each ratio is a quarter of the last, so the panels
+    between them are [x, 4x]."""
     return _read_only(_unit_ratios(int(math.ceil(200 * per_octave)), per_octave))
 
 
@@ -139,90 +133,3 @@ def log_chain(hi: float, lo: float, per_octave: float) -> np.ndarray:
     if n >= len(ratios):
         ratios = _unit_ratios(n, per_octave)
     return hi * ratios[:n + 1]
-
-
-def _gauss_chain(ratios: np.ndarray) -> tuple:
-    """(ratios, nodes, weights) of the unit chain with edges ``ratios``:
-    20-point Gauss-Legendre nodes of every panel in descending panel order,
-    and their weights scaled by the panel's half-width, all read-only."""
-    x, w = _GL20
-    half = 0.5 * (ratios[:-1] - ratios[1:])
-    nodes = (0.5 * (ratios[:-1] + ratios[1:])[:, None] + half[:, None] * x).ravel()
-    return ratios, _read_only(nodes), _read_only((half[:, None] * w).ravel())
-
-
-@lru_cache(maxsize=16)
-def _chain_template(per_octave: float) -> tuple:
-    """The Gauss panels of the unit chain over ``_chain_ratios(per_octave)``.
-    A chain from ``hi`` with n panels is these nodes and weights cut at 20n
-    and scaled by ``hi``."""
-    return _gauss_chain(_chain_ratios(per_octave))
-
-
-def _chain_side(f: Callable[[np.ndarray], np.ndarray], hi: float, lo: float,
-                per_octave: float) -> float | np.ndarray:
-    """``∫_0^hi f(t) dt`` on the geometric chain of ``log_chain(hi, lo, per_octave)``.
-
-    Gauss-Legendre panels cover the chain and the sliver [0, end] left below
-    it is valued at its midpoint; the sliver midpoint rides along with the
-    panel nodes, so ``f`` is called once.  ``f`` may return a stack of k rows
-    of values, shape (k, n), to integrate k integrands from one evaluation;
-    the result is then an array of k integrals, each equal to the one its row
-    alone would give.
-    """
-    n = _panel_count(hi, lo, per_octave)
-    ratios, nodes, weights = _chain_template(per_octave)
-    if n >= len(ratios):
-        ratios, nodes, weights = _gauss_chain(_unit_ratios(n, per_octave))
-    k = n * len(_GL20[0])
-    end = hi * float(ratios[n])
-    ts = np.empty(k + 1)
-    np.multiply(nodes[:k], hi, out=ts[:k])
-    ts[k] = 0.5 * end
-    vals = np.asarray(f(ts), dtype=float)
-    return hi * (vals[..., :k] @ weights[:k]) + vals[..., k] * end
-
-
-def integrate_segment(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                      fn_lo: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                      fn_hi: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                      t_floor: float = 1e-60,
-                      per_octave: float = 4) -> float | np.ndarray:
-    """``∫_a^b fn(u) du`` with geometric panels accumulating toward both ends.
-
-    Each half of the segment is a chain of panels [x 2^(-1/per_octave), x]
-    from the midpoint toward its end, with 20-point Gauss-Legendre on each
-    panel and the midpoint rule on the sliver left below the chain.  The
-    panels come from the cached template of the unit chain, scaled to the
-    half's length.  The integrand is called once per side, at every panel
-    node and the sliver midpoint together.  ``per_octave`` may be
-    fractional: at 1/2 each panel spans two octaves.
-
-    ``fn_lo(t)`` / ``fn_hi(t)`` are stable reparametrizations of the integrand
-    at distance ``t`` from u=0 / u=1; they are used (and the chain deepened to
-    ``t_floor``) only when the segment actually ends at 0 or 1.  Interior ends
-    are assumed smooth and chained to a relative depth of ~1e-14.  Stacked
-    integrands are integrated row by row, as in ``_chain_side``.
-
-    Panel density: an integrand analytic off t = 0 (t^p- and log-type
-    blow-ups) is analytic inside the largest Bernstein ellipse of the panel
-    [x, 4x] that avoids t = 0, whose parameter is 5/3 + sqrt((5/3)^2 - 1) = 3,
-    so 20-point Gauss-Legendre errs there by ~3^-40 ~ 8e-20 relative, below
-    double rounding, and one panel per two octaves (``per_octave=0.5``)
-    integrates such a tail to rounding.
-    """
-    if b <= a:
-        return 0.0
-    half = 0.5 * (b - a)
-    total = 0.0
-    # lower side: u = a + t
-    if a == 0.0 and fn_lo is not None:
-        total += _chain_side(fn_lo, half, t_floor, per_octave)
-    else:
-        total += _chain_side(lambda t: fn(a + t), half, half * 1e-14, per_octave)
-    # upper side: u = b - t
-    if b == 1.0 and fn_hi is not None:
-        total += _chain_side(fn_hi, half, t_floor, per_octave)
-    else:
-        total += _chain_side(lambda t: fn(b - t), half, half * 1e-14, per_octave)
-    return total

@@ -237,16 +237,22 @@ def _cmd_premium(args) -> int:
 def _cmd_shortfall(args) -> int:
     moments = _moments_from_args(args)
     params = _parse_params(args.param)
-    tau = args.tau if args.tau is not None else params.get("tau", 0.0)
+    if "p" in params:
+        raise _UsageError("give p by --p or --p-grid, not --param")
+    if args.tau is not None:
+        params["tau"] = args.tau
+    # tau defaults to 0; ES, the tau = 0 shortfall, takes no tau but 0.  The
+    # catalog row refuses any other parameter it does not take
+    if "tau" in D.family_spec(args.family).param_names:
+        params.setdefault("tau", 0.0)
+    elif params.get("tau") == 0.0:
+        del params["tau"]
     ps = _parse_grid(args.p_grid) if args.p_grid else \
         ([args.p] if args.p is not None else None)
     if ps is None:
         raise _UsageError("provide --p or --p-grid a:b:n")
-    rows = []
-    for p in ps:
-        spec = B.ShortfallSpec(args.family, p=float(p), tau=float(tau),
-                               alpha=params.get("alpha"), r=params.get("r"))
-        rows.append((float(p), B.shortfall_value(spec, moments)))
+    rows = [(float(p), B.closed_form_sup(args.family, {**params, "p": float(p)}, moments))
+            for p in ps]
     if args.format == "human":
         if len(rows) == 1:
             _emit(args, f"sup = {_fmt(rows[0][1])}\n")

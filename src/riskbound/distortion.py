@@ -207,8 +207,8 @@ class TransformedGHat:
     ``ghat`` is the map on [0, 1] whose Stieltjes measure integrates the
     quantile function; ``center`` is the constant subtracted from envelope
     slopes in the sharp bound, and always equals ``ghat(1)``.
-    ``ghat_upper(t) = ghat(1 - t)`` is stable for tiny t; near u = 0,
-    ``ghat`` itself is.  So are the slopes ``slope_lower(t) = ghat'(t)``
+    ``ghat_upper_rel(t) = ghat(1 - t) - ghat(1)`` is stable for tiny t; near
+    u = 0, ``ghat`` itself is.  So are the slopes ``slope_lower(t) = ghat'(t)``
     and ``slope_upper(t) = ghat'(1 - t)``, each None where the window stops
     short of that end or ``g`` has no derivative form there.
     """
@@ -220,8 +220,7 @@ class TransformedGHat:
     F_t: Optional[float] = None
     p: Optional[float] = None
     tau: Optional[float] = None
-    ghat_upper: Optional[Evaluable] = None
-    ghat_upper_rel: Optional[Evaluable] = None  # ghat(1-t) - ghat(1), offset-free
+    ghat_upper_rel: Optional[Evaluable] = None
     tails_exact: bool = True
     kinks: tuple = ()
     slope_lower: Optional[Evaluable] = None
@@ -789,19 +788,14 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
 
     center = c + lin if hi == 1.0 else 0.0
     if hi == 1.0:
-        # ghat(1 - t) - center and ghat(1 - t), both read as g(t/q)
+        # ghat(1 - t) - center, read as g(t/q)
         def rel_arr(t):
             x = np.asarray(t, dtype=float) / q
             return combine(g.g(x), -x, 0.0)
 
-        def upper_arr(t):
-            x = np.asarray(t, dtype=float) / q
-            return combine(g.g(x), 1.0 - x, c)
-
         rel = _ev(rel_arr)
-        upper = _ev(upper_arr) if center else rel
     else:
-        upper = rel = _ev(lambda t: ghat_arr(1.0 - np.asarray(t, dtype=float)))
+        rel = _ev(lambda t: ghat_arr(1.0 - np.asarray(t, dtype=float)))
     kinks = (edge,) if cut else ()
     if g.kinks and w:
         kinks = tuple(sorted(kinks + tuple(1.0 - q * v if hi == 1.0 else q * (1.0 - v)
@@ -816,7 +810,7 @@ def make_ghat(g: DistortionFn, mode: str, extras: Optional[dict] = None) -> Tran
         return _ev(lambda t: (lin + w * np.asarray(gp(np.asarray(t, dtype=float) / q))) / q)
 
     return TransformedGHat(mode=mode, source=g, ghat=_ev(ghat_arr), center=center,
-                           F_t=F, p=p, tau=tau, ghat_upper=upper, ghat_upper_rel=rel,
+                           F_t=F, p=p, tau=tau, ghat_upper_rel=rel,
                            tails_exact=g.g_hi is not None, kinks=kinks,
                            slope_lower=slope_form(g.gp_hi) if lo == 0.0 else None,
                            slope_upper=slope_form(g.g_prime) if hi == 1.0 else None)
@@ -853,6 +847,5 @@ def custom_transform(raw: Callable, kinks: tuple = (), name: str = "custom") -> 
     src = custom_distortion(lambda v: center - rawv(1.0 - np.asarray(v, dtype=float)),
                             name=name, kinks=tuple(1.0 - k for k in kinks))
     return TransformedGHat(mode="riskmetric", source=src, ghat=rawv, center=center,
-                           ghat_upper=_ev(lambda t: rawv(1.0 - np.asarray(t, dtype=float))),
                            ghat_upper_rel=_ev(lambda t: rawv(1.0 - np.asarray(t, dtype=float)) - center),
                            tails_exact=False, kinks=tuple(kinks))

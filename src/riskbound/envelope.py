@@ -8,11 +8,12 @@ numeric route (lower convex hull of a refined sample of the graph).  Both
 give the same arrays; an analytic branch is the piece with a nan slope,
 read through the transform's slope forms.
 
-The squared-slope integral is evaluated so that log- and power-type slope
-blow-ups at the ends of [0, 1] are captured: analytic branches are integrated
-on geometric panels in distance-to-endpoint coordinates, and hull chords get
-a curvature (Jensen) correction plus a chord-chain continuation below the
-grid floor using the transform's stable tail evaluators.
+An analytic envelope's L is the closed form of the catalog's (mode, shape)
+table at the contact it solved (``bounds``).  ``slope_l2_norm`` computes the
+L of a chord envelope: its squared chord slopes get a curvature (Jensen)
+correction, and a chord-chain continuation below the grid floor through the
+transform's stable tail evaluators captures log- and power-type slope
+blow-ups at the ends of [0, 1].
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from ._num import integrate_segment, log_chain
-from .errors import NoAnalyticForm, NonConvergent, NonFiniteValue, ParamOutOfDomain
+from ._num import log_chain
+from .errors import DomainError, NoAnalyticForm, NonFiniteValue, ParamOutOfDomain
 from .distortion import TransformedGHat, _order, _shape
 
 DEFAULT_GRID = 4097
 GRID_FLOOR = 1e-9     # deepest cascade offset represented in u coordinates
 CHAIN_FLOOR = 1e-60   # deepest distance reached through stable tail evaluators
-FLOOR_MASS_TOL = 1e-7  # largest share of the squared-slope mass left at that floor
 # nearest distance from u = 1 at which a tail window's analytic branch may
 # start: the branch is read in u, where that distance keeps ~3 digits
 BRANCH_FLOOR = 1e-13
@@ -392,7 +392,7 @@ def _tangent_env(tg: TransformedGHat, t: float, mirrored: bool = False,
     if not mirrored and (tg.F_t or tg.p) and tg.tau != 0.0 and t < BRANCH_FLOOR:
         raise ParamOutOfDomain(
             f"{src.family}: the analytic branch starts {t:.3g} from u = 1, closer "
-            f"than the {BRANCH_FLOOR:g} that its quadrature in u resolves")
+            f"than the {BRANCH_FLOOR:g} that its points in u resolve")
 
     meta = {"kind": "analytic", "t": t}
     knots = np.array([0.0, 1.0] if u == 0.0 else [0.0, u, 1.0])
@@ -519,55 +519,36 @@ def _end_chain_sq(tail_fn, t_hi: float, end_val: float, center: float,
 
 
 def slope_l2_norm(env: PiecewiseEnvelope, center: float) -> float:
-    """sqrt(integral of (envelope slope - center)^2 over [0, 1])."""
-    if env.meta.get("kind") == "numeric":
-        knots = env.knots
-        lengths = np.diff(knots)
-        slopes = env.slopes
-        correct = env.contact
-        tg = env.source
-        total = 0.0
-        lo_cut = 0
-        hi_cut = len(slopes)
-        follow_floor = 8.0 * GRID_FLOOR
-        floor = CHAIN_FLOOR if tg.tails_exact else 1e-12
-        # near u = 0 the distance is u itself, so ghat is its own tail form
-        if (knots[1] - knots[0]) <= follow_floor and correct[0]:
-            total += _end_chain_sq(tg.ghat, float(knots[1]),
-                                   0.0, center, ascending_u=False, t_floor=floor)
-            lo_cut = 1
-        if (knots[-1] - knots[-2]) <= follow_floor and correct[-1]:
-            total += _end_chain_sq(tg.ghat_upper_rel, float(1.0 - knots[-2]),
-                                   0.0, center, ascending_u=True, t_floor=floor)
-            hi_cut = len(slopes) - 1
-        sl = slice(lo_cut, hi_cut)
-        total += _chord_sq_with_curvature(lengths[sl], slopes[sl], center, correct[sl])
-        return math.sqrt(max(total, 0.0))
+    """sqrt(integral of (envelope slope - center)^2 over [0, 1]) of a chord
+    envelope.
 
-    def squared(slope):
-        return lambda x: (np.asarray(slope(x), dtype=float) - center) ** 2
-
+    An envelope with an analytic branch (a nan slope) raises DomainError: its
+    L is the closed form of the catalog table, which ``worst_case_bound``
+    reads."""
+    if env._branch is not None:
+        raise DomainError("slope_l2_norm takes chord envelopes; an analytic "
+                          "branch's L is its closed form")
+    knots = env.knots
+    lengths = np.diff(knots)
+    slopes = env.slopes
+    correct = env.contact
     tg = env.source
     total = 0.0
-    floor_mass = 0.0   # squared-slope mass per unit of log t at CHAIN_FLOOR
-    knots = env.knots.tolist()
-    for lo, hi, s in zip(knots[:-1], knots[1:], env.slopes.tolist()):
-        if not math.isnan(s):
-            total += (s - center) ** 2 * (hi - lo)
-            continue
-        # each end the branch reaches is read through the transform's form there
-        f_lo = squared(tg.slope_lower) if lo == 0.0 and tg.slope_lower is not None else None
-        f_hi = squared(tg.slope_upper) if hi == 1.0 and tg.slope_upper is not None else None
-        total += integrate_segment(squared(env._branch_slope), lo, hi, fn_lo=f_lo, fn_hi=f_hi,
-                                   t_floor=CHAIN_FLOOR, per_octave=0.5)
-        floor_mass += sum(float(fn(CHAIN_FLOOR)) * CHAIN_FLOOR
-                          for fn in (f_lo, f_hi) if fn is not None)
-    if floor_mass > FLOOR_MASS_TOL * total:
-        # the slope blows up so steeply that a material share of the integral
-        # lies below the floor; the norm would come out low
-        raise NonConvergent(
-            f"squared-slope mass {floor_mass:.3g} at the quadrature floor "
-            f"{CHAIN_FLOOR:g} exceeds {FLOOR_MASS_TOL:g} of the total {total:.6g}")
+    lo_cut = 0
+    hi_cut = len(slopes)
+    follow_floor = 8.0 * GRID_FLOOR
+    floor = CHAIN_FLOOR if tg.tails_exact else 1e-12
+    # near u = 0 the distance is u itself, so ghat is its own tail form
+    if (knots[1] - knots[0]) <= follow_floor and correct[0]:
+        total += _end_chain_sq(tg.ghat, float(knots[1]),
+                               0.0, center, ascending_u=False, t_floor=floor)
+        lo_cut = 1
+    if (knots[-1] - knots[-2]) <= follow_floor and correct[-1]:
+        total += _end_chain_sq(tg.ghat_upper_rel, float(1.0 - knots[-2]),
+                               0.0, center, ascending_u=True, t_floor=floor)
+        hi_cut = len(slopes) - 1
+    sl = slice(lo_cut, hi_cut)
+    total += _chord_sq_with_curvature(lengths[sl], slopes[sl], center, correct[sl])
     return math.sqrt(max(total, 0.0))
 
 

@@ -20,13 +20,16 @@ on each panel Q is interpolated at the nodes by a polynomial P, and
 rule.  Moments are Gauss sums of Q and Q^2 on the same panels.  Both take
 their value at one panel per octave, and their error estimate is the change
 from one panel per two octaves, plus the rounding of the sum.  That density
-is enough by the Bernstein-ellipse bound of ``_num.integrate_segment``: a
-20-point panel [x, 4x] of an integrand analytic off t = 0 errs by about
-3^-40 ~ 8e-20 relative, so even one panel per two octaves reads such a tail
-to rounding.  The stress test reads the transform once per call, at one
-panel per octave: the shapes that draw nothing take the product rule, a
-step trial sums its levels times the change in ghat across each step, and a
-spline trial its slopes times the integral of ghat over each piece.
+is enough by a Bernstein-ellipse bound: an integrand analytic off t = 0
+(t^p- and log-type blow-ups) is analytic inside the largest Bernstein
+ellipse of the panel [x, 4x] that avoids t = 0, whose parameter is
+5/3 + sqrt((5/3)^2 - 1) = 3, so the panel's 20-point Gauss-Legendre rule
+errs by about 3^-40 ~ 8e-20 relative, and even one panel per two octaves
+reads such a tail to rounding.  The stress test reads the transform once
+per call, at one panel per octave: the shapes that draw nothing take the
+product rule, a step trial sums its levels times the change in ghat across
+each step, and a spline trial its slopes times the integral of ghat over
+each piece.
 """
 
 from __future__ import annotations
@@ -292,7 +295,7 @@ def _estimate(layout, terms) -> tuple:
     one panel per octave.  The estimate is the change from one panel per two
     octaves plus the rounding of a sum of n terms, sqrt(n) eps times the sum
     of their magnitudes.  Both densities read a tail analytic off its end to
-    rounding (the Bernstein-ellipse bound of ``_num.integrate_segment``), so
+    rounding (the Bernstein-ellipse bound in the module docstring), so
     a change above rounding marks a panel on which Q or ghat is not
     analytic: a kink or breakpoint the layout does not hold, or a tail cut
     at the floor."""
@@ -310,8 +313,8 @@ def riskmetric_of_quantile(g, mode=None, extras=None, Q: QuantileFn = None,
     The product rule on the oracle's Gauss panels (``_Layout``), split at
     the transform's kinks and the quantile's breakpoints, at one panel per
     octave, with the change from one panel per two octaves as its error
-    estimate (``_estimate``; the Bernstein-ellipse bound of
-    ``_num.integrate_segment`` says why that density is enough).  Raises
+    estimate (``_estimate``; the Bernstein-ellipse bound in the module
+    docstring says why that density is enough).  Raises
     NonFiniteValue when the sum is not finite, and NonConvergent when its
     error estimate exceeds 10x the tolerance target (1e-8 smooth, 1e-6 for
     divergent tails).
@@ -524,8 +527,8 @@ def feasibility_stress(g: DistortionFn, mode=None, extras=None, moments=None,
 
     One layout of the transform, with every spline knot as an edge, is read
     once per call, at one panel per octave: the density at which
-    ``_estimate`` takes its value, enough by the Bernstein-ellipse bound of
-    ``_num.integrate_segment``.  The uniform, Gaussian and exponential
+    ``_estimate`` takes its value, enough by the Bernstein-ellipse bound in
+    the module docstring.  The uniform, Gaussian and exponential
     shapes draw nothing, so each is evaluated once by the product rule on
     it, and its value stands for every repeat.  The draws of the other
     shapes depend only on (shape, seed, trials) and are made once for all

@@ -220,8 +220,12 @@ def _reference_chain_side(f, edges, order):
 def reference_integrate_segment(fn, a, b, fn_lo=None, fn_hi=None, t_floor=1e-60,
                                 per_octave=4, order=20):
     """``∫_a^b fn`` on geometric panel chains toward both ends, each chain's
-    panels and closing sliver evaluated by separate calls.  The reference
-    for ``riskbound._num.integrate_segment``."""
+    panels and closing sliver evaluated by separate calls.  ``fn_lo(t)`` /
+    ``fn_hi(t)`` are the integrand at distance t from u = 0 / u = 1, read
+    (down to ``t_floor``) only when the segment ends there; interior ends
+    are chained to 1e-14 of the half.  The tests' Gauss integrator, apart
+    from the oracle's panels: it checks the closed forms' L
+    (``reference_slope_l2_norm``) and the oracle's moments and panel sums."""
     if b <= a:
         return 0.0
     half = 0.5 * (b - a)
@@ -239,11 +243,18 @@ def reference_integrate_segment(fn, a, b, fn_lo=None, fn_hi=None, t_floor=1e-60,
     return total
 
 
+#: largest share of the squared-slope mass that the quadrature may leave at
+#: its 1e-60 floor
+REFERENCE_FLOOR_MASS_TOL = 1e-7
+
+
 def reference_slope_l2_norm(env, center):
     """The squared-slope norm of an analytic envelope with four Gauss panels
-    per octave and a separate sliver call per chain, raising NonConvergent
-    on the same floor-mass test.  The reference for the analytic branch of
-    ``riskbound.envelope.slope_l2_norm``."""
+    per octave and a separate sliver call per chain.  It raises
+    NonConvergent when more than ``REFERENCE_FLOOR_MASS_TOL`` of the mass
+    lies at the floor.  A catalog bound takes its L from the closed-form
+    table, so this quadrature of the envelope is the closed forms'
+    independent check."""
     def squared(slope):
         return lambda x: (np.asarray(slope(x), dtype=float) - center) ** 2
 
@@ -268,7 +279,7 @@ def reference_slope_l2_norm(env, center):
             t_floor=envelope.CHAIN_FLOOR, per_octave=4)
         floor_mass += sum(float(f(envelope.CHAIN_FLOOR)) * envelope.CHAIN_FLOOR
                           for f in (f_lo, f_hi) if f is not None)
-    if floor_mass > envelope.FLOOR_MASS_TOL * total:
+    if floor_mass > REFERENCE_FLOOR_MASS_TOL * total:
         raise NonConvergent("squared-slope mass at the quadrature floor")
     return math.sqrt(max(total, 0.0))
 

@@ -58,6 +58,39 @@ def test_shortfall_builds_no_envelope(capsys, request):
     assert [row["bound"] for row in json.loads(out)] == expected
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["shortfall", "--family", "GS", "--param", "alpha=3", "--p", "0.9", "--tau", "0.5"],
+     "GS: unexpected parameter(s) ['alpha']"),
+    (["shortfall", "--family", "CRTES", "--param", "alpha=3", "--param", "bogus=1",
+      "--p", "0.9", "--tau", "0.5"], "CRTES: unexpected parameter(s) ['bogus']"),
+    (["shortfall", "--family", "ES", "--tau", "0.5", "--p", "0.9"],
+     "ES: unexpected parameter(s) ['tau']"),
+    (["shortfall", "--family", "ES", "--param", "tau=0.5", "--p-grid", "0.5:0.9:3"],
+     "ES: unexpected parameter(s) ['tau']"),
+    (["bound", "--family", "GS", "--param", "alpha=3", "--param", "p=0.9",
+      "--param", "tau=0.5"], "GS: unexpected parameter(s) ['alpha']"),
+])
+def test_shortfall_refuses_stray_parameters_as_bound_does(capsys, argv, err):
+    # by the catalog row's own check
+    code, out, got = run_cli(capsys, *argv, "--mu", "0", "--sigma", "1")
+    assert (code, out) == (3, "")
+    assert got == f"error: {err}\n"
+
+
+def test_shortfall_reads_tau_and_p_once(capsys):
+    # tau defaults to 0, where a shortfall is ES; p comes from --p or --p-grid
+    es = B.closed_form_sup("ES", {"p": 0.9}, B.MomentInfo(0.1, 1.3))
+    for argv in (["--family", "GS"], ["--family", "GS", "--param", "tau=0"],
+                 ["--family", "ES"], ["--family", "ES", "--tau", "0"]):
+        code, out, _ = run_cli(capsys, "shortfall", *argv, "--p", "0.9",
+                               "--mu", "0.1", "--sigma", "1.3", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [{"p": 0.9, "bound": es}], argv
+    code, out, _ = run_cli(capsys, "shortfall", "--family", "GS", "--param", "p=0.5",
+                           "--p", "0.9", "--mu", "0", "--sigma", "1")
+    assert code == 2 and out == ""
+
+
 @pytest.mark.parametrize("family", ["FGRE", "FGE"])
 @pytest.mark.parametrize("alpha", ["34", "36", "40", "60", "200"])
 def test_bound_at_large_fractional_alpha(capsys, family, alpha):

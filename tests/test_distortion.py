@@ -192,7 +192,8 @@ def test_shortfall_zero_loading_matches_expected_shortfall_transform(p):
         tg = D.make_ghat(g, "shortfall", {"p": p, "tau": 0.0})
         assert tg.kinks == (p,)
         assert np.array_equal(tg.ghat(us), es.ghat(us))
-        assert np.array_equal(tg.ghat_upper(ts), es.ghat_upper(ts))
+        assert tg.center == es.center
+        assert np.array_equal(tg.ghat_upper_rel(ts), es.ghat_upper_rel(ts))
         assert np.array_equal(E.convex_envelope_analytic(tg).knots, env.knots)
         assert B.worst_case_bound(g, moments=moments).sup_value == sup
 
@@ -219,7 +220,8 @@ def test_tail_evaluators_agree_with_ghat(family, params, mode, extras):
     g = D.catalog_lookup(family, params)
     tg = D.make_ghat(g, mode, extras)
     ts = np.geomspace(1e-9, 0.35, 40)
-    assert np.allclose(tg.ghat_upper(ts), tg.ghat(1.0 - ts), rtol=1e-9, atol=1e-12)
+    assert np.allclose(tg.ghat_upper_rel(ts) + tg.center, tg.ghat(1.0 - ts),
+                       rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("past, entropy, params", [
@@ -229,9 +231,9 @@ def test_untruncated_past_tails_are_the_entropy_tails(past, entropy, params):
     tp = D.default_transform(D.catalog_lookup(past, {**params, "F_t": 1.0}))
     te = D.default_transform(D.catalog_lookup(entropy, params))
     ts = np.array([1e-30, 1e-17, 1e-12])
-    assert tp.ghat_upper(ts).tolist() == te.ghat_upper(ts).tolist()
+    assert tp.center == te.center
     assert tp.ghat_upper_rel(ts).tolist() == te.ghat_upper_rel(ts).tolist()
-    assert np.all(tp.ghat_upper(ts) != 0.0)
+    assert np.all(tp.ghat_upper_rel(ts) + tp.center != 0.0)
 
 
 @pytest.mark.parametrize("mode, extras, kinks", [
@@ -247,7 +249,8 @@ def test_kinks_of_g_map_into_the_window(mode, extras, kinks):
     tg = D.make_ghat(g, mode, extras)
     assert tg.kinks == kinks
     for k in kinks:
-        assert float(tg.ghat(k)) == pytest.approx(float(tg.ghat_upper(1.0 - k)), abs=1e-15)
+        assert float(tg.ghat(k)) == pytest.approx(
+            float(tg.ghat_upper_rel(1.0 - k)) + tg.center, abs=1e-15)
 
 
 def test_eval_weight():

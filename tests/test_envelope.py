@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from riskbound import bounds as B
 from riskbound import distortion as D
 from riskbound import envelope as E
-from riskbound._num import bisect_root, fractional_root, integrate_segment
+from riskbound._num import bisect_root, fractional_root
 from riskbound.errors import (
+    DomainError,
     NoAnalyticForm,
     NonConvergent,
     NonFiniteValue,
@@ -25,7 +26,6 @@ from conftest import (
     SWEEP,
     contact_point,
     random_piecewise_smooth,
-    reference_integrate_segment,
     reference_lower_hull,
     reference_numeric_grid,
     reference_pool_convex,
@@ -201,9 +201,8 @@ def test_envelope_properties(family, params):
 @pytest.mark.parametrize("family,params", REPRESENTATIVE, ids=str)
 def test_analytic_and_numeric_l2_agree(family, params):
     tg = _transform(family, params)
-    la = E.slope_l2_norm(E.convex_envelope_analytic(tg), tg.center)
     ln = E.slope_l2_norm(E.convex_envelope_numeric(tg), tg.center)
-    assert ln == pytest.approx(la, rel=1e-6)
+    assert ln == pytest.approx(B.closed_form_factor(family, params)[1], rel=1e-6)
 
 
 def test_envelope_idempotent():
@@ -309,8 +308,7 @@ def _chord_l2(us, ys, idx):
     knots, values = us[idx], base[idx]
     env = E.PiecewiseEnvelope(knots=knots, values=values,
                               slopes=np.diff(values) / np.diff(knots),
-                              contact=np.diff(idx) == 1, source=tg,
-                              meta={"kind": "numeric"})
+                              contact=np.diff(idx) == 1, source=tg)
     return E.slope_l2_norm(env, tg.center)
 
 
@@ -573,12 +571,18 @@ def test_slope_l2_examples():
     ident = D.custom_transform(lambda u: np.asarray(u, dtype=float))
     env = E.convex_envelope_numeric(ident)
     assert E.slope_l2_norm(env, 1.0) == pytest.approx(0.0, abs=1e-9)
+    # an analytic envelope's L is its closed form, which the reference
+    # quadrature checks; slope_l2_norm takes chord envelopes only
     gini = _transform("GiniSemidiff", {})
     env = E.convex_envelope_analytic(gini)
-    assert E.slope_l2_norm(env, 0.0) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
+    assert reference_slope_l2_norm(env, 0.0) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
+    with pytest.raises(DomainError):
+        E.slope_l2_norm(env, 0.0)
     es = _transform("ES", {"p": 0.5})
     env = E.convex_envelope_analytic(es)
-    assert E.slope_l2_norm(env, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert reference_slope_l2_norm(env, 1.0) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(DomainError):
+        E.slope_l2_norm(env, 1.0)
 
 
 def test_envelope_table_columns():
@@ -592,105 +596,31 @@ def test_envelope_table_columns():
     assert np.all(np.diff(sl) >= -1e-9)
 
 
-@pytest.mark.parametrize("per_octave", [0.5, 1, 4])
-def test_integrate_segment_log_singularity(per_octave):
-    # integral of (log(1-u) + 1)^2 over [0, 1] equals 1
-    val = integrate_segment(
-        lambda u: (np.log1p(-np.asarray(u)) + 1.0) ** 2, 0.0, 1.0,
-        fn_lo=lambda t: (np.log1p(-np.asarray(t)) + 1.0) ** 2,
-        fn_hi=lambda t: (np.log(np.asarray(t)) + 1.0) ** 2, per_octave=per_octave)
-    assert val == pytest.approx(1.0, rel=1e-13)
-    # integral of t^-0.8 over [0, 1] equals 5.  The sliver below a 1e-60
-    # floor holds 5e-12 of it, so the chain runs to 1e-100, past the 200
-    # octaves of the cached template
-    val = integrate_segment(
-        lambda u: np.asarray(u) ** -0.8, 0.0, 1.0,
-        fn_lo=lambda t: np.asarray(t) ** -0.8, t_floor=1e-100, per_octave=per_octave)
-    assert val == pytest.approx(5.0, rel=1e-13)
-
-
-def test_slope_quadrature_matches_the_reference():
+def test_the_slope_quadrature_checks_the_closed_forms():
+    # a catalog bound takes its L from the table; the reference quadrature of
+    # its analytic envelope is the closed forms' independent check
     for family, params in SWEEP + [("FGRE", {"alpha": 30.0}), ("FGE", {"alpha": 30.0})]:
         tg = _transform(family, params)
         env = E.convex_envelope_analytic(tg)
-        ref = reference_slope_l2_norm(env, tg.center)
-        norm = E.slope_l2_norm(env, tg.center)
-        assert norm == pytest.approx(ref, rel=1e-12), (family, params)
-        # a catalog bound takes its value from the table, so the quadrature
-        # is the closed forms' independent check
+        norm = reference_slope_l2_norm(env, tg.center)
         assert norm == pytest.approx(B.closed_form_factor(family, params)[1], rel=1e-12), \
             (family, params)
+        # slope_l2_norm takes chord envelopes only
+        with pytest.raises(DomainError):
+            E.slope_l2_norm(env, tg.center)
     # where a share of ~1e-8 of the squared-slope mass lies at the 1e-60
-    # floor, the value depends on where the deepest panel edge falls; the
-    # octave-wide chain ends deeper, so it must come no farther from the
-    # closed form than the reference does
+    # floor, the quadrature falls short of the closed form by about that share
     for family, params in (("FGE", {"alpha": 40.0}), ("CT", {"alpha": 0.56}),
                            ("CRT", {"alpha": 0.56})):
         tg = _transform(family, params)
         env = E.convex_envelope_analytic(tg)
         exact = B.closed_form_sup(family, params, B.MomentInfo(0.0, 1.0))
-        err = abs(E.slope_l2_norm(env, tg.center) - exact)
-        assert err <= abs(reference_slope_l2_norm(env, tg.center) - exact)
-        assert err <= 1e-7 * exact, (family, params)
-    # a material share below the floor still raises, as in the reference
+        assert abs(reference_slope_l2_norm(env, tg.center) - exact) <= 1e-7 * exact, \
+            (family, params)
+    # a material share below the floor raises
     for family, params in (("CT", {"alpha": 0.51}), ("CRT", {"alpha": 0.51}),
                            ("FGE", {"alpha": 45.0})):
         tg = _transform(family, params)
         env = E.convex_envelope_analytic(tg)
         with pytest.raises(NonConvergent):
             reference_slope_l2_norm(env, tg.center)
-        with pytest.raises(NonConvergent):
-            E.slope_l2_norm(env, tg.center)
-
-
-def test_each_chain_side_evaluates_once():
-    # CRE's branch spans [0, 1] with a stable form at each end; TCRE's runs
-    # from an interior contact point to 1, and its interior side reads the
-    # branch through the form of that end.  Each chain side makes one array
-    # call, and an end side adds the scalar floor-mass point: the calls are
-    # listed by the ndim and size of their argument.  A chain has one
-    # 20-point panel per two octaves plus the sliver midpoint: 100 panels
-    # from 1/2 to the 1e-60 floor, 24 across the interior side's 1e-14
-    for family, params, expected in (
-            ("CRE", {}, {"slope_lower": [(0, 1), (1, 2001)],
-                         "slope_upper": [(0, 1), (1, 2001)]}),
-            ("TCRE", {"p": 0.9}, {"slope_lower": [],
-                                  "slope_upper": [(0, 1), (1, 481), (1, 1941)]})):
-        tg = _transform(family, params)
-        env = E.convex_envelope_analytic(tg)
-        calls = {name: [] for name in expected}
-
-        def counted(name, inner):
-            def f(x):
-                calls[name].append((np.ndim(x), np.size(x)))
-                return inner(x)
-            return f
-
-        source = dataclasses.replace(tg, **{name: counted(name, getattr(tg, name))
-                                            for name in expected
-                                            if getattr(tg, name) is not None})
-        L = E.slope_l2_norm(dataclasses.replace(env, source=source), tg.center)
-        assert L == E.slope_l2_norm(env, tg.center)
-        assert {k: sorted(v) for k, v in calls.items()} == expected, family
-
-
-def test_stacked_integrands_match_the_reference():
-    res = B.worst_case_bound(D.catalog_lookup("TCRE", {"p": 0.9}),
-                             moments=B.MomentInfo(0.0, 1.0))
-    Q = res.quantile
-
-    def powers(fn):
-        def f(u):
-            v = np.asarray(fn(u), dtype=float)
-            return np.stack([v, v * v])
-        return f
-
-    f, f_lo, f_hi = powers(Q.fn), powers(Q._lower()), powers(Q._upper())
-    edges = [0.0] + sorted(b for b in Q.breakpoints if 0.0 < b < 1.0) + [1.0]
-    for po in (3, 6):
-        for a, b in zip(edges[:-1], edges[1:]):
-            got = integrate_segment(f, a, b, fn_lo=f_lo, fn_hi=f_hi, per_octave=po)
-            ref = reference_integrate_segment(f, a, b, fn_lo=f_lo, fn_hi=f_hi,
-                                              per_octave=po)
-            assert got.shape == (2,)
-            assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))

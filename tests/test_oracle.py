@@ -7,11 +7,10 @@ import pytest
 from riskbound import bounds as B
 from riskbound import distortion as D
 from riskbound import oracle as O
-from riskbound._num import integrate_segment
 from riskbound.errors import (BoundViolated, DomainError, NonConvergent, NonFiniteValue,
                               ParamOutOfDomain)
 
-from conftest import SWEEP, reference_feasibility_stress
+from conftest import SWEEP, reference_feasibility_stress, reference_integrate_segment
 
 STD = B.MomentInfo(0.0, 1.0)
 PARITY_MOMENTS = B.MomentInfo(0.3, 1.7)
@@ -86,6 +85,23 @@ def test_quantile_moments_cases():
     mean, var = O.quantile_moments(res.quantile)
     assert mean == pytest.approx(0.0, abs=1e-6)
     assert var == pytest.approx(1.0, rel=1e-6)
+
+
+def test_quantile_moments_of_closed_form_tails():
+    # the exponential shape -log(1 - u) - 1: its variance is the integral of
+    # (log(t) + 1)^2 over (0, 1), which is 1
+    mean, var = O.quantile_moments(O._standard_shape("exponential", None))
+    assert abs(mean) <= 1e-13 and abs(var - 1.0) <= 1e-13
+    # Q = -u^-0.4 has mean -5/3 and E[Q^2] = 5.  The sliver below a 1e-60
+    # floor holds ~1e-12 of E[Q^2], so the chain runs to 1e-100, past the
+    # 200 octaves of the cached chain ratios
+    power = lambda t: -np.asarray(t, dtype=float) ** -0.4
+    Q = O.QuantileFn(fn=power, lower_tail=power,
+                     upper_tail=lambda t: power(1.0 - np.asarray(t, dtype=float)),
+                     tail_class="power-divergent", name="power")
+    mean, var = O.quantile_moments(Q, t_floor=1e-100)
+    assert abs(mean + 5.0 / 3.0) <= 1e-13 * 5.0 / 3.0
+    assert abs(var + mean * mean - 5.0) <= 1e-13 * 5.0
 
 
 def test_grid_quantile_and_step_interpolation():
@@ -176,7 +192,7 @@ def test_quantile_moments_integrate_both_powers_from_one_evaluation():
         m = [0.0, 0.0]
         for p in (1, 2):
             for a, b in zip(edges[:-1], edges[1:]):
-                m[p - 1] += integrate_segment(
+                m[p - 1] += reference_integrate_segment(
                     lambda u: np.asarray(Q.fn(u), dtype=float) ** p, a, b,
                     fn_lo=(lambda t: np.asarray(Q._lower()(t), dtype=float) ** p)
                     if a == 0.0 else None,
@@ -330,7 +346,7 @@ def test_moments_match_a_dense_reference_on_every_worst_case():
         m = [0.0, 0.0]
         for p in (1, 2):
             for a, b in zip(edges[:-1], edges[1:]):
-                m[p - 1] += integrate_segment(
+                m[p - 1] += reference_integrate_segment(
                     lambda u: np.asarray(Q.fn(u), dtype=float) ** p, a, b,
                     fn_lo=(lambda t: np.asarray(Q._lower()(t), dtype=float) ** p)
                     if a == 0.0 else None,
@@ -495,8 +511,9 @@ def test_the_layout_reads_ghat_alike_in_both_coordinates(family, params):
     lay = O._Layout(tg.kinks, (0.3, 0.6), 2).read(tg)
     assert abs(np.sum(lay.weights) - tg.center) <= 1e-14 * max(1.0, abs(tg.center))
     edges = [0.0] + sorted(k for k in tg.kinks if 0.0 < k < 1.0) + [1.0]
-    ref = sum(integrate_segment(tg.ghat, a, b, fn_hi=tg.ghat_upper if b == 1.0 else None,
-                                per_octave=2) for a, b in zip(edges[:-1], edges[1:]))
+    upper = lambda t: tg.ghat_upper_rel(t) + tg.center
+    ref = sum(reference_integrate_segment(tg.ghat, a, b, fn_hi=upper if b == 1.0 else None,
+                                          per_octave=2) for a, b in zip(edges[:-1], edges[1:]))
     whole = lay.integrals_between(np.array([[0.0, 1.0]]))[0, 0]
     assert whole == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
