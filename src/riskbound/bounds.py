@@ -101,14 +101,22 @@ class ShortfallSpec:
 
     def catalog_params(self) -> dict:
         """The parameters of the named shortfall's catalog row, read off the
-        spec's fields of the same names."""
+        spec's fields of the same names.  A field set that the row does not
+        take raises ParamOutOfDomain; ES, the tau = 0 shortfall, takes no tau
+        but 0.  A custom shortfall takes ``custom_g``, p and tau."""
         if self.family == "custom":
             if self.custom_g is None:
                 raise ParamOutOfDomain("custom shortfall requires custom_g")
-            return {}
-        names = _SHORTFALL_PARAMS.get(self.family)
-        if names is None:
-            raise UnknownFamily(f"unknown shortfall family {self.family!r}")
+            names, takes = (), ("tau", "custom_g")
+        else:
+            names = takes = _SHORTFALL_PARAMS.get(self.family)
+            if names is None:
+                raise UnknownFamily(f"unknown shortfall family {self.family!r}")
+        given = {"tau": self.tau != 0.0, "alpha": self.alpha is not None,
+                 "r": self.r is not None, "custom_g": self.custom_g is not None}
+        unknown = [name for name, is_set in given.items() if is_set and name not in takes]
+        if unknown:
+            raise ParamOutOfDomain(f"{self.family} shortfall takes no {', '.join(unknown)}")
         params = {}
         for name in names:
             if getattr(self, name) is None:

@@ -355,7 +355,7 @@ def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
         idx = sub[_pinned_hull(us[sub], ys[sub], pinned)]
     knots = us[idx]
     values = ys[idx]
-    meta = {"kind": "numeric", "n_grid": n_grid}
+    meta = {"n_grid": n_grid}
     return PiecewiseEnvelope(knots=knots, values=values,
                              slopes=np.diff(values) / np.diff(knots),
                              contact=np.diff(idx) == 1, source=ghat, meta=meta)
@@ -394,7 +394,7 @@ def _tangent_env(tg: TransformedGHat, t: float, mirrored: bool = False,
             f"{src.family}: the analytic branch starts {t:.3g} from u = 1, closer "
             f"than the {BRANCH_FLOOR:g} that its points in u resolve")
 
-    meta = {"kind": "analytic", "t": t}
+    meta = {"t": t}
     knots = np.array([0.0, 1.0] if u == 0.0 else [0.0, u, 1.0])
     values = np.asarray(tg.ghat(knots), dtype=float)
     # the branch (nan slope) coincides with the transform, and so does a

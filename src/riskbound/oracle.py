@@ -7,7 +7,7 @@ feasible distributions.  Everything here deliberately avoids the envelope
 machinery so it can serve as an oracle for it.
 
 One panel layout (``_Layout``) does all three jobs.  The transform's kinks
-cut (0, 1) into segments; each half of a segment is a chain of 20-point
+cut (0, 1) into segments; each half of a segment is a chain of 10-point
 Gauss-Legendre panels toward its own end, down to 1e-60 at u = 0 and u = 1
 and to 1e-14 of the half at a kink, and the quantile's breakpoints cut the
 panels they fall in.  The end segment next to u = 1 is read in its distance
@@ -19,13 +19,16 @@ on each panel Q is interpolated at the nodes by a polynomial P, and
 ``int Q dghat = [P ghat] - int ghat P'`` is taken by the panel's own Gauss
 rule.  Moments are Gauss sums of Q and Q^2 on the same panels.  Both take
 their value at one panel per octave, and their error estimate is the change
-from one panel per two octaves, plus the rounding of the sum.  That density
-is enough by a Bernstein-ellipse bound: an integrand analytic off t = 0
+from one panel per two octaves, plus the rounding of the sum.  Ten nodes
+are enough by a Bernstein-ellipse bound: an integrand analytic off t = 0
 (t^p- and log-type blow-ups) is analytic inside the largest Bernstein
-ellipse of the panel [x, 4x] that avoids t = 0, whose parameter is
-5/3 + sqrt((5/3)^2 - 1) = 3, so the panel's 20-point Gauss-Legendre rule
-errs by about 3^-40 ~ 8e-20 relative, and even one panel per two octaves
-reads such a tail to rounding.  The stress test reads the transform once
+ellipse of its panel that avoids t = 0.  On [x, 2x] its parameter is
+rho = 3 + sqrt(3^2 - 1) = 3 + 2*sqrt(2) ~ 5.83, so the panel's 10-point
+Gauss-Legendre rule errs by about rho^-20 ~ 5e-16 relative, and one panel
+per octave reads such a tail to rounding.  On [x, 4x] it is
+5/3 + sqrt((5/3)^2 - 1) = 3, so one panel per two octaves errs by about
+3^-20 ~ 3e-10, and the estimate is conservative by up to that much on a
+smooth tail.  The stress test reads the transform once
 per call, at one panel per octave: the shapes that draw nothing take the
 product rule, a step trial sums its levels times the change in ghat across
 each step, and a spline trial its slopes times the integral of ghat over
@@ -43,7 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._num import _GL20, log_chain
+from ._num import _GL10, log_chain
 from .distortion import DistortionFn, TransformedGHat, WeightSpec, make_ghat
 from .errors import BoundViolated, DomainError, NonConvergent, NonFiniteValue
 
@@ -125,12 +128,12 @@ class QuantileFn:
 # Gauss panels and the product rule
 # ---------------------------------------------------------------------------
 
-_X, _W = _GL20
+_X, _W = _GL10
 _EPS = float(np.finfo(float).eps)
 
 
 def _product_rule() -> tuple:
-    """(l, wD): the Lagrange basis of the 20 Gauss nodes at x = 1, l[j] =
+    """(l, wD): the Lagrange basis of the 10 Gauss nodes at x = 1, l[j] =
     l_j(1), and wD[i, j] = w_i l_j'(x_i), from the barycentric weights of the
     nodes.  On a panel read as x in [-1, 1], P = sum_j q_j l_j interpolates
     Q, and integration by parts gives
@@ -202,7 +205,7 @@ class _Layout:
     ``per_octave`` per halving of the distance: down to ``floor`` at u = 0
     and u = 1, and to 1e-14 of the half at a kink; the sliver left below a
     chain is one more panel.  The quantile's breakpoints cut the panels they
-    fall in, so that Q is smooth on every panel.  Each panel carries the 20
+    fall in, so that Q is smooth on every panel.  Each panel carries the 10
     Gauss-Legendre nodes of its own coordinate.
 
     The end segment next to u = 1, from the last kink or breakpoint up (from
@@ -294,11 +297,11 @@ def _estimate(layout, terms) -> tuple:
     """(sum, error estimate) of the last axis of ``terms(layout(po))`` at
     one panel per octave.  The estimate is the change from one panel per two
     octaves plus the rounding of a sum of n terms, sqrt(n) eps times the sum
-    of their magnitudes.  Both densities read a tail analytic off its end to
-    rounding (the Bernstein-ellipse bound in the module docstring), so
-    a change above rounding marks a panel on which Q or ghat is not
-    analytic: a kink or breakpoint the layout does not hold, or a tail cut
-    at the floor."""
+    of their magnitudes.  The fine density reads a tail analytic off its
+    end to rounding and the coarse one to about 3e-10 relative (the
+    Bernstein-ellipse bound in the module docstring), so a change above
+    that marks a panel on which Q or ghat is not analytic: a kink or
+    breakpoint the layout does not hold, or a tail cut at the floor."""
     coarse, fine = (terms(layout(po)) for po in (0.5, 1))
     value = fine.sum(axis=-1)
     err = (np.abs(value - coarse.sum(axis=-1))

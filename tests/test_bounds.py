@@ -165,15 +165,21 @@ _CUSTOM_BASE = D.catalog_lookup("CRE", {})
     ({"family": "GS", "p": 0.9, "tau": 0.5}, {"p": 0.9, "tau": 0.5}),
     ({"family": "EGS", "p": 0.9, "tau": 0.5, "r": 3.0}, {"r": 3.0, "p": 0.9, "tau": 0.5}),
     ({"family": "EGS", "p": 0.9, "tau": 0.5}, ParamOutOfDomain),
-    ({"family": "CRES", "p": 0.2, "tau": 1.0, "r": 3.0}, {"p": 0.2, "tau": 1.0}),
+    ({"family": "CRES", "p": 0.2, "tau": 1.0, "r": 3.0}, ParamOutOfDomain),
     ({"family": "CRTES", "p": 0.9, "tau": 1.0, "alpha": 2.0}, {"alpha": 2.0, "p": 0.9, "tau": 1.0}),
     ({"family": "CRTES", "p": 0.9, "tau": 1.0}, ParamOutOfDomain),
-    ({"family": "ES", "p": 0.5, "tau": 0.3, "alpha": 2.0}, {"p": 0.5}),
+    ({"family": "ES", "p": 0.5, "tau": 0.3, "alpha": 2.0}, ParamOutOfDomain),
     ({"family": "custom", "p": 0.9, "tau": 0.5, "custom_g": _CUSTOM_BASE}, {}),
     ({"family": "custom", "p": 0.9, "tau": 0.5}, ParamOutOfDomain),
     ({"family": "CRE", "p": 0.9}, UnknownFamily),
     ({"family": "TGini", "p": 0.9}, UnknownFamily),
     ({"family": "nonsense", "p": 0.9}, UnknownFamily),
+    # ES, the tau = 0 shortfall, takes tau = 0 and nothing else
+    ({"family": "ES", "p": 0.5, "tau": 0.0}, {"p": 0.5}),
+    ({"family": "ES", "p": 0.5, "r": 3.0}, ParamOutOfDomain),
+    ({"family": "GS", "p": 0.9, "tau": 0.5, "custom_g": _CUSTOM_BASE}, ParamOutOfDomain),
+    ({"family": "custom", "p": 0.9, "tau": 0.5, "alpha": 2.0, "custom_g": _CUSTOM_BASE},
+     ParamOutOfDomain),
 ])
 def test_shortfall_catalog_params(kw, expected):
     spec = B.ShortfallSpec(**kw)
@@ -183,6 +189,17 @@ def test_shortfall_catalog_params(kw, expected):
     else:
         with pytest.raises(expected):
             spec.catalog_params()
+
+
+@pytest.mark.parametrize("spec", [B.ShortfallSpec("ES", p=0.9, tau=0.5),
+                                  B.ShortfallSpec("GS", p=0.9, tau=0.5, alpha=3.0)],
+                         ids=["ES-tau", "GS-alpha"])
+def test_a_shortfall_field_its_row_does_not_take_is_refused(spec):
+    # the ES value 3.0 and the GS value 3.5119 came back with the field dropped
+    with pytest.raises(ParamOutOfDomain):
+        B.shortfall_value(spec, STD)
+    with pytest.raises(ParamOutOfDomain):
+        B.shortfall_bound(spec, STD)
 
 
 _GINI_ROWS = sorted(REFERENCE_GINI_L) + ["TNGini", "DGini"]

@@ -15,6 +15,7 @@ from riskbound.errors import (
     EmptySeries,
     MalformedCsv,
     NonNumericCell,
+    ParamOutOfDomain,
     TooFewObservations,
 )
 
@@ -182,6 +183,14 @@ def test_demo_report_matches_the_row_by_row_reference():
        st.lists(st.floats(min_value=0.6, max_value=0.99), min_size=1, max_size=8))
 def test_random_grids_match_the_row_by_row_reference(kappas, ps):
     _assert_matches_reference(I.DEMO_MOMENTS, kappa_grid=kappas, p_grid=ps)
+
+
+@pytest.mark.parametrize("spec", [B.ShortfallSpec("ES", p=0.9, tau=0.5),
+                                  B.ShortfallSpec("GS", p=0.9, tau=0.5, alpha=3.0)],
+                         ids=["ES-tau", "GS-alpha"])
+def test_report_refuses_a_shortfall_field_its_row_does_not_take(spec):
+    with pytest.raises(ParamOutOfDomain):
+        I.build_report(I.DEMO_MOMENTS[:1], premium_families=(), shortfall_specs=(spec,))
 
 
 def test_extra_families_and_custom_shortfall_match_the_reference():
