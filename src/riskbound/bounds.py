@@ -163,17 +163,41 @@ class BoundResult:
 
         Points are denser toward the interval ends (geometrically, down to
         1e-9) so that divergent tails survive a linear-interpolation round
-        trip through the exported grid.
+        trip through the exported grid.  The envelope's knots strictly
+        inside (1e-9, 1 - 1e-9) are merged into the cached skeleton, which
+        gives the points of their sorted union.
         """
-        if self.quantile is None:
-            raise DegenerateResult("no quantile stored for a degenerate bound")
-        us = _grid_skeleton(n).copy()
-        if self.envelope is not None:
-            knots = self.envelope.knots
-            knots = knots[(knots > 1e-9) & (knots < 1.0 - 1e-9)]
-            if knots.size:
-                us = np.union1d(us, knots)
-        return us, np.asarray(self.quantile.fn(us), dtype=float)
+        quantile = _plain_quantile(self)
+        us = _grid_skeleton(n)
+        knots = self.envelope.knots if self.envelope is not None else np.empty(0)
+        knots = knots[(knots > 1e-9) & (knots < 1.0 - 1e-9)]
+        if knots.size:
+            # both runs are sorted, so a stable sort (timsort) merges them in
+            # one pass; a knot already on the skeleton is kept once.  Locating
+            # each knot by searchsorted costs more once a numeric envelope's
+            # thousands of knots are merged
+            us = np.sort(np.concatenate([us, knots]), kind="stable")
+            keep = np.empty(us.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(us[1:], us[:-1], out=keep[1:])
+            us = us[keep]
+        else:
+            us = us.copy()
+        return us, np.asarray(quantile.fn(us), dtype=float)
+
+
+def _plain_quantile(result: BoundResult) -> QuantileFn:
+    """The stored quantile of X: DegenerateResult for a degenerate bound,
+    NonInvertibleWeight for a weighted one whose weight has no
+    ``Psi_inverse``."""
+    if result.degenerate:
+        raise DegenerateResult(
+            "every feasible distribution attains the bound; no quantile stored")
+    if result.quantile is None:
+        raise NonInvertibleWeight(
+            f"{result.family}: quantile recovery requires a weight with an "
+            "invertible antiderivative (Psi_inverse)")
+    return result.quantile
 
 
 @functools.lru_cache(maxsize=32)
@@ -411,16 +435,11 @@ def shortfall_bound(spec: ShortfallSpec, moments: MomentInfo,
 
 def worst_case_quantile(result: BoundResult, u):
     """Evaluate the stored worst-case quantile (right-continuous at knots)."""
-    if result.degenerate:
-        raise DegenerateResult(
-            "every feasible distribution attains the bound; no quantile stored")
-    if result.quantile is None:
-        raise NonInvertibleWeight(
-            "quantile recovery requires an invertible weight antiderivative")
+    quantile = _plain_quantile(result)
     arr = np.asarray(u, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("quantile argument must lie in the open interval (0, 1)")
-    out = np.asarray(result.quantile.fn(arr), dtype=float)
+    out = np.asarray(quantile.fn(arr), dtype=float)
     if np.ndim(u) == 0:
         return float(out.reshape(-1)[0])
     return out

@@ -72,8 +72,9 @@ class PiecewiseEnvelope:
 
     def _locate(self, u):
         u = np.asarray(u, dtype=float)
-        idx = np.searchsorted(self.knots, u, side="right") - 1
-        return u, np.clip(idx, 0, len(self.slopes) - 1)
+        # the piece holding u, the first or last one outside [0, 1]: the
+        # count of interior knots at or below u, which needs no clamp
+        return u, np.searchsorted(self.knots[1:-1], u, side="right")
 
     def value(self, u):
         u_arr, idx = self._locate(u)
@@ -90,11 +91,12 @@ class PiecewiseEnvelope:
 
     def slope(self, u):
         u_arr, idx = self._locate(u)
-        out = np.array(self.slopes[idx], dtype=float)
+        # fancy indexing copies already; a scalar u gives a writable 0-d array
+        out = np.asarray(self.slopes[idx])
         # the branch is evaluated on its own points only
         if self._branch is not None:
             m = idx == self._branch
-            if np.any(m):
+            if m.any():
                 out[m] = self._branch_slope(u_arr[m])
         if np.ndim(u) == 0:
             return float(out.reshape(-1)[0])
@@ -355,10 +357,9 @@ def convex_envelope_numeric(ghat: TransformedGHat, n_grid: int = DEFAULT_GRID,
         idx = sub[_pinned_hull(us[sub], ys[sub], pinned)]
     knots = us[idx]
     values = ys[idx]
-    meta = {"n_grid": n_grid}
     return PiecewiseEnvelope(knots=knots, values=values,
                              slopes=np.diff(values) / np.diff(knots),
-                             contact=np.diff(idx) == 1, source=ghat, meta=meta)
+                             contact=np.diff(idx) == 1, source=ghat)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +484,9 @@ def _chord_sq_with_curvature(lengths: np.ndarray, slopes: np.ndarray,
     base = float(np.dot((slopes - center) ** 2, lengths))
     n = len(slopes)
     if n >= 3:
-        k = np.arange(1, n - 1)
-        ok = correct[k] & correct[k - 1] & correct[k + 1]
-        if np.any(ok):
-            kk = k[ok]
+        ok = correct[1:-1] & correct[:-2] & correct[2:]
+        if ok.any():
+            kk = np.flatnonzero(ok) + 1
             # distance between neighboring segment midpoints, kept in scale
             # even when adjacent lengths differ by many orders of magnitude
             denom = 0.5 * lengths[kk - 1] + lengths[kk] + 0.5 * lengths[kk + 1]

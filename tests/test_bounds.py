@@ -68,6 +68,8 @@ def test_identity_distortion_is_degenerate():
     assert res.sup_value == pytest.approx(0.7, abs=1e-12)
     with pytest.raises(DegenerateResult):
         B.worst_case_quantile(res, 0.5)
+    with pytest.raises(DegenerateResult):
+        res.quantile_grid(101)
 
 
 def test_egini_closed_value():
@@ -327,9 +329,12 @@ def test_weighted_requires_flag_and_inverse():
     with pytest.raises(ModeContractViolation):
         B.worst_case_weighted(g, None, STD)
     res = B.worst_case_weighted(g, None, B.MomentInfo(0.0, 1.0, weighted=True))
-    assert res.quantile is None
-    with pytest.raises(NonInvertibleWeight):
+    # the bound is not degenerate; the weight has no inverse
+    assert res.quantile is None and not res.degenerate
+    with pytest.raises(NonInvertibleWeight, match="weight"):
         B.worst_case_quantile(res, 0.5)
+    with pytest.raises(NonInvertibleWeight, match="weight"):
+        res.quantile_grid(101)
 
 
 def test_worst_case_quantile_domain():
@@ -386,20 +391,27 @@ def test_bound_result_invariant_and_record():
 
 
 def _grid_results():
+    # (result, whether its envelope has a knot strictly inside the grid):
     # an analytic envelope with an interior contact knot, a numeric
-    # envelope, and a weighted result
-    yield B.worst_case_bound(D.catalog_lookup("TCRE", {"p": 0.9}), moments=STD)
+    # envelope, a weighted result, ES p = 0.5, whose knot is a skeleton point
+    # (the end of the geometric run), and TCRE p = 1 - 1e-10, whose only
+    # interior knot lies within 1e-9 of 1
+    yield B.worst_case_bound(D.catalog_lookup("TCRE", {"p": 0.9}), moments=STD), True
     yield B.worst_case_bound(D.catalog_lookup("CT", {"alpha": 2.0}), moments=STD,
-                             engine="numeric")
+                             engine="numeric"), True
     yield B.worst_case_weighted(D.catalog_lookup("DWGCE", {"F_t": 0.5}),
-                                D.linear_weight(), B.MomentInfo(0.0, 1.0, weighted=True))
+                                D.linear_weight(), B.MomentInfo(0.0, 1.0, weighted=True)), True
+    yield B.worst_case_bound(D.catalog_lookup("ES", {"p": 0.5}), moments=STD), True
+    yield B.worst_case_bound(D.catalog_lookup("TCRE", {"p": 1.0 - 1e-10}), moments=STD), False
 
 
 @pytest.mark.parametrize("n", [11, 101, 1001])
 def test_quantile_grid_points_are_the_unique_union(n):
-    for res in _grid_results():
+    for res, inside in _grid_results():
         knots = res.envelope.knots
-        assert np.any((knots > 1e-9) & (knots < 1.0 - 1e-9))
+        assert np.any((knots > 1e-9) & (knots < 1.0 - 1e-9)) == inside
+        if res.family == "ES":
+            assert 0.5 in knots and 0.5 in B._grid_skeleton(n)
         n_uniform = max(2, int(0.5 * n))
         ends = np.geomspace(1e-9, 0.5, max(8, (n - n_uniform) // 2))
         parts = [np.linspace(1e-9, 1.0 - 1e-9, n_uniform), ends, 1.0 - ends,

@@ -177,6 +177,17 @@ def test_quantile_roundtrip(capsys):
         assert val == pytest.approx(sup, rel=1e-5)
 
 
+def test_quantile_of_a_weight_without_inverse_names_the_weight(capsys):
+    # DWGCE's name implies no weight, so the CLI reads it without Psi_inverse:
+    # its bound is not degenerate, and its quantile of X cannot be recovered
+    base = ["--family", "DWGCE", "--param", "F_t=0.5", "--mu", "0", "--sigma", "1"]
+    code, out, _ = run_cli(capsys, "bound", *base)
+    assert code == 0 and "degenerate = False" in out
+    code, out, err = run_cli(capsys, "quantile", *base)
+    assert (code, out) == (3, "")
+    assert "weight" in err and "degenerate" not in err
+
+
 def test_envelope_csv(capsys):
     code, out, _ = run_cli(capsys, "envelope", "--family", "TCRE",
                            "--param", "p=0.9", "--points", "101")

@@ -585,6 +585,59 @@ def test_slope_l2_examples():
         E.slope_l2_norm(env, 1.0)
 
 
+def _explicit_lookup(env, us, scalar):
+    """slope and value at ``us`` read piece by piece: the piece is the clamped
+    ``searchsorted(knots, u, "right") - 1``, a branch (nan slope) reads the
+    source's slope form at the end it reaches, and a branch or contact piece
+    reads the source's ghat.  The source runs on the same points in the same
+    form (scalar or array) as the envelope's own call."""
+    us = np.asarray(us, dtype=float)
+    piece = np.array([min(max(int(np.searchsorted(env.knots, u, "right")) - 1, 0),
+                          len(env.slopes) - 1) for u in us])
+    tg = env.source
+    if scalar:
+        gh = np.array([tg.ghat(float(u)) for u in us])
+    else:
+        gh = np.asarray(tg.ghat(us), dtype=float)
+    slope = np.array([float(env.slopes[i]) for i in piece])
+    branch = np.isnan(slope)
+    if branch.any():
+        at_one = env.knots[piece[branch][0] + 1] == 1.0
+        form = (lambda u: tg.slope_upper(1.0 - u)) if at_one else tg.slope_lower
+        if scalar:
+            slope[branch] = [form(float(u)) for u in us[branch]]
+        else:
+            slope[branch] = form(us[branch])
+    value = np.array([float(env.values[i] + env.slopes[i] * (u - env.knots[i]))
+                      for i, u in zip(piece, us)])
+    delegate = env.contact[piece] | np.isnan(env.slopes[piece])
+    value[delegate] = gh[delegate]
+    return slope, value
+
+
+@pytest.mark.parametrize("family, params, engine", [
+    ("CRE", {}, "analytic"),
+    ("TCRE", {"p": 0.9}, "analytic"),
+    ("CT", {"alpha": 2.0}, "numeric"),
+])
+def test_slope_and_value_read_the_clamped_piece(family, params, engine):
+    # a 2-knot envelope (one branch), a 3-knot one (chord then branch) and a
+    # numeric one; every knot, both ends and just outside [0, 1]
+    env = B._build_envelope(_transform(family, params), engine, None)[0]
+    assert len(env.knots) == {"CRE": 2, "TCRE": 3}.get(family, len(env.knots))
+    us = np.concatenate([env.knots, [0.0, 1.0, np.nextafter(0.0, -1.0),
+                                     np.nextafter(1.0, 2.0), -0.25, 1.25]])
+    with np.errstate(all="ignore"):
+        slope, value = _explicit_lookup(env, us, scalar=False)
+        np.testing.assert_array_equal(env.slope(us), slope)
+        np.testing.assert_array_equal(env.value(us), value)
+        slope, value = _explicit_lookup(env, us, scalar=True)
+        for u, s, v in zip(us.tolist(), slope, value):
+            got_s, got_v = env.slope(u), env.value(u)
+            assert isinstance(got_s, float) and isinstance(got_v, float)
+            np.testing.assert_array_equal([got_s, got_v], [s, v])
+
+
 def test_envelope_table_columns():
     tg = _transform("TCRE", {"p": 0.9})
     env = E.convex_envelope_analytic(tg)
